@@ -8,8 +8,13 @@ algebra along paths of automorphisms and leave K-theory untouched):
     K0 = K1 = cokernel(I - A)  (+)  kernel(I - A)
 
 The kernel summand is free, so the direct sum is well defined without
-choosing a splitting.  Everything reduces to the Smith normal form of
-I - A over the integers.
+choosing a splitting.  Everything reduces to the invariant factors of
+I - A over the integers, computed once per graph by
+intlinalg.invariant_factors: sparse elimination of the +-1 entries
+that dominate I - A, then the small residual block reduced modulo one
+of its nonzero minors, so coefficients stay bounded.  Because I - A is
+square, the kernel has the rank of the cokernel's free part.  I - A is
+built straight from the edge lists, without per-symbol matrices.
 
 For the full shift on N symbols this collapses to the cyclic group
 Z/(N-1) in both degrees; fullshift_k_groups computes that directly and
@@ -31,12 +36,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .graph import LabeledGraph, full_shift_graph, symbol_matrices
-from .intlinalg import (
-    AbelianGroupPresentation,
-    IntMatrix,
-    cokernel,
-    kernel_rank,
-)
+from .intlinalg import AbelianGroupPresentation, IntMatrix, cokernel
 
 __all__ = [
     "KGroups",
@@ -62,9 +62,15 @@ class KGroups:
 
 
 def displacement_matrix(graph: LabeledGraph) -> IntMatrix:
-    """I - A for the graph's adjacency matrix A."""
-    adj = IntMatrix.from_rows(symbol_matrices(graph).adjacency)
-    return adj.sub_from_identity()
+    """I - A for the graph's adjacency matrix A, in one pass over the edges."""
+    n = graph.vertex_count
+    rows = [[0] * n for _ in range(n)]
+    for i, out in enumerate(graph.out_edges):
+        row = rows[i]
+        row[i] = 1
+        for j, _symbol in out:
+            row[j] -= 1
+    return IntMatrix(tuple(map(tuple, rows)))
 
 
 def graph_k_groups(graph: LabeledGraph) -> KGroups:
@@ -73,10 +79,9 @@ def graph_k_groups(graph: LabeledGraph) -> KGroups:
     cokernel(I - A) captures the relations among the vertex projections;
     the free kernel summand records the classes that I - A kills.
     """
-    m = displacement_matrix(graph)
-    coker = cokernel(m)
-    ker = kernel_rank(m)
-    group = coker.direct_sum_free(ker)
+    coker = cokernel(displacement_matrix(graph))
+    # I - A is square, so its kernel rank is the cokernel's free rank
+    group = coker.direct_sum_free(coker.free_rank)
     return KGroups(
         k0=group,
         k1=group,

@@ -125,6 +125,22 @@ def random_graph(rng: random.Random, max_vertices=6, max_symbols=3) -> LabeledGr
     raise RuntimeError("rejection sampling failed to find a valid graph")
 
 
+def hamiltonian_graph(
+    rng: random.Random, n_vertices: int, n_symbols: int, extra_p: float = 0.5
+) -> LabeledGraph:
+    """A sparse irreducible graph: a Hamiltonian cycle on symbol a0, plus
+    each (target, symbol) pair of the other symbols given one random
+    source with probability extra_p.  Left-resolving and essential by
+    construction; a symbol that drew no edge gets one."""
+    vertices = tuple(f"v{i}" for i in range(n_vertices))
+    symbols = tuple(f"a{k}" for k in range(n_symbols))
+    edges = [(vertices[i], vertices[(i + 1) % n_vertices], symbols[0]) for i in range(n_vertices)]
+    for sym in symbols[1:]:
+        targets = [v for v in vertices if rng.random() < extra_p] or [rng.choice(vertices)]
+        edges += [(rng.choice(vertices), v, sym) for v in targets]
+    return validate_graph(vertices, tuple(edges), symbols)
+
+
 def random_angles(rng: random.Random, graph: LabeledGraph, ctx=GCTX):
     """Random exact angle per symbol: small rational plus optional g term."""
     out = {}

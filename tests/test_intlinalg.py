@@ -9,6 +9,7 @@ from rotshift.intlinalg import (
     AbelianGroupPresentation,
     IntMatrix,
     cokernel,
+    invariant_factors,
     kernel_rank,
     smith_normal_form,
 )
@@ -70,6 +71,43 @@ def test_smith_agrees_with_minor_gcds(n, data):
     m = IntMatrix.from_rows(entries)
     nonzero = [x for x in smith_normal_form(m).diagonal if x]
     assert nonzero == invariant_factors_via_minors(m)
+
+
+def test_invariant_factors_examples():
+    assert invariant_factors(IntMatrix.zeros(2, 3)) == ()
+    assert invariant_factors(IntMatrix(())) == ()
+    assert invariant_factors(IntMatrix.identity(4)) == (1, 1, 1, 1)
+    assert invariant_factors(IntMatrix.from_rows([[2, 0], [0, 3]])) == (1, 6)
+    assert invariant_factors(IntMatrix.from_rows([[2, 4], [6, 8]])) == (2, 4)
+    assert invariant_factors(IntMatrix.from_rows([[1, 1], [1, 1]])) == (1,)
+
+
+@st.composite
+def _small_matrices(draw):
+    """Up to 4x4, entries -9..9; some drawn mostly from -1, 0, 1, and
+    some made singular by a last row that combines two others."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    entry = st.sampled_from([-1, 0, 0, 1, 1, 2]) if draw(st.booleans()) else st.integers(-9, 9)
+    entries = [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+    if rows >= 3 and draw(st.booleans()):
+        c = draw(st.integers(-3, 3))
+        entries[-1] = [x + c * y for x, y in zip(entries[0], entries[1])]
+    return IntMatrix.from_rows(entries)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_small_matrices())
+def test_invariant_factors_agree_with_minor_gcds(m):
+    assert list(invariant_factors(m)) == invariant_factors_via_minors(m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 8), st.data())
+def test_invariant_factors_agree_with_smith_on_displacement_matrices(n, data):
+    """I - A for a random nonnegative A with mostly 0/1 entries."""
+    adjacency = [[data.draw(st.sampled_from([0, 0, 0, 1, 1, 2])) for _ in range(n)] for _ in range(n)]
+    m = IntMatrix.from_rows(adjacency).sub_from_identity()
+    assert invariant_factors(m) == tuple(x for x in smith_normal_form(m).diagonal if x)
 
 
 def test_cokernel_examples():

@@ -1,11 +1,14 @@
 """K-groups of the boundary algebras and the inductive limit ladders."""
 
 import random
+import signal
+import time
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
 
-from conftest import build, goldenmean, random_graph, reducible3
+from conftest import build, goldenmean, hamiltonian_graph, random_graph, reducible3
 from rotshift.graph import symbol_matrices
 from rotshift.graph import full_shift_graph
 from rotshift.intlinalg import IntMatrix, smith_normal_form
@@ -67,6 +70,46 @@ def test_torsion_order_is_absolute_determinant():
         assert kg.k0.free_rank == 0
         assert kg.k0.torsion_order() == abs(det)
     assert checked >= 10
+
+
+@contextmanager
+def _wall_clock_limit(seconds):
+    """Fail with TimeoutError instead of hanging past the limit."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_k_groups_finish_on_mid_sized_graphs():
+    """40-64 vertices: the transform-tracking Smith form never finished on
+    half of these; the invariant factors take milliseconds."""
+    rng = random.Random(2026)
+    for i in range(10):
+        graph = hamiltonian_graph(rng, 40 + 24 * i // 9, 3 + i % 3)
+        start = time.perf_counter()
+        with _wall_clock_limit(10.0):
+            kg = graph_k_groups(graph)
+        assert time.perf_counter() - start < 2.0
+        det = integer_determinant(displacement_matrix(graph))
+        assert (kg.k0.free_rank == 0) == (det != 0)
+        if det:
+            assert kg.k0.torsion_order() == abs(det)
+
+
+def test_displacement_matrix_matches_symbol_matrices():
+    rng = random.Random(7)
+    for _ in range(20):
+        graph = random_graph(rng)
+        adjacency = IntMatrix.from_rows(symbol_matrices(graph).adjacency)
+        assert displacement_matrix(graph) == adjacency.sub_from_identity()
 
 
 def test_reducible3_k_groups():
