@@ -23,13 +23,11 @@ from .graph import (  # noqa: F401
     Edge,
     LabeledGraph,
     full_shift_graph,
-    pair_graph,
     symbol_matrices,
     validate_graph,
 )
 from .subshift import (  # noqa: F401
     admissible_words,
-    build_level_graph,
     decorated_subshift_equals_base,
     forward_support,
     is_admissible,

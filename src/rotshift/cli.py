@@ -9,8 +9,9 @@ Subcommands:
 * ideals FILE: invariant saturated subsets, lattice and quotients.
 * oracle orbit FILE ... / oracle weyl ...: the numeric oracles.
 
-Exit codes: 0 success, 2 graph validation failure (a report is still
-emitted), 1 usage or IO errors.
+Exit codes: 0 success, 2 graph validation failure (the report header
+with the defect's witness is still emitted), 1 usage or IO errors and
+exceeded size caps.
 """
 
 from __future__ import annotations
@@ -24,10 +25,11 @@ from . import __version__
 from .angles import DEFAULT_GENERATOR_VALUE, GeneratorContext, parse_angle
 from .errors import ParseError, RotshiftError
 from .fileformat import SystemDocument, parse_system, serialize_system
+from .graph import LabeledGraph
 from .ideals import enumerate_invariant_saturated, hasse_edges, quotient_system
 from .ktheory import bunce_deddens_data, core_dimension_data, graph_k_groups
 from .oracles import orbit_density, weyl_sums
-from .report import analyze_document
+from .report import analyze_document, validation_report
 from .subshift import MAX_WORD_LENGTH, admissible_words
 
 EXIT_OK = 0
@@ -79,6 +81,27 @@ def _emit(payload: dict, as_json: bool, text_lines: list[str]) -> None:
             print(line)
 
 
+def _emit_invalid(report: dict, as_json: bool) -> int:
+    """Emit a report whose graph validation failed; returns the exit code."""
+    _emit(report, as_json, ["validation: FAILED", json.dumps(report["validation"], indent=2)])
+    return EXIT_INVALID
+
+
+def _read_graph(args) -> tuple[SystemDocument, dict, LabeledGraph | None]:
+    """Read and validate args.file: (document, report header, graph).
+
+    The header carries version, input_digest and validation.  After a
+    validation failure the graph is None and the header has been
+    emitted.  A size cap raises CapExceeded, which main reports with
+    exit 1.
+    """
+    doc, text = _read_document(args.file)
+    header, graph = validation_report(doc, source_text=text)
+    if graph is None:
+        _emit_invalid(header, args.json)
+    return doc, header, graph
+
+
 def _angles_document(angle_list: str) -> SystemDocument:
     """Build an n-loop full-shift document from a comma-separated list
     of exact angle expressions; identifiers are auto-declared as
@@ -115,36 +138,22 @@ def _angles_document(angle_list: str) -> SystemDocument:
 
 
 def _cmd_validate(args) -> int:
-    doc, text = _read_document(args.file)
-    report, ok = analyze_document(doc, source_text=text)
-    payload = {
-        "version": report["version"],
-        "input_digest": report["input_digest"],
-        "validation": report["validation"],
-    }
-    if ok:
-        lines = [
-            "validation: ok",
-            f"vertices: {' '.join(report['validation']['vertices'])}",
-            f"alphabet: {' '.join(report['validation']['alphabet'])}",
-            f"edges: {report['validation']['edge_count']}",
-        ]
-    else:
-        lines = ["validation: FAILED", json.dumps(payload["validation"], indent=2)]
-    _emit(payload, args.json, lines)
-    return EXIT_OK if ok else EXIT_INVALID
+    _doc, header, graph = _read_graph(args)
+    if graph is None:
+        return EXIT_INVALID
+    lines = [
+        "validation: ok",
+        f"vertices: {' '.join(graph.vertices)}",
+        f"alphabet: {' '.join(graph.alphabet)}",
+        f"edges: {len(graph.edges)}",
+    ]
+    _emit(header, args.json, lines)
+    return EXIT_OK
 
 
 def _cmd_words(args) -> int:
-    doc, _text = _read_document(args.file)
-    try:
-        graph = doc.graph()
-    except RotshiftError as exc:
-        _emit(
-            {"validation": {"ok": False, "detail": str(exc)}},
-            args.json,
-            [f"validation: FAILED: {exc}"],
-        )
+    _doc, _header, graph = _read_graph(args)
+    if graph is None:
         return EXIT_INVALID
     cap = args.max_word_len if args.max_word_len is not None else MAX_WORD_LENGTH
     try:
@@ -173,50 +182,36 @@ def _cmd_analyze(args) -> int:
             return EXIT_USAGE
         doc, text = _read_document(args.file)
     report, ok = analyze_document(doc, source_text=text, ideal_cap=args.ideal_cap)
-    lines = []
-    if ok:
-        lines.append(f"validation: ok ({len(doc.vertices)} vertices, {len(doc.alphabet)} symbols)")
-        for key in (
-            "condition_I",
-            "irreducible",
-            "irrational_cycle",
-            "g_minimal",
-            "simple_O",
-            "purely_infinite_O",
-        ):
-            section = report[key]
-            lines.append(f"{key}: {section['verdict']}  [{section['criterion']}]")
-        fs = report["fullshift"]
-        lines.append(f"fullshift.F_simple: {fs['F_simple']['verdict']}")
-        lines.append(
-            f"fullshift.uniformly_distributed: {fs['uniformly_distributed']['verdict']}"
-        )
-        kt = report["k_theory"]
-        lines.append(f"k_theory: K0 = {kt['K0']}, K1 = {kt['K1']}")
-        if report["ideals"] is not None:
-            pretty = [
-                "{" + ",".join(w) + "}" for w in report["ideals"]["invariant_saturated"]
-            ]
-            lines.append(f"ideals: {' '.join(pretty)}")
-        for w in report["warnings"]:
-            lines.append(f"warning: {w}")
-    else:
-        lines.append("validation: FAILED")
-        lines.append(json.dumps(report["validation"], indent=2))
+    if not ok:
+        return _emit_invalid(report, args.json)
+    lines = [f"validation: ok ({len(doc.vertices)} vertices, {len(doc.alphabet)} symbols)"]
+    for key in (
+        "condition_I",
+        "irreducible",
+        "irrational_cycle",
+        "g_minimal",
+        "simple_O",
+        "purely_infinite_O",
+    ):
+        section = report[key]
+        lines.append(f"{key}: {section['verdict']}  [{section['criterion']}]")
+    fs = report["fullshift"]
+    lines.append(f"fullshift.F_simple: {fs['F_simple']['verdict']}")
+    lines.append(f"fullshift.uniformly_distributed: {fs['uniformly_distributed']['verdict']}")
+    kt = report["k_theory"]
+    lines.append(f"k_theory: K0 = {kt['K0']}, K1 = {kt['K1']}")
+    if report["ideals"] is not None:
+        pretty = ["{" + ",".join(w) + "}" for w in report["ideals"]["invariant_saturated"]]
+        lines.append(f"ideals: {' '.join(pretty)}")
+    for w in report["warnings"]:
+        lines.append(f"warning: {w}")
     _emit(report, args.json, lines)
-    return EXIT_OK if ok else EXIT_INVALID
+    return EXIT_OK
 
 
 def _cmd_ktheory(args) -> int:
-    doc, _text = _read_document(args.file)
-    try:
-        graph = doc.graph()
-    except RotshiftError as exc:
-        _emit(
-            {"validation": {"ok": False, "detail": str(exc)}},
-            args.json,
-            [f"validation: FAILED: {exc}"],
-        )
+    _doc, _header, graph = _read_graph(args)
+    if graph is None:
         return EXIT_INVALID
     groups = graph_k_groups(graph)
     payload: dict = {"k_theory": groups.to_json()}
@@ -242,15 +237,8 @@ def _cmd_ktheory(args) -> int:
 
 
 def _cmd_ideals(args) -> int:
-    doc, _text = _read_document(args.file)
-    try:
-        graph = doc.graph()
-    except RotshiftError as exc:
-        _emit(
-            {"validation": {"ok": False, "detail": str(exc)}},
-            args.json,
-            [f"validation: FAILED: {exc}"],
-        )
+    _doc, _header, graph = _read_graph(args)
+    if graph is None:
         return EXIT_INVALID
     try:
         kwargs = {} if args.ideal_cap is None else {"cap": args.ideal_cap}
@@ -292,11 +280,8 @@ def _cmd_ideals(args) -> int:
 
 
 def _cmd_oracle_orbit(args) -> int:
-    doc, _text = _read_document(args.file)
-    try:
-        graph = doc.graph()
-    except RotshiftError as exc:
-        print(f"error: graph invalid: {exc}", file=sys.stderr)
+    doc, _header, graph = _read_graph(args)
+    if graph is None:
         return EXIT_INVALID
     overrides = _gen_overrides(args.gen)
     theta = doc.float_angles(overrides)

@@ -69,11 +69,12 @@ class SystemDocument:
 
 def parse_system(text: str) -> SystemDocument:
     section = None
-    gen_names: list[str] = []
+    # names as dict keys: constant-time duplicate checks, declared order kept
+    gen_names: dict[str, None] = {}
     gen_values: dict[str, float] = {}
     alphabet: list[str] = []
     raw_angles: dict[str, str | None] = {}
-    vertices: list[str] = []
+    vertices: dict[str, None] = {}
     edges: list[tuple[str, str, str]] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -96,7 +97,7 @@ def parse_system(text: str) -> SystemDocument:
                 raise ParseError(f"bad generator name {name!r}", lineno)
             if name in gen_names:
                 raise ParseError(f"generator {name!r} declared twice", lineno)
-            gen_names.append(name)
+            gen_names[name] = None
             if value:
                 try:
                     gen_values[name] = float(value)
@@ -115,7 +116,7 @@ def parse_system(text: str) -> SystemDocument:
                 raise ParseError(f"bad vertex name {line!r}", lineno)
             if line in vertices:
                 raise ParseError(f"vertex {line!r} declared twice", lineno)
-            vertices.append(line)
+            vertices[line] = None
         elif section == "edges":
             m = _EDGE_RE.match(line)
             if not m:

@@ -36,8 +36,6 @@ __all__ = [
     "validate_graph",
     "SymbolMatrixFamily",
     "symbol_matrices",
-    "PairGraph",
-    "pair_graph",
     "full_shift_graph",
 ]
 
@@ -195,17 +193,6 @@ class SymbolMatrixFamily:
                 col = sum(m[i][j] for i in range(n))
                 assert col <= 1, f"symbol {s!r}: column {j} has {col} entries"
 
-    def edge_list(self, vertices: Sequence[str]) -> list[Edge]:
-        """Rebuild the edge list; inverse of symbol_matrices."""
-        out = []
-        for s in self.symbols:
-            m = self.matrices[s]
-            for i, row in enumerate(m):
-                for j, x in enumerate(row):
-                    if x:
-                        out.append(Edge(vertices[i], vertices[j], s))
-        return out
-
 
 def symbol_matrices(graph: LabeledGraph) -> SymbolMatrixFamily:
     n = graph.vertex_count
@@ -219,46 +206,6 @@ def symbol_matrices(graph: LabeledGraph) -> SymbolMatrixFamily:
         matrices={s: tuple(tuple(r) for r in m) for s, m in mats.items()},
         adjacency=tuple(tuple(r) for r in adj),
     )
-
-
-class PairEdge(NamedTuple):
-    src: tuple[str, str]
-    dst: tuple[str, str]
-    symbols: tuple[str, str]
-    equal: bool
-
-
-@dataclass(frozen=True)
-class PairGraph:
-    """Product of a graph with itself, edges annotated by label equality.
-
-    The diagonal-avoiding walks of this graph witness pairs of distinct
-    points sharing a label future, which is the standard device for
-    synchronization and follower separation arguments.
-    """
-
-    nodes: tuple[tuple[str, str], ...]
-    edges: tuple[PairEdge, ...]
-
-
-def pair_graph(graph: LabeledGraph) -> PairGraph:
-    nodes = tuple((u, v) for u in graph.vertices for v in graph.vertices)
-    out: dict[str, list[Edge]] = {v: [] for v in graph.vertices}
-    for e in graph.edges:
-        out[e.src].append(e)
-    edges = []
-    for u, v in nodes:
-        for e1 in out[u]:
-            for e2 in out[v]:
-                edges.append(
-                    PairEdge(
-                        src=(u, v),
-                        dst=(e1.dst, e2.dst),
-                        symbols=(e1.symbol, e2.symbol),
-                        equal=e1.symbol == e2.symbol,
-                    )
-                )
-    return PairGraph(nodes=nodes, edges=tuple(edges))
 
 
 def full_shift_graph(n: int, vertex: str = "v", symbols: Sequence[str] | None = None) -> LabeledGraph:

@@ -7,6 +7,9 @@ is deterministic byte for byte (modulo the version field):
     irrational_cycle, g_minimal, simple_O, purely_infinite_O,
     fullshift { F_simple, uniformly_distributed }, k_theory, ideals,
     warnings
+
+validation_report builds the first three keys, which are all that
+`rotshift validate` emits; analyze_document extends them.
 """
 
 from __future__ import annotations
@@ -16,20 +19,16 @@ import hashlib
 from . import __version__
 from .errors import CapExceeded, GraphValidationError
 from .fileformat import SystemDocument
+from .graph import LabeledGraph
 from .ideals import enumerate_invariant_saturated, hasse_edges
 from .ktheory import graph_k_groups
 from .verdicts import (
-    condition_I,
-    crossed_product_simplicity,
+    Analysis,
     fullshift_core_simplicity,
     fullshift_uniform_distribution,
-    graph_minimality,
-    irrational_cycle,
-    is_irreducible,
-    pure_infiniteness,
 )
 
-__all__ = ["analyze_document", "input_digest"]
+__all__ = ["analyze_document", "input_digest", "validation_report"]
 
 
 def input_digest(text: str) -> str:
@@ -38,6 +37,32 @@ def input_digest(text: str) -> str:
 
 def _not_applicable(reason: str) -> dict:
     return {"verdict": "Unknown", "certificate": None, "criterion": reason}
+
+
+def validation_report(
+    doc: SystemDocument, source_text: str | None = None
+) -> tuple[dict, LabeledGraph | None]:
+    """Build the report header: version, input_digest, validation.
+
+    Returns (header, graph).  graph is None when graph validation
+    failed; the validation section then carries the defect's witness.
+    Size caps raise CapExceeded.
+    """
+    report: dict = {"version": __version__}
+    if source_text is not None:
+        report["input_digest"] = input_digest(source_text)
+    try:
+        graph = doc.graph()
+    except GraphValidationError as exc:
+        report["validation"] = {"ok": False, **exc.witness()}
+        return report, None
+    report["validation"] = {
+        "ok": True,
+        "vertices": list(graph.vertices),
+        "alphabet": list(graph.alphabet),
+        "edge_count": len(graph.edges),
+    }
+    return report, graph
 
 
 def analyze_document(
@@ -50,30 +75,20 @@ def analyze_document(
     ok is False when graph validation failed, in which case only the
     validation section carries content.
     """
-    report: dict = {"version": __version__}
-    if source_text is not None:
-        report["input_digest"] = input_digest(source_text)
+    report, graph = validation_report(doc, source_text)
     warnings: list[str] = []
-    try:
-        graph = doc.graph()
-    except GraphValidationError as exc:
-        report["validation"] = {"ok": False, **exc.witness()}
+    if graph is None:
         report["warnings"] = warnings
         return report, False
-    report["validation"] = {
-        "ok": True,
-        "vertices": list(graph.vertices),
-        "alphabet": list(graph.alphabet),
-        "edge_count": len(graph.edges),
-    }
 
     angles = doc.angles
-    report["condition_I"] = condition_I(graph).to_json()
-    report["irreducible"] = is_irreducible(graph).to_json()
-    report["irrational_cycle"] = irrational_cycle(graph, angles).to_json()
-    report["g_minimal"] = graph_minimality(graph, angles).to_json()
-    report["simple_O"] = crossed_product_simplicity(graph, angles).to_json()
-    report["purely_infinite_O"] = pure_infiniteness(graph, angles).to_json()
+    verdicts = Analysis(graph, angles)
+    report["condition_I"] = verdicts.condition.to_json()
+    report["irreducible"] = verdicts.irreducible.to_json()
+    report["irrational_cycle"] = verdicts.cycle.to_json()
+    report["g_minimal"] = verdicts.minimal.to_json()
+    report["simple_O"] = verdicts.simple.to_json()
+    report["purely_infinite_O"] = verdicts.purely_infinite.to_json()
 
     if graph.vertex_count == 1 and len(graph.alphabet) >= 2:
         ordered = [angles[s] for s in graph.alphabet]

@@ -8,11 +8,6 @@ walk from the full vertex set stays nonempty, which agrees with the
 independent criterion "the product of the symbol matrices is nonzero"
 (see oracles.matrix_product_admissible for that second route).
 
-The same walk, started once per word length and deduplicated, yields a
-finite leveled presentation of the language (build_level_graph): level
-l holds the distinct supports of length-l words, and the labeled
-transitions between consecutive levels record how supports evolve.
-
 Rotation decorations act on the circle fiber over each vertex by
 automorphisms, so they can never kill a path: the decorated system has
 the same admissible words as the base graph.  decorated_admissible_words
@@ -23,7 +18,6 @@ rather than assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .angles import EMPTY_CONTEXT, ExactAngle
@@ -34,17 +28,12 @@ __all__ = [
     "forward_support",
     "is_admissible",
     "admissible_words",
-    "LevelGraph",
-    "build_level_graph",
     "decorated_admissible_words",
     "decorated_subshift_equals_base",
     "MAX_WORD_LENGTH",
-    "MAX_LEVELS",
 ]
 
 MAX_WORD_LENGTH = 12
-MAX_LEVELS = 16
-SUBSET_GUARD = 2**20
 
 
 def forward_support(graph: LabeledGraph, support: Iterable[int], symbol: str) -> frozenset[int]:
@@ -98,67 +87,6 @@ def admissible_words(
 
     extend((), full_support(graph))
     return words
-
-
-@dataclass(frozen=True)
-class LevelGraph:
-    """Leveled presentation of the language by word supports.
-
-    levels[l] lists the distinct supports of admissible length-l words
-    (level 0 is the single full support).  transitions[l] maps each
-    symbol to a 0/1 matrix of shape (len(levels[l]), len(levels[l+1]))
-    recording which support maps to which under that symbol.  Every
-    level vertex has at least one outgoing transition because the
-    underlying graph is essential.
-    """
-
-    graph: LabeledGraph
-    levels: tuple[tuple[frozenset[int], ...], ...]
-    transitions: tuple[dict[str, tuple[tuple[int, ...], ...]], ...]
-
-    @property
-    def level_sizes(self) -> tuple[int, ...]:
-        return tuple(len(level) for level in self.levels)
-
-    def level_names(self, l: int) -> list[list[str]]:
-        return [self.graph.vertex_names(s) for s in self.levels[l]]
-
-
-def build_level_graph(graph: LabeledGraph, depth: int, cap: int = MAX_LEVELS) -> LevelGraph:
-    if depth > cap:
-        raise CapExceeded("level depth", depth, cap)
-    if depth < 0:
-        raise ValueError("negative depth")
-    levels: list[tuple[frozenset[int], ...]] = [(full_support(graph),)]
-    transitions: list[dict[str, tuple[tuple[int, ...], ...]]] = []
-    for _ in range(depth):
-        current = levels[-1]
-        images: dict[frozenset[int], int] = {}
-        arrows: dict[str, dict[int, list[int]]] = {s: {} for s in graph.alphabet}
-        ordered: list[frozenset[int]] = []
-        for idx, support in enumerate(current):
-            for symbol in graph.alphabet:
-                img = forward_support(graph, support, symbol)
-                if not img:
-                    continue
-                if img not in images:
-                    if len(ordered) >= SUBSET_GUARD:
-                        raise CapExceeded("distinct supports per level", len(ordered) + 1, SUBSET_GUARD)
-                    images[img] = len(ordered)
-                    ordered.append(img)
-                arrows[symbol].setdefault(idx, []).append(images[img])
-        matrices: dict[str, tuple[tuple[int, ...], ...]] = {}
-        for symbol in graph.alphabet:
-            rows = []
-            for idx in range(len(current)):
-                row = [0] * len(ordered)
-                for j in arrows[symbol].get(idx, ()):
-                    row[j] = 1
-                rows.append(tuple(row))
-            matrices[symbol] = tuple(rows)
-        levels.append(tuple(ordered))
-        transitions.append(matrices)
-    return LevelGraph(graph=graph, levels=tuple(levels), transitions=tuple(transitions))
 
 
 def decorated_forward(

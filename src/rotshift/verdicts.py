@@ -26,11 +26,16 @@ Decisions implemented:
   the sufficient criteria that condition (I) supports.
 * full shifts: simplicity of the gauge-fixed core and uniform
   distribution of the angle sums, decided by pairwise differences.
+
+Analysis(graph, angles) holds the six graph verdicts of one analysis
+and makes each base decision at most once; the composite module-level
+functions each read one verdict from a fresh Analysis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import lcm
 from typing import Mapping, Sequence
 
@@ -41,6 +46,7 @@ from .subshift import forward_support
 
 __all__ = [
     "VerdictReport",
+    "Analysis",
     "condition_I",
     "is_irreducible",
     "irrational_cycle",
@@ -187,24 +193,41 @@ def _bfs_edge_path(
 
 
 def is_irreducible(graph: LabeledGraph) -> VerdictReport:
-    """Strong connectivity of the underlying digraph.
+    """Strong connectivity of the underlying digraph, in O(n + m).
 
-    No-certificate: the forward closure of the first vertex that cannot
-    reach everything; it is a proper nonempty forward-closed subset, so
-    the fibers above it form a closed invariant region.  Yes-certificate:
-    a single closed walk visiting every vertex.
+    The graph is strongly connected iff vertex 0 reaches every vertex
+    and every vertex reaches vertex 0.  No-certificate: the forward
+    closure of the first vertex that cannot reach everything; it is a
+    proper nonempty forward-closed subset, so the fibers above it form
+    a closed invariant region.  Yes-certificate: a single closed walk
+    visiting every vertex.
     """
     criterion = "irreducibility: the transition digraph is strongly connected"
     n = graph.vertex_count
-    for v in range(n):
-        closure = _closure(graph, v)
-        if len(closure) != n:
-            return VerdictReport(
-                NO,
-                {"forward_closed": graph.vertex_names(closure)},
-                criterion,
-                notes=("every edge leaving the witness set lands back inside it",),
-            )
+    closure = _closure(graph, 0)
+    if len(closure) == n:
+        # vertex 0 reaches everything, so a vertex reaches everything
+        # iff it reaches vertex 0: search backwards from vertex 0
+        pred: list[list[int]] = [[] for _ in range(n)]
+        for v, outs in enumerate(graph.out_edges):
+            for w, _s in outs:
+                pred[w].append(v)
+        back = {0}
+        stack = [0]
+        while stack:
+            for v in pred[stack.pop()]:
+                if v not in back:
+                    back.add(v)
+                    stack.append(v)
+        if len(back) < n:
+            closure = _closure(graph, next(v for v in range(n) if v not in back))
+    if len(closure) < n:
+        return VerdictReport(
+            NO,
+            {"forward_closed": graph.vertex_names(closure)},
+            criterion,
+            notes=("every edge leaving the witness set lands back inside it",),
+        )
     # build one closed walk covering all vertices
     walk: list[Edge] = []
     cur = 0
@@ -298,17 +321,24 @@ def irrational_cycle(graph: LabeledGraph, angles: Mapping[str, ExactAngle]) -> V
     context = next(iter(angles.values())).context if angles else None
     zero = ExactAngle.zero(context) if context is not None else ExactAngle.zero()
     comp = strongly_connected_components(graph)
-    n = graph.vertex_count
     vi = graph.vertex_index
+    # vertices and inner edges of each component, in declared order
+    members: dict[int, list[int]] = {}
+    for v, cid in enumerate(comp):
+        members.setdefault(cid, []).append(v)
+    inner: dict[int, list[Edge]] = {cid: [] for cid in members}
+    for e in graph.edges:
+        cid = comp[vi[e.src]]
+        if comp[vi[e.dst]] == cid:
+            inner[cid].append(e)
 
     potentials: dict[int, ExactAngle] = {}
     roots: list[int] = []
     denominator = 1
 
-    for cid in sorted(set(comp)):
-        members = [v for v in range(n) if comp[v] == cid]
-        allowed = set(members)
-        root = min(members)
+    for cid in sorted(members):
+        allowed = set(members[cid])
+        root = members[cid][0]
         roots.append(root)
         # BFS arborescence and tree potentials
         pot: dict[int, ExactAngle] = {root: zero}
@@ -336,10 +366,8 @@ def irrational_cycle(graph: LabeledGraph, angles: Mapping[str, ExactAngle]) -> V
             path.reverse()
             return path
 
-        for e in graph.edges:
+        for e in inner[cid]:
             u, w = vi[e.src], vi[e.dst]
-            if u not in allowed or w not in allowed:
-                continue
             defect = pot[u] + angles[e.symbol] - pot[w]
             if defect.is_rational():
                 denominator = lcm(denominator, defect.rational_denominator())
@@ -385,6 +413,121 @@ def irrational_cycle(graph: LabeledGraph, angles: Mapping[str, ExactAngle]) -> V
 # minimality and the algebra verdicts
 
 
+class Analysis:
+    """Every verdict about one decorated graph, each decided at most once.
+
+    The composite verdicts (minimality, simplicity, pure infiniteness)
+    rest on three base decisions: condition (I), irreducibility and an
+    irrational cycle.  Each is a cached property, computed on first use
+    by the module-level function and then shared, so reading all six
+    verdicts makes each base decision once, and a composite whose first
+    hypothesis fails never computes the later ones.  Composites copy the
+    base certificates rather than mutating them.
+    """
+
+    def __init__(self, graph: LabeledGraph, angles: Mapping[str, ExactAngle]):
+        self.graph = graph
+        self.angles = angles
+
+    @cached_property
+    def condition(self) -> VerdictReport:
+        return condition_I(self.graph)
+
+    @cached_property
+    def irreducible(self) -> VerdictReport:
+        return is_irreducible(self.graph)
+
+    @cached_property
+    def cycle(self) -> VerdictReport:
+        return irrational_cycle(self.graph, self.angles)
+
+    @cached_property
+    def minimal(self) -> VerdictReport:
+        criterion = "minimality of the rotation action over the transition graph"
+        irr = self.irreducible
+        if irr.is_no:
+            return VerdictReport(
+                NO,
+                dict(irr.certificate),
+                criterion,
+                notes=(
+                    "the circle fibers over the forward-closed subset form a "
+                    "proper closed invariant set",
+                ),
+            )
+        cyc = self.cycle
+        if cyc.is_yes:
+            return VerdictReport(YES, dict(cyc.certificate), criterion)
+        certificate = dict(cyc.certificate)
+        certificate["derived"] = True
+        q = certificate["cycle_denominator"]
+        return VerdictReport(
+            NO,
+            certificate,
+            criterion,
+            notes=(
+                "derived case: with all cycle angles rational, any orbit meets "
+                f"each fiber in at most {q} points per reachable coset, so no "
+                "orbit is dense",
+            ),
+        )
+
+    @cached_property
+    def simple(self) -> VerdictReport:
+        criterion = "simplicity equals minimality under condition (I)"
+        if not self.condition.is_yes:
+            return VerdictReport(
+                UNKNOWN,
+                None,
+                criterion,
+                notes=(
+                    "missing hypothesis: condition (I); the uniqueness argument "
+                    "behind the equivalence does not apply",
+                ),
+            )
+        gm = self.minimal
+        notes = (
+            "condition (I) holds; Lebesgue measure on the circle fibers is a "
+            "faithful invariant probability measure",
+        )
+        if gm.is_yes:
+            return VerdictReport(YES, dict(gm.certificate), criterion, notes=notes)
+        return VerdictReport(NO, dict(gm.certificate), criterion, notes=notes + tuple(gm.notes))
+
+    @cached_property
+    def purely_infinite(self) -> VerdictReport:
+        criterion = (
+            "pure infiniteness from condition (I), irreducibility and an irrational cycle"
+        )
+        if not self.condition.is_yes:
+            return VerdictReport(
+                UNKNOWN, None, criterion, notes=("missing hypothesis: condition (I)",)
+            )
+        if not self.irreducible.is_yes:
+            return VerdictReport(
+                UNKNOWN, None, criterion, notes=("missing hypothesis: irreducibility",)
+            )
+        if not self.cycle.is_yes:
+            return VerdictReport(
+                UNKNOWN,
+                None,
+                criterion,
+                notes=(
+                    "missing hypothesis: an irrational cycle; the sufficient "
+                    "test is silent when every cycle angle is rational",
+                ),
+            )
+        return VerdictReport(
+            YES,
+            {
+                "condition_I": self.condition.certificate,
+                "irreducible": True,
+                "cycle": self.cycle.certificate,
+            },
+            criterion,
+        )
+
+
 def graph_minimality(graph: LabeledGraph, angles: Mapping[str, ExactAngle]) -> VerdictReport:
     """Minimality of the decorated action on the union of circle fibers.
 
@@ -399,34 +542,7 @@ def graph_minimality(graph: LabeledGraph, angles: Mapping[str, ExactAngle]) -> V
       denominator per reachable coset).  This case is a derived
       strengthening of the sufficient Yes test and is flagged as such.
     """
-    criterion = "minimality of the rotation action over the transition graph"
-    irr = is_irreducible(graph)
-    if irr.is_no:
-        return VerdictReport(
-            NO,
-            dict(irr.certificate),
-            criterion,
-            notes=(
-                "the circle fibers over the forward-closed subset form a "
-                "proper closed invariant set",
-            ),
-        )
-    cyc = irrational_cycle(graph, angles)
-    if cyc.is_yes:
-        return VerdictReport(YES, dict(cyc.certificate), criterion)
-    certificate = dict(cyc.certificate)
-    certificate["derived"] = True
-    q = certificate["cycle_denominator"]
-    return VerdictReport(
-        NO,
-        certificate,
-        criterion,
-        notes=(
-            "derived case: with all cycle angles rational, any orbit meets "
-            f"each fiber in at most {q} points per reachable coset, so no "
-            "orbit is dense",
-        ),
-    )
+    return Analysis(graph, angles).minimal
 
 
 def crossed_product_simplicity(
@@ -441,26 +557,7 @@ def crossed_product_simplicity(
     condition (I) the equivalence is unavailable and the verdict is
     Unknown.
     """
-    criterion = "simplicity equals minimality under condition (I)"
-    ci = condition_I(graph)
-    if not ci.is_yes:
-        return VerdictReport(
-            UNKNOWN,
-            None,
-            criterion,
-            notes=(
-                "missing hypothesis: condition (I); the uniqueness argument "
-                "behind the equivalence does not apply",
-            ),
-        )
-    gm = graph_minimality(graph, angles)
-    notes = (
-        "condition (I) holds; Lebesgue measure on the circle fibers is a "
-        "faithful invariant probability measure",
-    )
-    if gm.is_yes:
-        return VerdictReport(YES, dict(gm.certificate), criterion, notes=notes)
-    return VerdictReport(NO, dict(gm.certificate), criterion, notes=notes + tuple(gm.notes))
+    return Analysis(graph, angles).simple
 
 
 def pure_infiniteness(graph: LabeledGraph, angles: Mapping[str, ExactAngle]) -> VerdictReport:
@@ -470,39 +567,7 @@ def pure_infiniteness(graph: LabeledGraph, angles: Mapping[str, ExactAngle]) -> 
     algebra to be simple and purely infinite.  The test is one-sided:
     when any hypothesis fails the verdict is Unknown, not No.
     """
-    criterion = (
-        "pure infiniteness from condition (I), irreducibility and an irrational cycle"
-    )
-    ci = condition_I(graph)
-    if not ci.is_yes:
-        return VerdictReport(
-            UNKNOWN, None, criterion, notes=("missing hypothesis: condition (I)",)
-        )
-    irr = is_irreducible(graph)
-    if not irr.is_yes:
-        return VerdictReport(
-            UNKNOWN, None, criterion, notes=("missing hypothesis: irreducibility",)
-        )
-    cyc = irrational_cycle(graph, angles)
-    if not cyc.is_yes:
-        return VerdictReport(
-            UNKNOWN,
-            None,
-            criterion,
-            notes=(
-                "missing hypothesis: an irrational cycle; the sufficient "
-                "test is silent when every cycle angle is rational",
-            ),
-        )
-    return VerdictReport(
-        YES,
-        {
-            "condition_I": ci.certificate,
-            "irreducible": True,
-            "cycle": cyc.certificate,
-        },
-        criterion,
-    )
+    return Analysis(graph, angles).purely_infinite
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,19 @@
 """Shared builders for the test suite.
 
 Everything here is deliberately written against the public constructors
-only.  The brute-force helpers (word search, simple cycle enumeration)
-reimplement their questions from scratch so they can serve as oracles
-for the package's cleverer routines.
+only.  The brute-force helpers (word search, simple cycle enumeration,
+closure-per-vertex irreducibility) reimplement their questions from
+scratch so they can serve as oracles for the package's cleverer
+routines.
 """
 
 from __future__ import annotations
 
+import glob
 import itertools
+import os
 import random
+import sys
 from fractions import Fraction
 
 from rotshift.angles import EMPTY_CONTEXT, ExactAngle, GeneratorContext
@@ -17,6 +21,21 @@ from rotshift.errors import GraphValidationError
 from rotshift.graph import Edge, LabeledGraph, full_shift_graph, validate_graph
 
 GCTX = GeneratorContext(("g",))
+SYSTEMS = os.path.join(os.path.dirname(__file__), "..", "systems")
+
+
+def bundled_systems() -> list[str]:
+    """Paths of the bundled systems/*.sds files, sorted by name."""
+    return sorted(glob.glob(os.path.join(SYSTEMS, "*.sds")))
+
+
+def patch_everywhere(monkeypatch, module, name: str, replacement) -> None:
+    """Replace module.name in every loaded rotshift module that binds it,
+    so callers that imported the name directly see the replacement too."""
+    original = getattr(module, name)
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "rotshift" and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, replacement)
 
 
 def rat(p, q=1, ctx=GCTX):
@@ -229,3 +248,22 @@ def cycle_angle(cycle, angles):
     for e in cycle:
         total = angles[e.symbol] if total is None else total + angles[e.symbol]
     return total
+
+
+def closure_irreducibility(graph: LabeledGraph) -> list[str] | None:
+    """None when every vertex reaches every vertex; otherwise the forward
+    closure of the first vertex (in declared order) that does not, as
+    names in declared order.  One search per vertex over the raw edge
+    list, with no strongly connected components."""
+    for start in graph.vertices:
+        closure = {start}
+        frontier = [start]
+        while frontier:
+            v = frontier.pop()
+            for e in graph.edges:
+                if e.src == v and e.dst not in closure:
+                    closure.add(e.dst)
+                    frontier.append(e.dst)
+        if len(closure) != len(graph.vertices):
+            return [v for v in graph.vertices if v in closure]
+    return None

@@ -231,3 +231,55 @@ def test_usage_error_exit_1(capsys):
     with pytest.raises(SystemExit) as info:
         run(capsys, "words", path("goldenmean.sds"))  # missing -k
     assert info.value.code == 1
+
+
+# Every subcommand that reads a FILE, with the arguments it needs.
+FILE_COMMANDS = [
+    ["validate"],
+    ["analyze"],
+    ["words", "-k", "1"],
+    ["ktheory"],
+    ["ideals"],
+    ["oracle", "orbit", "--steps", "10"],
+]
+
+
+def _with_file(command, file):
+    # the FILE argument follows the subcommand name(s)
+    split = 2 if command[0] == "oracle" else 1
+    return command[:split] + [file] + command[split:] + ["--json"]
+
+
+@pytest.mark.parametrize("command", FILE_COMMANDS, ids=lambda c: " ".join(c[:2]))
+def test_vertex_cap_exits_1_naming_the_cap(capsys, tmp_path, command):
+    n = 1001
+    vertices = "\n".join(f"v{i}" for i in range(n))
+    edges = "\n".join(f"v{i} -> v{(i + 1) % n} : a" for i in range(n))
+    big = tmp_path / "big.sds"
+    big.write_text(f"[alphabet]\na\n\n[vertices]\n{vertices}\n\n[edges]\n{edges}\n")
+    code, out, err = run(capsys, *_with_file(command, str(big)))
+    assert code == 1
+    assert out == ""
+    assert "vertex count: requested 1001, cap is 1000" in err
+
+
+@pytest.mark.parametrize("command", FILE_COMMANDS, ids=lambda c: " ".join(c[:2]))
+def test_validation_failure_emits_witness(capsys, command):
+    code, out, _ = run(capsys, *_with_file(command, path("bad.sds")))
+    assert code == 2
+    assert json.loads(out)["validation"] == {
+        "ok": False,
+        "error": "not-left-resolving",
+        "vertex": "v1",
+        "symbol": "a",
+        "edges": [["v1", "v1", "a"], ["v2", "v1", "a"]],
+    }
+
+
+@pytest.mark.parametrize("command", FILE_COMMANDS, ids=lambda c: " ".join(c[:2]))
+def test_validation_failure_text_names_the_defect(capsys, command):
+    argv = _with_file(command, path("bad.sds"))[:-1]
+    code, out, _ = run(capsys, *argv)
+    assert code == 2
+    assert out.splitlines()[0] == "validation: FAILED"
+    assert '"error": "not-left-resolving"' in out

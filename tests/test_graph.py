@@ -1,4 +1,4 @@
-"""Graph validation, symbol matrices, pair graph."""
+"""Graph validation, symbol matrices, full-shift graphs."""
 
 import random
 
@@ -19,7 +19,6 @@ from rotshift.graph import (
     MAX_EDGES,
     MAX_VERTICES,
     full_shift_graph,
-    pair_graph,
     symbol_matrices,
     validate_graph,
 )
@@ -121,15 +120,6 @@ def test_column_sums_at_most_one_on_random_graphs():
                 )
 
 
-def test_edge_list_round_trip():
-    rng = random.Random(7)
-    for _ in range(25):
-        graph = random_graph(rng)
-        fam = symbol_matrices(graph)
-        rebuilt = fam.edge_list(graph.vertices)
-        assert sorted(rebuilt) == sorted(graph.edges)
-
-
 # -- derived graphs --------------------------------------------------------------
 
 
@@ -140,16 +130,3 @@ def test_full_shift_graph_shape():
     assert len(g.edges) == 4
     custom = full_shift_graph(2, symbols=("a", "b"))
     assert custom.alphabet == ("a", "b")
-
-
-def test_pair_graph_counts():
-    graph, _ = goldenmean()
-    pg = pair_graph(graph)
-    assert len(pg.nodes) == 4
-    # label-synchronized pairs: (v1,v1) has a,b,c? no: out(v1)={a,b}, out(v2)={c}
-    # pairs share a symbol only when both endpoints read it
-    assert len(pg.edges) == 9
-    full = pair_graph(full_shift_graph(3))
-    assert len(full.nodes) == 1
-    assert len(full.edges) == 9
-    assert sum(1 for e in full.edges if e.equal) == 3

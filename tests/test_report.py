@@ -1,8 +1,13 @@
 """Report assembly: key order, digests, warnings, degraded paths."""
 
 import json
+import os
 
-from rotshift.fileformat import parse_system
+import pytest
+
+from conftest import bundled_systems, patch_everywhere
+from rotshift import verdicts
+from rotshift.fileformat import parse_system, parse_system_file
 from rotshift.report import analyze_document, input_digest
 
 SMALL = """\
@@ -84,3 +89,23 @@ def test_validation_failure_reports_witness():
     assert report["validation"]["ok"] is False
     assert report["validation"]["error"] == "not-left-resolving"
     assert "condition_I" not in report
+
+
+BASE_DECISIONS = ("condition_I", "is_irreducible", "irrational_cycle")
+
+
+@pytest.mark.parametrize("path", bundled_systems(), ids=os.path.basename)
+def test_analysis_makes_each_base_decision_once(monkeypatch, path):
+    calls = dict.fromkeys(BASE_DECISIONS, 0)
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in BASE_DECISIONS:
+        patch_everywhere(monkeypatch, verdicts, name, counted(name, getattr(verdicts, name)))
+    _report, ok = analyze_document(parse_system_file(path))
+    assert calls == dict.fromkeys(BASE_DECISIONS, 1 if ok else 0)

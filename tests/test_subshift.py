@@ -1,5 +1,5 @@
-"""Language of the shift: supports, admissible words, level graphs,
-decorated language invariance."""
+"""Language of the shift: supports, admissible words, decorated
+language invariance."""
 
 import itertools
 import random
@@ -22,7 +22,6 @@ from rotshift.oracles import matrix_product_admissible
 from rotshift.subshift import (
     MAX_WORD_LENGTH,
     admissible_words,
-    build_level_graph,
     decorated_subshift_equals_base,
     forward_support,
     full_support,
@@ -85,43 +84,6 @@ def test_word_cap():
     graph, _ = goldenmean()
     with pytest.raises(CapExceeded):
         admissible_words(graph, MAX_WORD_LENGTH + 1)
-    with pytest.raises(CapExceeded):
-        build_level_graph(graph, 17)
-
-
-def test_level_graph_goldenmean_frozen():
-    graph, _ = goldenmean()
-    lg = build_level_graph(graph, 4)
-    assert lg.level_sizes == (1, 2, 2, 2, 2)
-    assert lg.level_names(0) == [["v1", "v2"]]
-    assert lg.level_names(1) == [["v1"], ["v2"]]
-    assert lg.transitions[0] == {"a": ((1, 0),), "b": ((0, 1),), "c": ((1, 0),)}
-    # from level 1 on the transition matrices repeat
-    assert lg.transitions[2] == lg.transitions[3]
-    assert lg.transitions[1]["c"] == ((0, 0), (1, 0))
-
-
-def test_level_graph_counts_words():
-    """Paths from level 0 to level k are exactly the length-k words."""
-    rng = random.Random(5150)
-    for _ in range(10):
-        graph = random_graph(rng, max_vertices=4, max_symbols=2)
-        k = 4
-        lg = build_level_graph(graph, k)
-        total = 0
-        for word in itertools.product(graph.alphabet, repeat=k):
-            state = 0
-            alive = True
-            for depth, s in enumerate(word):
-                row = lg.transitions[depth][s][state]
-                hits = [j for j, x in enumerate(row) if x]
-                if not hits:
-                    alive = False
-                    break
-                assert len(hits) == 1  # supports map deterministically
-                state = hits[0]
-            total += alive
-        assert total == len(admissible_words(graph, k))
 
 
 def test_full_shift_words():

@@ -13,10 +13,13 @@ import pytest
 from conftest import (
     GCTX,
     build,
+    closure_irreducibility,
     cycle_angle,
+    enumerate_left_resolving,
     fullshift,
     gen,
     goldenmean,
+    patch_everywhere,
     random_angles,
     random_graph,
     rat,
@@ -24,6 +27,7 @@ from conftest import (
     simple_cycles,
     two_cycle,
 )
+from rotshift import verdicts
 from rotshift.angles import ExactAngle
 from rotshift.errors import FewerThanTwoAngles, UnknownSymbol
 from rotshift.verdicts import (
@@ -170,21 +174,57 @@ def test_reducible_certificate_is_forward_closed():
 
 
 def test_irreducibility_on_random_graphs_matches_scc():
+    """Verdict and exact No-witness agree with one closure per vertex, on
+    random graphs and on every valid graph with 3 vertices, 2 symbols."""
     rng = random.Random(1404)
-    for _ in range(40):
-        graph = random_graph(rng)
+    graphs = [random_graph(rng, max_vertices=rng.choice([4, 6, 9])) for _ in range(200)]
+    graphs += list(enumerate_left_resolving(3, 2))
+    reducible = 0
+    for graph in graphs:
         r = is_irreducible(graph)
-        comp = strongly_connected_components(graph)
-        assert r.is_yes == (len(set(comp)) == 1)
+        witness = closure_irreducibility(graph)
+        assert r.is_yes == (witness is None)
+        assert r.is_yes == (len(set(strongly_connected_components(graph))) == 1)
         if r.is_yes:
             assert_walk(graph, r.certificate["covering_closed_walk"], covering=True)
         else:
+            reducible += 1
             names = r.certificate["forward_closed"]
+            assert names == witness
             w = {graph.vertex_index[v] for v in names}
             assert 0 < len(w) < graph.vertex_count
             for e in graph.edges:
                 if graph.vertex_index[e.src] in w:
                     assert graph.vertex_index[e.dst] in w
+    assert reducible > 50
+
+
+def test_composites_on_reducible_graph_skip_the_cycle_search(monkeypatch):
+    """Reducible with condition (I): simplicity stops at irreducibility,
+    so neither composite may search for an irrational cycle."""
+    graph = build(
+        ("v1", "v2"),
+        (
+            ("v1", "v1", "a"),
+            ("v1", "v1", "b"),
+            ("v1", "v2", "c"),
+            ("v2", "v2", "a"),
+            ("v2", "v2", "b"),
+        ),
+        ("a", "b", "c"),
+    )
+    angles = {"a": gen(1), "b": rat(0), "c": rat(0)}
+
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("irrational_cycle computed on a reducible graph")
+
+    patch_everywhere(monkeypatch, verdicts, "irrational_cycle", forbidden)
+    assert condition_I(graph).is_yes
+    simple = crossed_product_simplicity(graph, angles)
+    assert simple.is_no and "forward_closed" in simple.certificate
+    purely = pure_infiniteness(graph, angles)
+    assert purely.verdict == UNKNOWN
+    assert purely.notes == ("missing hypothesis: irreducibility",)
 
 
 # -- irrational cycles ----------------------------------------------------------
