@@ -37,8 +37,6 @@ from .intlinalg import (  # noqa: F401
     IntMatrix,
     cokernel,
     invariant_factors,
-    kernel_rank,
-    smith_normal_form,
 )
 from .ideals import (  # noqa: F401
     classify_subset,
@@ -66,7 +64,6 @@ from .ktheory import (  # noqa: F401
 from .oracles import (  # noqa: F401
     matrix_product_admissible,
     orbit_density,
-    snf_certify,
     weyl_sums,
 )
 from .fileformat import (  # noqa: F401

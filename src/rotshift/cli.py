@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
 from . import __version__
-from .angles import DEFAULT_GENERATOR_VALUE, GeneratorContext, parse_angle
+from .angles import GeneratorContext, parse_angle
 from .errors import ParseError, RotshiftError
 from .fileformat import SystemDocument, parse_system, serialize_system
 from .graph import LabeledGraph
@@ -30,7 +31,7 @@ from .ideals import enumerate_invariant_saturated, hasse_edges, quotient_system
 from .ktheory import bunce_deddens_data, core_dimension_data, graph_k_groups
 from .oracles import orbit_density, weyl_sums
 from .report import analyze_document, validation_report
-from .subshift import MAX_WORD_LENGTH, admissible_words
+from .subshift import admissible_words
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -102,22 +103,22 @@ def _read_graph(args) -> tuple[SystemDocument, dict, LabeledGraph | None]:
     return doc, header, graph
 
 
+def _generator_context(text: str) -> GeneratorContext:
+    """Declare every identifier in text as a generator, in order of
+    first appearance."""
+    names = re.findall(r"[A-Za-z_][A-Za-z0-9_]*", text)
+    return GeneratorContext(tuple(dict.fromkeys(names)))
+
+
 def _angles_document(angle_list: str) -> SystemDocument:
     """Build an n-loop full-shift document from a comma-separated list
     of exact angle expressions; identifiers are auto-declared as
     generators in order of first appearance."""
-    import re
-
     exprs = [chunk.strip() for chunk in angle_list.split(",")]
     if any(not chunk for chunk in exprs):
         print("error: empty entry in --angles list", file=sys.stderr)
         sys.exit(EXIT_USAGE)
-    names: list[str] = []
-    for chunk in exprs:
-        for ident in re.findall(r"[A-Za-z_][A-Za-z0-9_]*", chunk):
-            if ident not in names:
-                names.append(ident)
-    context = GeneratorContext(tuple(names))
+    context = _generator_context(angle_list)
     try:
         angles = {f"s{i+1}": parse_angle(expr, context) for i, expr in enumerate(exprs)}
     except RotshiftError as exc:
@@ -155,9 +156,8 @@ def _cmd_words(args) -> int:
     _doc, _header, graph = _read_graph(args)
     if graph is None:
         return EXIT_INVALID
-    cap = args.max_word_len if args.max_word_len is not None else MAX_WORD_LENGTH
     try:
-        words = admissible_words(graph, args.length, cap=cap)
+        words = admissible_words(graph, args.length)
     except RotshiftError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -181,7 +181,7 @@ def _cmd_analyze(args) -> int:
             print("error: analyze needs a FILE or --angles", file=sys.stderr)
             return EXIT_USAGE
         doc, text = _read_document(args.file)
-    report, ok = analyze_document(doc, source_text=text, ideal_cap=args.ideal_cap)
+    report, ok = analyze_document(doc, source_text=text)
     if not ok:
         return _emit_invalid(report, args.json)
     lines = [f"validation: ok ({len(doc.vertices)} vertices, {len(doc.alphabet)} symbols)"]
@@ -241,8 +241,7 @@ def _cmd_ideals(args) -> int:
     if graph is None:
         return EXIT_INVALID
     try:
-        kwargs = {} if args.ideal_cap is None else {"cap": args.ideal_cap}
-        subsets = enumerate_invariant_saturated(graph, **kwargs)
+        subsets = enumerate_invariant_saturated(graph)
     except RotshiftError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -325,16 +324,8 @@ def _parse_float_or_expr(chunk: str, overrides: dict[str, float]) -> float:
         return float(Fraction(chunk))
     except (ValueError, ZeroDivisionError):
         pass
-    import re
-
-    names = []
-    for ident in re.findall(r"[A-Za-z_][A-Za-z0-9_]*", chunk):
-        if ident not in names:
-            names.append(ident)
-    context = GeneratorContext(tuple(names))
-    angle = parse_angle(chunk, context)
-    values = {n: overrides.get(n, DEFAULT_GENERATOR_VALUE) for n in names}
-    return angle.to_float(values)
+    context = _generator_context(chunk)
+    return parse_angle(chunk, context).to_float(context.float_values(overrides))
 
 
 def _cmd_oracle_weyl(args) -> int:
@@ -380,14 +371,12 @@ def build_parser() -> _Parser:
     p = sub.add_parser("words", help="admissible words of a given length")
     p.add_argument("file")
     p.add_argument("-k", "--length", type=int, required=True)
-    p.add_argument("--max-word-len", type=int, default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_words)
 
     p = sub.add_parser("analyze", help="full verdict report")
     p.add_argument("file", nargs="?")
     p.add_argument("--angles", default=None, help="comma-separated exact angles (full shift)")
-    p.add_argument("--ideal-cap", type=int, default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_analyze)
 
@@ -400,7 +389,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("ideals", help="invariant saturated subsets and quotients")
     p.add_argument("file")
-    p.add_argument("--ideal-cap", type=int, default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_ideals)
 

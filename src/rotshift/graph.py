@@ -87,15 +87,6 @@ class LabeledGraph:
             acc.setdefault((vi[e.src], e.symbol), []).append(vi[e.dst])
         return {k: tuple(sorted(v)) for k, v in acc.items()}
 
-    @cached_property
-    def predecessor(self) -> dict[tuple[int, str], int]:
-        """(target index, symbol) -> unique source index (left-resolving)."""
-        acc: dict[tuple[int, str], int] = {}
-        vi = self.vertex_index
-        for e in self.edges:
-            acc[(vi[e.dst], e.symbol)] = vi[e.src]
-        return acc
-
     def word_sort_key(self, word: Sequence[str]):
         si = self.symbol_index
         return tuple(si[s] for s in word)

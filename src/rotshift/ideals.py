@@ -68,17 +68,15 @@ def classify_subset(graph: LabeledGraph, subset: Iterable[int]) -> IdealSubset:
     return IdealSubset(w, invariant, saturated)
 
 
-def enumerate_invariant_saturated(
-    graph: LabeledGraph, cap: int = MAX_IDEAL_VERTICES
-) -> list[IdealSubset]:
+def enumerate_invariant_saturated(graph: LabeledGraph) -> list[IdealSubset]:
     """All invariant saturated vertex subsets, smallest first.
 
     Sorted by size, then lexicographically on the sorted index tuples.
     Exhaustive over the 2^n subsets, hence the vertex cap.
     """
     n = graph.vertex_count
-    if n > cap:
-        raise CapExceeded("ideal enumeration vertex count", n, cap)
+    if n > MAX_IDEAL_VERTICES:
+        raise CapExceeded("ideal enumeration vertex count", n, MAX_IDEAL_VERTICES)
     succ = _out_neighbors(graph)
     found: list[IdealSubset] = []
     for size in range(n + 1):

@@ -2,11 +2,10 @@
 
 Everything runs over Python's unbounded integers; no floating point is
 involved anywhere.  Cokernels and ranks come from invariant_factors,
-which computes only the Smith diagonal and keeps coefficients bounded.
-smith_normal_form also returns the transforms U and V; it is certified
-separately by oracles.snf_certify, which re-multiplies the factors and
-recomputes the unimodularity determinants through an independent exact
-routine.
+which computes only the Smith diagonal, never the unimodular
+transforms, and keeps coefficients bounded.  The independent check is
+oracles.invariant_factors_via_minors (determinantal divisors), which
+shares no code with it.
 """
 
 from __future__ import annotations
@@ -18,11 +17,8 @@ from typing import Sequence
 __all__ = [
     "IntMatrix",
     "invariant_factors",
-    "smith_normal_form",
-    "SmithDecomposition",
     "AbelianGroupPresentation",
     "cokernel",
-    "kernel_rank",
 ]
 
 
@@ -92,139 +88,12 @@ class IntMatrix:
         return [list(r) for r in self.entries]
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
-    """U * M * V = D with U, V unimodular and D diagonal with a
-    divisibility chain d1 | d2 | ... on its nonnegative diagonal."""
-
-    u: IntMatrix
-    d: IntMatrix
-    v: IntMatrix
-
-    @property
-    def diagonal(self) -> tuple[int, ...]:
-        n = min(self.d.rows, self.d.cols)
-        return tuple(self.d[i, i] for i in range(n))
-
-    @property
-    def rank(self) -> int:
-        return sum(1 for x in self.diagonal if x != 0)
-
-
-def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
-    """Diagonalize an integer matrix by unimodular row and column moves.
-
-    Pivot selection takes a least-magnitude nonzero entry of the
-    remaining block.  That does not bound coefficient growth: on I - A
-    of a 40-vertex left-resolving graph (bench corpus kgroups seed 1,
-    input n40-2) the row and column clearing at pivot 38 of 40 grows
-    entries past 300000 bits within 10 s and does not finish; the
-    divisibility repair never runs.  Only callers that need U and V
-    should use this; invariant_factors gives the diagonal with bounded
-    coefficients.
-    """
-    a = m.to_lists()
-    nrows, ncols = m.rows, m.cols
-    u = IntMatrix.identity(nrows).to_lists()
-    v = IntMatrix.identity(ncols).to_lists()
-
-    def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def row_addmul(i, j, q):
-        # row_i += q * row_j
-        a[i] = [x + q * y for x, y in zip(a[i], a[j])]
-        u[i] = [x + q * y for x, y in zip(u[i], u[j])]
-
-    def row_negate(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
-    def col_swap(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def col_addmul(i, j, q):
-        # col_i += q * col_j
-        for row in a:
-            row[i] += q * row[j]
-        for row in v:
-            row[i] += q * row[j]
-
-    t = 0
-    limit = min(nrows, ncols)
-    while t < limit:
-        pivot = None
-        best = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                x = a[i][j]
-                if x != 0 and (best is None or abs(x) < best):
-                    best = abs(x)
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        row_swap(t, pivot[0])
-        col_swap(t, pivot[1])
-
-        while True:
-            # clear the pivot column
-            dirty = False
-            for i in range(t + 1, nrows):
-                if a[i][t] == 0:
-                    continue
-                q = a[i][t] // a[t][t]
-                row_addmul(i, t, -q)
-                if a[i][t] != 0:
-                    # remainder is strictly smaller; promote it to pivot
-                    row_swap(t, i)
-                    dirty = True
-            # clear the pivot row
-            for j in range(t + 1, ncols):
-                if a[t][j] == 0:
-                    continue
-                q = a[t][j] // a[t][t]
-                col_addmul(j, t, -q)
-                if a[t][j] != 0:
-                    col_swap(t, j)
-                    dirty = True
-            if dirty:
-                continue
-            if all(a[i][t] == 0 for i in range(t + 1, nrows)) and all(
-                a[t][j] == 0 for j in range(t + 1, ncols)
-            ):
-                break
-
-        # divisibility: the pivot must divide every remaining entry
-        violation = None
-        for i in range(t + 1, nrows):
-            for j in range(t + 1, ncols):
-                if a[i][j] % a[t][t] != 0:
-                    violation = i
-                    break
-            if violation is not None:
-                break
-        if violation is not None:
-            row_addmul(t, violation, 1)
-            continue  # redo this pivot position
-
-        if a[t][t] < 0:
-            row_negate(t)
-        t += 1
-
-    return SmithDecomposition(
-        u=IntMatrix.from_rows(u), d=IntMatrix.from_rows(a), v=IntMatrix.from_rows(v)
-    )
-
-
 def invariant_factors(m: IntMatrix) -> tuple[int, ...]:
     """The nonzero invariant factors of m, each dividing the next.
 
     Their number is the rank of m.  Only the Smith diagonal is computed,
-    never U or V, in two phases that keep every coefficient bounded:
+    never the unimodular transforms, in two phases that keep every
+    coefficient bounded:
 
     1. While the remaining block has an entry +-1, pivot on one with
        few entries in its row and column (little fill-in) and replace
@@ -476,7 +345,3 @@ def cokernel(m: IntMatrix) -> AbelianGroupPresentation:
     factors = invariant_factors(m)
     return AbelianGroupPresentation(tuple(x for x in factors if x >= 2), m.rows - len(factors))
 
-
-def kernel_rank(m: IntMatrix) -> int:
-    """Rank of the integer kernel of m viewed as a map Z^cols -> Z^rows."""
-    return m.cols - len(invariant_factors(m))

@@ -3,10 +3,9 @@
 Every exact verdict elsewhere in the package has a second, deliberately
 separate route here: floating-point orbit expansion for minimality,
 exponential sums for uniform distribution, raw matrix products for
-admissibility, determinant-certified recomputation for the Smith normal
-form.  None of these share code with the implementations they check;
-keeping the two routes independent is what gives the cross-validation
-its teeth.
+admissibility, gcds of minors for the invariant factors.  None of these
+share code with the implementations they check; keeping the two routes
+independent is what gives the cross-validation its teeth.
 """
 
 from __future__ import annotations
@@ -19,14 +18,13 @@ from typing import Mapping, Sequence
 
 from .errors import StepCapExceeded
 from .graph import LabeledGraph
-from .intlinalg import IntMatrix, SmithDecomposition
+from .intlinalg import IntMatrix
 
 __all__ = [
     "OrbitSample",
     "orbit_density",
     "weyl_sums",
     "matrix_product_admissible",
-    "snf_certify",
     "integer_determinant",
     "invariant_factors_via_minors",
     "MAX_ORBIT_STEPS",
@@ -183,7 +181,7 @@ def matrix_product_admissible(graph: LabeledGraph, word: Sequence[str]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# exact linear-algebra certification
+# exact linear algebra
 
 
 def integer_determinant(m: IntMatrix) -> int:
@@ -209,45 +207,6 @@ def integer_determinant(m: IntMatrix) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
-
-
-def snf_certify(m: IntMatrix, dec: SmithDecomposition) -> bool:
-    """Check a claimed Smith decomposition from scratch.
-
-    Verifies U*m*V == D exactly, D diagonal with nonnegative entries in
-    a divisibility chain, and |det U| == |det V| == 1 via the
-    independent fraction-free determinant.
-    """
-    u, d, v = dec.u, dec.d, dec.v
-    if u.rows != m.rows or u.cols != m.rows:
-        return False
-    if v.rows != m.cols or v.cols != m.cols:
-        return False
-    if d.rows != m.rows or d.cols != m.cols:
-        return False
-    if u.mul(m).mul(v).entries != d.entries:
-        return False
-    diag = []
-    for i in range(d.rows):
-        for j in range(d.cols):
-            if i != j and d[i, j] != 0:
-                return False
-        if i < d.cols:
-            diag.append(d[i, i])
-    if any(x < 0 for x in diag):
-        return False
-    nonzero = [x for x in diag if x != 0]
-    if len(nonzero) != sum(1 for x in diag[: len(nonzero)] if x != 0):
-        # zeros must come after all nonzero entries
-        return False
-    for x, y in zip(nonzero, nonzero[1:]):
-        if y % x != 0:
-            return False
-    if abs(integer_determinant(u)) != 1:
-        return False
-    if abs(integer_determinant(v)) != 1:
-        return False
-    return True
 
 
 def invariant_factors_via_minors(m: IntMatrix) -> list[int]:

@@ -66,9 +66,7 @@ def validation_report(
 
 
 def analyze_document(
-    doc: SystemDocument,
-    source_text: str | None = None,
-    ideal_cap: int | None = None,
+    doc: SystemDocument, source_text: str | None = None
 ) -> tuple[dict, bool]:
     """Build the full report; returns (report, ok).
 
@@ -112,8 +110,7 @@ def analyze_document(
     report["k_theory"] = graph_k_groups(graph).to_json()
 
     try:
-        kwargs = {} if ideal_cap is None else {"cap": ideal_cap}
-        subsets = enumerate_invariant_saturated(graph, **kwargs)
+        subsets = enumerate_invariant_saturated(graph)
         report["ideals"] = {
             "invariant_saturated": [s.names(graph) for s in subsets],
             "count": len(subsets),

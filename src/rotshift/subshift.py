@@ -65,13 +65,11 @@ def is_admissible(graph: LabeledGraph, word: Sequence[str]) -> bool:
     return True
 
 
-def admissible_words(
-    graph: LabeledGraph, length: int, cap: int = MAX_WORD_LENGTH
-) -> list[tuple[str, ...]]:
+def admissible_words(graph: LabeledGraph, length: int) -> list[tuple[str, ...]]:
     """All admissible words of exactly the given length, lexicographically
     sorted in the declared alphabet order.  length 0 yields the empty word."""
-    if length > cap:
-        raise CapExceeded("word length", length, cap)
+    if length > MAX_WORD_LENGTH:
+        raise CapExceeded("word length", length, MAX_WORD_LENGTH)
     if length < 0:
         raise ValueError("negative word length")
     words: list[tuple[str, ...]] = []
@@ -115,7 +113,6 @@ def decorated_admissible_words(
     graph: LabeledGraph,
     angles: Mapping[str, ExactAngle],
     length: int,
-    cap: int = MAX_WORD_LENGTH,
 ) -> list[tuple[str, ...]]:
     """Admissible words of the rotation-decorated system.
 
@@ -124,8 +121,8 @@ def decorated_admissible_words(
     fiber alive.  Rotations are invertible so this is provably the same
     language as the base graph's; computing it anyway is the point.
     """
-    if length > cap:
-        raise CapExceeded("word length", length, cap)
+    if length > MAX_WORD_LENGTH:
+        raise CapExceeded("word length", length, MAX_WORD_LENGTH)
     missing = [s for s in graph.alphabet if s not in angles]
     if missing:
         raise KeyError(f"no angle assigned to symbols {missing}")

@@ -13,7 +13,9 @@ import glob
 import itertools
 import os
 import random
+import signal
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 from rotshift.angles import EMPTY_CONTEXT, ExactAngle, GeneratorContext
@@ -36,6 +38,22 @@ def patch_everywhere(monkeypatch, module, name: str, replacement) -> None:
     for mod_name, mod in list(sys.modules.items()):
         if mod_name.split(".")[0] == "rotshift" and getattr(mod, name, None) is original:
             monkeypatch.setattr(mod, name, replacement)
+
+
+@contextmanager
+def wall_clock_limit(seconds):
+    """Fail with TimeoutError instead of hanging past the limit."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def rat(p, q=1, ctx=GCTX):

@@ -1,17 +1,15 @@
 """K-groups of the boundary algebras and the inductive limit ladders."""
 
 import random
-import signal
 import time
-from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
 
-from conftest import build, goldenmean, hamiltonian_graph, random_graph, reducible3
+from conftest import build, goldenmean, hamiltonian_graph, random_graph, reducible3, wall_clock_limit
 from rotshift.graph import symbol_matrices
 from rotshift.graph import full_shift_graph
-from rotshift.intlinalg import IntMatrix, smith_normal_form
+from rotshift.intlinalg import IntMatrix
 from rotshift.ktheory import (
     bunce_deddens_data,
     core_dimension_data,
@@ -72,30 +70,15 @@ def test_torsion_order_is_absolute_determinant():
     assert checked >= 10
 
 
-@contextmanager
-def _wall_clock_limit(seconds):
-    """Fail with TimeoutError instead of hanging past the limit."""
-
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 def test_k_groups_finish_on_mid_sized_graphs():
-    """40-64 vertices: the transform-tracking Smith form never finished on
-    half of these; the invariant factors take milliseconds."""
+    """40-64 vertices: row and column clearing without reduction modulo a
+    determinant never finished on half of these; the invariant factors
+    take milliseconds."""
     rng = random.Random(2026)
     for i in range(10):
         graph = hamiltonian_graph(rng, 40 + 24 * i // 9, 3 + i % 3)
         start = time.perf_counter()
-        with _wall_clock_limit(10.0):
+        with wall_clock_limit(10.0):
             kg = graph_k_groups(graph)
         assert time.perf_counter() - start < 2.0
         det = integer_determinant(displacement_matrix(graph))

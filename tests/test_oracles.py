@@ -2,21 +2,19 @@
 
 import math
 import random
-from dataclasses import replace
 
 import pytest
 
 from conftest import build, goldenmean, random_graph
 from rotshift.errors import StepCapExceeded
 from rotshift.graph import full_shift_graph
-from rotshift.intlinalg import IntMatrix, smith_normal_form
+from rotshift.intlinalg import IntMatrix
 from rotshift.oracles import (
     MAX_ORBIT_STEPS,
     integer_determinant,
     invariant_factors_via_minors,
     matrix_product_admissible,
     orbit_density,
-    snf_certify,
     weyl_sums,
 )
 
@@ -167,48 +165,6 @@ def test_integer_determinant_matches_cofactors():
         n = rng.randint(1, 4)
         rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
         assert integer_determinant(IntMatrix.from_rows(rows)) == _cofactor_det(rows)
-
-
-# -- certificate checking ---------------------------------------------------------------
-
-
-def test_snf_certify_rejects_tampering():
-    m = IntMatrix.from_rows([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
-    dec = smith_normal_form(m)
-    assert snf_certify(m, dec)
-
-    # wrong diagonal entry
-    d = [list(r) for r in dec.d.entries]
-    d[0][0] += 1
-    assert not snf_certify(m, replace(dec, d=IntMatrix.from_rows(d)))
-
-    # non-unimodular U
-    u = [[2 * x for x in r] for r in dec.u.entries]
-    assert not snf_certify(m, replace(dec, u=IntMatrix.from_rows(u)))
-
-    # D not diagonal
-    d = [list(r) for r in dec.d.entries]
-    d[0][1] = 1
-    assert not snf_certify(m, replace(dec, d=IntMatrix.from_rows(d)))
-
-    # right shape, wrong matrix entirely
-    assert not snf_certify(IntMatrix.identity(3), dec)
-
-
-def test_snf_certify_rejects_broken_chain_and_order():
-    # U m V = D holds but 2 does not divide 3
-    m = IntMatrix.from_rows([[2, 0], [0, 3]])
-    fake = replace(smith_normal_form(m), u=IntMatrix.identity(2), v=IntMatrix.identity(2), d=m)
-    assert not snf_certify(m, fake)
-    # zero before a nonzero on the diagonal
-    m2 = IntMatrix.from_rows([[0, 0], [0, 2]])
-    fake2 = replace(
-        smith_normal_form(m2),
-        u=IntMatrix.identity(2),
-        v=IntMatrix.identity(2),
-        d=m2,
-    )
-    assert not snf_certify(m2, fake2)
 
 
 def test_minors_route_examples():

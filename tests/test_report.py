@@ -65,7 +65,7 @@ def test_fullshift_section_not_applicable_on_multi_vertex():
     assert fs["uniformly_distributed"]["verdict"] == "Unknown"
 
 
-def test_ideal_cap_degrades_to_warning():
+def test_ideal_vertex_cap_degrades_to_warning():
     # 24-vertex cycle: too many vertices for subset enumeration
     n = 24
     vs = "\n".join(f"v{i}" for i in range(n))
