@@ -23,7 +23,6 @@ from .graph import (  # noqa: F401
     Edge,
     LabeledGraph,
     full_shift_graph,
-    symbol_matrices,
     validate_graph,
 )
 from .subshift import (  # noqa: F401

@@ -19,7 +19,7 @@ structural equality is semantic equality.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -49,12 +49,12 @@ _RAT_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 class GeneratorContext:
     """Ordered list of declared irrational generators.
 
-    ``values`` carries optional numeric stand-ins used only by the
-    floating-point oracles; exact arithmetic never looks at them.
+    Only the names take part in exact arithmetic and equality; numeric
+    stand-ins for the oracles live with the document that declares
+    them (fileformat.SystemDocument.generator_values).
     """
 
     ids: tuple[str, ...]
-    values: tuple[float | None, ...] = field(default=())
 
     def __post_init__(self):
         if len(set(self.ids)) != len(self.ids):
@@ -62,35 +62,16 @@ class GeneratorContext:
         for name in self.ids:
             if not _IDENT_RE.match(name):
                 raise ValueError(f"bad generator id {name!r}")
-        if self.values and len(self.values) != len(self.ids):
-            raise ValueError("generator value list does not match ids")
-
-    def index(self, name: str) -> int:
-        return self.ids.index(name)
-
-    def float_values(self, overrides: Mapping[str, float] | None = None) -> dict[str, float]:
-        """Numeric stand-ins for every generator, falling back to the default."""
-        out: dict[str, float] = {}
-        for i, name in enumerate(self.ids):
-            if overrides and name in overrides:
-                out[name] = float(overrides[name])
-            elif self.values and self.values[i] is not None:
-                out[name] = float(self.values[i])
-            else:
-                out[name] = DEFAULT_GENERATOR_VALUE
-        return out
 
 
 EMPTY_CONTEXT = GeneratorContext(())
 
 
 def _merge_contexts(a: GeneratorContext, b: GeneratorContext) -> GeneratorContext:
-    if a.ids == b.ids:
-        return a if a.values else b
+    if a.ids == b.ids or not b.ids:
+        return a
     if not a.ids:
         return b
-    if not b.ids:
-        return a
     raise ContextMismatch(f"cannot combine angles over generators {a.ids} and {b.ids}")
 
 
@@ -98,8 +79,8 @@ def _merge_contexts(a: GeneratorContext, b: GeneratorContext) -> GeneratorContex
 class ExactAngle:
     """A circle-group element with decidable rationality.
 
-    Do not call the constructor with unreduced data; use :meth:`make`,
-    :meth:`rational_angle` or :func:`parse_angle`.
+    Do not call the constructor with unreduced data; use :meth:`make`
+    or :func:`parse_angle`.
     """
 
     context: GeneratorContext
@@ -127,10 +108,6 @@ class ExactAngle:
         return cls(context, Fraction(rational) % 1, ordered)
 
     @classmethod
-    def rational_angle(cls, value: Fraction | int, context: GeneratorContext = EMPTY_CONTEXT) -> "ExactAngle":
-        return cls.make(context, Fraction(value))
-
-    @classmethod
     def zero(cls, context: GeneratorContext = EMPTY_CONTEXT) -> "ExactAngle":
         return cls.make(context, 0)
 
@@ -151,12 +128,6 @@ class ExactAngle:
     def __sub__(self, other: "ExactAngle") -> "ExactAngle":
         return self + (-other)
 
-    def scale(self, k: int) -> "ExactAngle":
-        """Integer multiple of the angle (k may be negative)."""
-        return ExactAngle.make(
-            self.context, self.rational * k, {n: c * k for n, c in self.coefficients}
-        )
-
     # -- decidable predicates -----------------------------------------
 
     def is_rational(self) -> bool:
@@ -176,13 +147,12 @@ class ExactAngle:
     def to_float(self, values: Mapping[str, float] | None = None) -> float:
         """Approximate the angle in [0, 1) using numeric generator values.
 
-        Values default to the ones attached to the context, then to
-        DEFAULT_GENERATOR_VALUE.  Raises MissingGeneratorValue only if a
-        generator is absent from the supplied mapping when one is given
-        explicitly without covering it.
+        Without a mapping every generator stands for
+        DEFAULT_GENERATOR_VALUE.  A mapping that is given must cover
+        every generator the angle uses, else MissingGeneratorValue.
         """
         if values is None:
-            values = self.context.float_values()
+            values = dict.fromkeys(self.context.ids, DEFAULT_GENERATOR_VALUE)
         x = float(self.rational)
         for name, c in self.coefficients:
             if name not in values:

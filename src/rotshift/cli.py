@@ -17,13 +17,14 @@ exceeded size caps.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
 from fractions import Fraction
 
 from . import __version__
-from .angles import GeneratorContext, parse_angle
+from .angles import DEFAULT_GENERATOR_VALUE, GeneratorContext, parse_angle
 from .errors import ParseError, RotshiftError
 from .fileformat import SystemDocument, parse_system, serialize_system
 from .graph import LabeledGraph
@@ -325,7 +326,8 @@ def _parse_float_or_expr(chunk: str, overrides: dict[str, float]) -> float:
     except (ValueError, ZeroDivisionError):
         pass
     context = _generator_context(chunk)
-    return parse_angle(chunk, context).to_float(context.float_values(overrides))
+    values = {**dict.fromkeys(context.ids, DEFAULT_GENERATOR_VALUE), **overrides}
+    return parse_angle(chunk, context).to_float(values)
 
 
 def _cmd_oracle_weyl(args) -> int:
@@ -358,7 +360,9 @@ def _cmd_oracle_weyl(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built once per process."""
     parser = _Parser(prog="rotshift", description=__doc__)
     parser.add_argument("--version", action="version", version=f"rotshift {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -35,7 +35,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .angles import ExactAngle, GeneratorContext, parse_angle
+from .angles import DEFAULT_GENERATOR_VALUE, ExactAngle, GeneratorContext, parse_angle
 from .errors import ParseError
 from .graph import LabeledGraph, validate_graph
 
@@ -62,8 +62,16 @@ class SystemDocument:
         return validate_graph(self.vertices, self.edges, self.alphabet)
 
     def float_angles(self, overrides: Mapping[str, float] | None = None) -> dict[str, float]:
-        """Numeric angle per symbol, for the floating-point oracles."""
-        values = self.context.float_values(overrides)
+        """Numeric angle per symbol, for the floating-point oracles.
+
+        A generator stands for the overriding value, else the file's
+        value, else DEFAULT_GENERATOR_VALUE.
+        """
+        values = {
+            **dict.fromkeys(self.context.ids, DEFAULT_GENERATOR_VALUE),
+            **self.generator_values,
+            **(overrides or {}),
+        }
         return {s: a.to_float(values) for s, a in self.angles.items()}
 
 
@@ -123,10 +131,7 @@ def parse_system(text: str) -> SystemDocument:
                 raise ParseError(f"bad edge syntax {line!r} (want 'src -> dst : symbol')", lineno)
             edges.append((m.group(1), m.group(2), m.group(3)))
 
-    context = GeneratorContext(
-        tuple(gen_names),
-        tuple(gen_values.get(g) for g in gen_names) if gen_names else (),
-    )
+    context = GeneratorContext(tuple(gen_names))
     angles: dict[str, ExactAngle] = {}
     for symbol in alphabet:
         expr = raw_angles[symbol]

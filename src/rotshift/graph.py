@@ -34,8 +34,6 @@ __all__ = [
     "Edge",
     "LabeledGraph",
     "validate_graph",
-    "SymbolMatrixFamily",
-    "symbol_matrices",
     "full_shift_graph",
 ]
 
@@ -162,49 +160,7 @@ def validate_graph(
     )
 
 
-@dataclass(frozen=True)
-class SymbolMatrixFamily:
-    """The 0/1 transition matrix of each symbol plus their sum.
-
-    matrices[s][i][j] == 1 iff there is an edge vertex_i -> vertex_j
-    labeled s.  Left-resolving means every column of every symbol matrix
-    has at most one nonzero entry; the constructor asserts this.  The
-    adjacency matrix is the entrywise sum over the alphabet.
-    """
-
-    symbols: tuple[str, ...]
-    matrices: dict[str, tuple[tuple[int, ...], ...]]
-    adjacency: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        for s in self.symbols:
-            m = self.matrices[s]
-            n = len(m)
-            for j in range(n):
-                col = sum(m[i][j] for i in range(n))
-                assert col <= 1, f"symbol {s!r}: column {j} has {col} entries"
-
-
-def symbol_matrices(graph: LabeledGraph) -> SymbolMatrixFamily:
-    n = graph.vertex_count
-    vi = graph.vertex_index
-    mats = {s: [[0] * n for _ in range(n)] for s in graph.alphabet}
-    for e in graph.edges:
-        mats[e.symbol][vi[e.src]][vi[e.dst]] = 1
-    adj = [[sum(mats[s][i][j] for s in graph.alphabet) for j in range(n)] for i in range(n)]
-    return SymbolMatrixFamily(
-        symbols=graph.alphabet,
-        matrices={s: tuple(tuple(r) for r in m) for s, m in mats.items()},
-        adjacency=tuple(tuple(r) for r in adj),
-    )
-
-
-def full_shift_graph(n: int, vertex: str = "v", symbols: Sequence[str] | None = None) -> LabeledGraph:
-    """Single vertex carrying n loops: the full shift on n symbols."""
-    if symbols is None:
-        symbols = tuple(f"s{i + 1}" for i in range(n))
-    if len(symbols) != n:
-        raise ValueError("symbol list length disagrees with n")
-    return validate_graph(
-        [vertex], [(vertex, vertex, s) for s in symbols], list(symbols)
-    )
+def full_shift_graph(n: int) -> LabeledGraph:
+    """Single vertex v carrying n loops s1..sn: the full shift on n symbols."""
+    symbols = [f"s{i + 1}" for i in range(n)]
+    return validate_graph(["v"], [("v", "v", s) for s in symbols], symbols)

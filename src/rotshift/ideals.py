@@ -108,7 +108,6 @@ class QuotientSystem:
 
     graph: LabeledGraph
     surviving_alphabet: tuple[str, ...]
-    removed: tuple[str, ...]
     warning: str | None
 
 
@@ -138,7 +137,6 @@ def quotient_system(graph: LabeledGraph, subset: Iterable[int]) -> QuotientSyste
     for s in graph.alphabet:
         if any(e.symbol == s for e in edges):
             used.append(s)
-    removed = tuple(s for s in graph.alphabet if s not in used)
     warning = None
     try:
         q = validate_graph(survivors, edges, used)
@@ -146,6 +144,4 @@ def quotient_system(graph: LabeledGraph, subset: Iterable[int]) -> QuotientSyste
         # fall back to an unvalidated container so the caller can inspect it
         warning = f"quotient fails validation: {exc}"
         q = LabeledGraph(tuple(survivors), tuple(used), tuple(edges))
-    return QuotientSystem(
-        graph=q, surviving_alphabet=tuple(used), removed=removed, warning=warning
-    )
+    return QuotientSystem(graph=q, surviving_alphabet=tuple(used), warning=warning)

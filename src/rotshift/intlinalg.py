@@ -41,10 +41,6 @@ class IntMatrix:
     def identity(cls, n: int) -> "IntMatrix":
         return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(tuple(tuple(0 for _ in range(cols)) for _ in range(rows)))
-
     @property
     def rows(self) -> int:
         return len(self.entries)
@@ -55,34 +51,6 @@ class IntMatrix:
 
     def __getitem__(self, ij: tuple[int, int]) -> int:
         return self.entries[ij[0]][ij[1]]
-
-    def mul(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch {self.rows}x{self.cols} * {other.rows}x{other.cols}")
-        ot = other.entries
-        out = []
-        for row in self.entries:
-            out.append(
-                tuple(
-                    sum(row[k] * ot[k][j] for k in range(self.cols))
-                    for j in range(other.cols)
-                )
-            )
-        return IntMatrix(tuple(out))
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(tuple(zip(*self.entries))) if self.entries else self
-
-    def sub_from_identity(self) -> "IntMatrix":
-        """I - M for a square matrix M."""
-        if self.rows != self.cols:
-            raise ValueError("not square")
-        return IntMatrix(
-            tuple(
-                tuple((1 if i == j else 0) - self.entries[i][j] for j in range(self.cols))
-                for i in range(self.rows)
-            )
-        )
 
     def to_lists(self) -> list[list[int]]:
         return [list(r) for r in self.entries]
@@ -314,18 +282,8 @@ class AbelianGroupPresentation:
         if self.free_rank < 0:
             raise ValueError("negative free rank")
 
-    def is_trivial(self) -> bool:
-        return not self.torsion and self.free_rank == 0
-
     def direct_sum_free(self, extra_rank: int) -> "AbelianGroupPresentation":
         return AbelianGroupPresentation(self.torsion, self.free_rank + extra_rank)
-
-    def torsion_order(self) -> int:
-        """Order of the torsion subgroup."""
-        n = 1
-        for x in self.torsion:
-            n *= x
-        return n
 
     def __str__(self) -> str:
         parts = []

@@ -13,8 +13,9 @@ I - A over the integers, computed once per graph by
 intlinalg.invariant_factors: sparse elimination of the +-1 entries
 that dominate I - A, then the small residual block reduced modulo one
 of its nonzero minors, so coefficients stay bounded.  Because I - A is
-square, the kernel has the rank of the cokernel's free part.  I - A is
-built straight from the edge lists, without per-symbol matrices.
+square, the kernel has the rank of the cokernel's free part.  I - A and
+the transpose adjacency of the core ladder are each built in one pass
+over the edge lists.
 
 For the full shift on N symbols this collapses to the cyclic group
 Z/(N-1) in both degrees; fullshift_k_groups computes that directly and
@@ -35,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .graph import LabeledGraph, full_shift_graph, symbol_matrices
+from .graph import LabeledGraph, full_shift_graph
 from .intlinalg import AbelianGroupPresentation, IntMatrix, cokernel
 
 __all__ = [
@@ -134,15 +135,6 @@ class InductiveKData:
         assert len(self.k0_maps) == max(0, len(self.k0_levels) - 1)
         assert len(self.k1_maps) == max(0, len(self.k1_levels) - 1)
 
-    def composed_k0(self, start: int, stop: int) -> IntMatrix:
-        """Composite connecting map from level start to level stop."""
-        assert 0 <= start <= stop < len(self.k0_levels)
-        n = self.k0_levels[start].free_rank
-        acc = IntMatrix.identity(n)
-        for l in range(start, stop):
-            acc = self.k0_maps[l].mul(acc)
-        return acc
-
     def to_json(self) -> dict:
         return {
             "K0_levels": [str(g) for g in self.k0_levels],
@@ -168,7 +160,11 @@ def core_dimension_data(graph: LabeledGraph, depth: int) -> InductiveKData:
         raise ValueError("negative depth")
     n = graph.vertex_count
     level = AbelianGroupPresentation((), n)
-    trans = IntMatrix.from_rows(symbol_matrices(graph).adjacency).transpose()
+    rows = [[0] * n for _ in range(n)]
+    for i, out in enumerate(graph.out_edges):
+        for j, _symbol in out:
+            rows[j][i] += 1
+    trans = IntMatrix(tuple(map(tuple, rows)))
     return InductiveKData(
         k0_levels=(level,) * (depth + 1),
         k1_levels=(level,) * (depth + 1),

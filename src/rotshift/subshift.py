@@ -148,20 +148,16 @@ def decorated_subshift_equals_base(
     graph: LabeledGraph,
     angles: Mapping[str, ExactAngle],
     max_length: int,
-    decorated_graph: LabeledGraph | None = None,
 ) -> tuple[bool, tuple[str, ...] | None]:
     """Compare the decorated language against the base language.
 
     Returns (True, None) when they agree for every word length up to
     max_length, else (False, first counterexample word) with words
-    ordered by length then lexicographically.  decorated_graph lets a
-    test harness run the decorated walk on a tampered graph to confirm
-    the comparison actually bites.
+    ordered by length then lexicographically.
     """
-    other = decorated_graph if decorated_graph is not None else graph
     for length in range(max_length + 1):
         base = admissible_words(graph, length)
-        deco = decorated_admissible_words(other, angles, length)
+        deco = decorated_admissible_words(graph, angles, length)
         if base != deco:
             diff = set(base).symmetric_difference(deco)
             witness = min(diff, key=graph.word_sort_key)

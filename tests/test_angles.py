@@ -52,15 +52,6 @@ def test_identity_and_inverse(a):
     assert a - a == ExactAngle.zero(CTX)
 
 
-@given(exact_angles(), st.integers(-6, 6))
-def test_scale_matches_repeated_addition(a, k):
-    total = ExactAngle.zero(CTX)
-    step = a if k >= 0 else -a
-    for _ in range(abs(k)):
-        total = total + step
-    assert a.scale(k) == total
-
-
 @given(exact_angles())
 def test_canonical_form(a):
     assert 0 <= a.rational < 1
@@ -84,7 +75,7 @@ def test_rationality_and_zero():
     assert not ExactAngle.make(CTX, 0, {"g": Fraction(1)}).is_rational()
     assert ExactAngle.make(CTX, 5).is_zero()
     g = ExactAngle.make(CTX, 0, {"g": Fraction(1, 3)})
-    assert (g.scale(3) - ExactAngle.make(CTX, 0, {"g": Fraction(1)})).is_zero()
+    assert (g + g + g - ExactAngle.make(CTX, 0, {"g": Fraction(1)})).is_zero()
     assert ExactAngle.make(CTX, Fraction(5, 6)).rational_denominator() == 6
 
 
@@ -109,7 +100,7 @@ def test_context_mismatch_on_mixed_generators():
 
 def test_empty_context_merges_freely():
     a = ExactAngle.make(CTX, 0, {"g": Fraction(1)})
-    b = ExactAngle.rational_angle(Fraction(1, 2))
+    b = ExactAngle.make(EMPTY_CONTEXT, Fraction(1, 2))
     assert (a + b).context == CTX
 
 
@@ -118,8 +109,6 @@ def test_context_validation():
         GeneratorContext(("g", "g"))
     with pytest.raises(ValueError):
         GeneratorContext(("2bad",))
-    with pytest.raises(ValueError):
-        GeneratorContext(("g",), (0.1, 0.2))
 
 
 def test_make_rejects_undeclared_generator():
@@ -184,9 +173,6 @@ def test_to_float_defaults_and_missing():
     assert abs(a.to_float() - DEFAULT_GENERATOR_VALUE) < 1e-15
     with pytest.raises(MissingGeneratorValue):
         a.to_float({"h": 0.5})
-    ctx_with = GeneratorContext(("g",), (0.25,))
-    b = ExactAngle.make(ctx_with, 0, {"g": Fraction(1)})
-    assert abs(b.to_float() - 0.25) < 1e-15
 
 
 @settings(max_examples=60)

@@ -1,8 +1,11 @@
-"""Golden reports: `analyze --json` and `validate --json` on every
-bundled system, byte for byte, and `validate` without any analysis.
+"""Golden outputs: every subcommand's `--json` output on the bundled
+systems, byte for byte, and `validate` without any analysis.
 
-The files under tests/golden/ pin the report contract: a change to one
-of them is a change to what users receive, not a test fix.
+The files under tests/golden/ pin the output contract: a change to one
+of them is a change to what users receive, not a test fix.  They are
+named SYSTEM.RUN.json, where RUN is a key of FILE_RUNS below, or
+angles.RUN.json for the runs that take an `--angles` list instead of a
+file.
 """
 
 import json
@@ -11,16 +14,62 @@ import os
 import pytest
 
 from conftest import bundled_systems, patch_everywhere
-from rotshift import ideals, ktheory, verdicts
+from rotshift import cli, ideals, ktheory, verdicts
 from rotshift.cli import main
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
+# run name -> (subcommand words, options) for every bundled system
+FILE_RUNS = {
+    "words": (["words"], ["-k", "3"]),
+    "ktheory": (["ktheory"], []),
+    "ktheory-af-core": (["ktheory"], ["--af-core", "2"]),
+    "ktheory-bunce-deddens": (["ktheory"], ["--bunce-deddens", "3"]),
+    "ideals": (["ideals"], []),
+    "oracle-orbit": (["oracle", "orbit"], ["--steps", "2000"]),
+}
+# --bunce-deddens needs a single-vertex full shift
+SINGLE_VERTEX = {"fullshift2", "fullshift3", "nloop3"}
+# run name -> argv for the runs that read no file
+ANGLES_RUNS = {
+    "analyze": ["analyze", "--angles", "0,1/2"],
+    "oracle-weyl": ["oracle", "weyl", "--angles", "0,1*g", "--n", "50", "--lmax", "4"],
+}
+
+
+def system_name(path: str) -> str:
+    return os.path.splitext(os.path.basename(path))[0]
+
 
 def golden(path: str, command: str) -> str:
-    name = os.path.splitext(os.path.basename(path))[0]
-    with open(os.path.join(GOLDEN, f"{name}.{command}.json"), encoding="utf-8") as fh:
+    return golden_file(f"{system_name(path)}.{command}.json")
+
+
+def golden_file(name: str) -> str:
+    with open(os.path.join(GOLDEN, name), encoding="utf-8") as fh:
         return fh.read()
+
+
+def file_runs():
+    """(golden file name, argv) for every run on a bundled system."""
+    for path in bundled_systems():
+        name = system_name(path)
+        for run, (command, options) in FILE_RUNS.items():
+            if run == "ktheory-bunce-deddens" and name not in SINGLE_VERTEX:
+                continue
+            yield f"{name}.{run}.json", [*command, path, *options, "--json"]
+
+
+def all_runs():
+    yield from file_runs()
+    for run, argv in ANGLES_RUNS.items():
+        yield f"angles.{run}.json", [*argv, "--json"]
+
+
+def expected_exit(output: str) -> int:
+    """2 when the output is a failed validation header, else 0."""
+    validation = json.loads(output).get("validation")
+    return 2 if validation is not None and not validation["ok"] else 0
 
 
 @pytest.mark.parametrize("command", ["analyze", "validate"])
@@ -30,7 +79,46 @@ def test_report_matches_golden(capsys, path, command):
     out = capsys.readouterr().out
     expected = golden(path, command)
     assert out == expected
-    assert code == (0 if json.loads(expected)["validation"]["ok"] else 2)
+    assert code == expected_exit(expected)
+
+
+RUNS = dict(all_runs())
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_subcommand_matches_golden(capsys, name):
+    code = main(RUNS[name])
+    out = capsys.readouterr().out
+    expected = golden_file(name)
+    assert out == expected
+    assert code == expected_exit(expected)
+
+
+def test_one_parser_serves_a_whole_session(capsys):
+    """Consecutive main() calls in one process share one parser and
+    still print what a fresh parser prints."""
+    gm = os.path.join(os.path.dirname(__file__), "..", "systems", "goldenmean.sds")
+    session = [
+        ["validate", gm, "--json"],
+        ["analyze", gm, "--json"],
+        ["words", gm, "-k", "3", "--json"],
+        ["ktheory", gm, "--json"],
+        ["ideals", gm, "--json"],
+        ["oracle", "weyl", "--angles", "0,1*g", "--n", "50", "--lmax", "4", "--gen", "g=0.3", "--json"],
+        ["validate", gm, "--json"],
+    ]
+    shared = []
+    for argv in session:
+        shared.append((main(argv), capsys.readouterr().out))
+    assert cli.build_parser() is cli.build_parser()
+    for argv, (code, out) in zip(session, shared):
+        cli.build_parser.cache_clear()
+        assert (code, out) == (main(argv), capsys.readouterr().out), argv
+    assert shared[0][1] == shared[-1][1] == golden(gm, "validate")
+    assert shared[1][1] == golden(gm, "analyze")
+    assert shared[2][1] == golden(gm, "words")
+    assert shared[3][1] == golden(gm, "ktheory")
+    assert shared[4][1] == golden(gm, "ideals")
 
 
 @pytest.mark.parametrize("path", bundled_systems(), ids=os.path.basename)

@@ -1,10 +1,8 @@
-"""Graph validation, symbol matrices, full-shift graphs."""
-
-import random
+"""Graph validation and full-shift graphs."""
 
 import pytest
 
-from conftest import build, goldenmean, random_graph
+from conftest import build, goldenmean
 from rotshift.errors import (
     CapExceeded,
     DuplicateEdge,
@@ -19,7 +17,6 @@ from rotshift.graph import (
     MAX_EDGES,
     MAX_VERTICES,
     full_shift_graph,
-    symbol_matrices,
     validate_graph,
 )
 
@@ -91,35 +88,6 @@ def test_vertex_and_symbol_indexes():
     assert graph.vertex_count == 2
 
 
-# -- symbol matrices ------------------------------------------------------------
-
-
-def test_goldenmean_matrices_frozen():
-    graph, _ = goldenmean()
-    fam = symbol_matrices(graph)
-    assert fam.matrices["a"] == ((1, 0), (0, 0))
-    assert fam.matrices["b"] == ((0, 1), (0, 0))
-    assert fam.matrices["c"] == ((0, 0), (1, 0))
-    assert fam.adjacency == ((1, 1), (1, 0))
-
-
-def test_column_sums_at_most_one_on_random_graphs():
-    rng = random.Random(20260817)
-    for _ in range(40):
-        graph = random_graph(rng)
-        fam = symbol_matrices(graph)
-        n = graph.vertex_count
-        for m in fam.matrices.values():
-            for j in range(n):
-                assert sum(m[i][j] for i in range(n)) <= 1
-        # adjacency is the sum over symbols
-        for i in range(n):
-            for j in range(n):
-                assert fam.adjacency[i][j] == sum(
-                    m[i][j] for m in fam.matrices.values()
-                )
-
-
 # -- derived graphs --------------------------------------------------------------
 
 
@@ -128,5 +96,3 @@ def test_full_shift_graph_shape():
     assert g.vertices == ("v",)
     assert g.alphabet == ("s1", "s2", "s3", "s4")
     assert len(g.edges) == 4
-    custom = full_shift_graph(2, symbols=("a", "b"))
-    assert custom.alphabet == ("a", "b")

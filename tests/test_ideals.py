@@ -72,7 +72,6 @@ def test_quotient_reducible3():
     q = quotient_system(graph, frozenset({1, 2}))
     assert q.graph.vertices == ("v1",)
     assert q.surviving_alphabet == ("a",)
-    assert q.removed == ("b", "c", "d")
     assert q.warning is None
     # quotient language embeds in the original language
     for k in range(6):

@@ -17,7 +17,7 @@ from rotshift.oracles import integer_determinant, invariant_factors_via_minors
 
 
 def test_invariant_factors_examples():
-    assert invariant_factors(IntMatrix.zeros(2, 3)) == ()
+    assert invariant_factors(IntMatrix.from_rows([[0, 0, 0], [0, 0, 0]])) == ()
     assert invariant_factors(IntMatrix(())) == ()
     assert invariant_factors(IntMatrix.identity(4)) == (1, 1, 1, 1)
     assert invariant_factors(IntMatrix.from_rows([[2, 0], [0, 3]])) == (1, 6)
@@ -52,7 +52,7 @@ def test_invariant_factors_agree_with_smith_on_displacement_matrices(n, data):
     """I - A for a random nonnegative A with mostly 0/1 entries, against
     Smith's determinantal divisors (gcds of minors)."""
     adjacency = [[data.draw(st.sampled_from([0, 0, 0, 1, 1, 2])) for _ in range(n)] for _ in range(n)]
-    m = IntMatrix.from_rows(adjacency).sub_from_identity()
+    m = IntMatrix.from_rows([[(i == j) - adjacency[i][j] for j in range(n)] for i in range(n)])
     assert list(invariant_factors(m)) == invariant_factors_via_minors(m)
 
 
@@ -78,17 +78,23 @@ def test_invariant_factors_finish_on_dense_matrices():
 
 def test_cokernel_examples():
     # coker of diag(1,1) on Z^2 is trivial
-    assert cokernel(IntMatrix.from_rows([[0, -1], [-1, 1]])).is_trivial()
+    assert cokernel(IntMatrix.from_rows([[0, -1], [-1, 1]])) == AbelianGroupPresentation((), 0)
     # coker [[2]] = Z/2
     p = cokernel(IntMatrix.from_rows([[2]]))
     assert str(p) == "Z/2"
     # coker of the zero 2x2 map is Z^2
-    p = cokernel(IntMatrix.zeros(2, 2))
+    p = cokernel(IntMatrix.from_rows([[0, 0], [0, 0]]))
     assert p.free_rank == 2 and not p.torsion
     # mixed: [[2,0],[0,0]] -> Z/2 + Z
     p = cokernel(IntMatrix.from_rows([[2, 0], [0, 0]]))
     assert p.torsion == (2,) and p.free_rank == 1
     assert str(p) == "Z + Z/2"
+
+
+def _product(a, b):
+    return IntMatrix.from_rows(
+        [[sum(x * y for x, y in zip(row, col)) for col in zip(*b.entries)] for row in a.entries]
+    )
 
 
 def _random_unimodular(rng, n):
@@ -114,7 +120,7 @@ def test_cokernel_unimodular_invariance():
         )
         u = _random_unimodular(rng, n)
         v = _random_unimodular(rng, n)
-        scrambled = u.mul(m).mul(v)
+        scrambled = _product(_product(u, m), v)
         a, b = cokernel(m), cokernel(scrambled)
         assert a.torsion == b.torsion and a.free_rank == b.free_rank
 
@@ -130,15 +136,9 @@ def test_presentation_strings():
 def test_presentation_operations():
     p = AbelianGroupPresentation((2,), 1)
     assert p.direct_sum_free(2).free_rank == 3
-    assert p.torsion_order() == 2
-    assert AbelianGroupPresentation((), 0).is_trivial()
 
 
 def test_matrix_helpers():
     m = IntMatrix.from_rows([[1, 2], [3, 4]])
     assert m[(0, 1)] == 2
-    assert m.transpose().entries == ((1, 3), (2, 4))
-    assert m.sub_from_identity().entries == ((0, -2), (-3, -3))
     assert m.to_lists() == [[1, 2], [3, 4]]
-    prod = m.mul(IntMatrix.identity(2))
-    assert prod.entries == m.entries

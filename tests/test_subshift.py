@@ -16,6 +16,7 @@ from conftest import (
     rat,
     reducible3,
 )
+from rotshift import subshift
 from rotshift.errors import CapExceeded
 from rotshift.graph import full_shift_graph
 from rotshift.oracles import matrix_product_admissible
@@ -109,8 +110,9 @@ def test_decoration_invariance_random():
         assert ok, witness
 
 
-def test_decorated_negative_control():
-    """Handing the checker a graph with an edge removed must trip it.
+def test_decorated_negative_control(monkeypatch):
+    """Running the decorated side on a graph with an edge removed must
+    trip the checker.
 
     This guards against the comparison silently comparing a language
     with itself.
@@ -122,8 +124,12 @@ def test_decorated_negative_control():
         (("v1", "v2", "b"), ("v2", "v1", "c")),
         ("b", "c"),
     )
-    ok, witness = decorated_subshift_equals_base(
-        graph, angles, 4, decorated_graph=crippled
+    decorated = subshift.decorated_admissible_words
+    monkeypatch.setattr(
+        subshift,
+        "decorated_admissible_words",
+        lambda _graph, angles, length: decorated(crippled, angles, length),
     )
+    ok, witness = decorated_subshift_equals_base(graph, angles, 4)
     assert not ok
     assert witness is not None and "a" in witness
