@@ -10,8 +10,8 @@ Subcommands:
 * oracle orbit FILE ... / oracle weyl ...: the numeric oracles.
 
 Exit codes: 0 success, 2 graph validation failure (the report header
-with the defect's witness is still emitted), 1 usage or IO errors and
-exceeded size caps.
+with the defect's witness is still emitted), 1 usage or IO errors,
+out-of-range argument values and exceeded size caps.
 """
 
 from __future__ import annotations
@@ -60,15 +60,23 @@ def _read_document(path: str) -> tuple[SystemDocument, str]:
         sys.exit(EXIT_USAGE)
 
 
-def _gen_overrides(pairs: list[str] | None) -> dict[str, float]:
+def _gen_overrides(pairs: list[str] | None, declared: tuple[str, ...]) -> dict[str, float]:
     out: dict[str, float] = {}
     for pair in pairs or ():
         name, eq, value = pair.partition("=")
         if not eq:
             print(f"error: --gen wants name=value, got {pair!r}", file=sys.stderr)
             sys.exit(EXIT_USAGE)
+        name = name.strip()
+        if name not in declared:
+            print(
+                f"error: --gen names undeclared generator {name!r} "
+                f"(declared: {', '.join(declared) or 'none'})",
+                file=sys.stderr,
+            )
+            sys.exit(EXIT_USAGE)
         try:
-            out[name.strip()] = float(value)
+            out[name] = float(value)
         except ValueError:
             print(f"error: bad numeric value in --gen {pair!r}", file=sys.stderr)
             sys.exit(EXIT_USAGE)
@@ -157,11 +165,7 @@ def _cmd_words(args) -> int:
     _doc, _header, graph = _read_graph(args)
     if graph is None:
         return EXIT_INVALID
-    try:
-        words = admissible_words(graph, args.length)
-    except RotshiftError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    words = admissible_words(graph, args.length)
     payload = {
         "length": args.length,
         "alphabet": list(graph.alphabet),
@@ -241,19 +245,15 @@ def _cmd_ideals(args) -> int:
     _doc, _header, graph = _read_graph(args)
     if graph is None:
         return EXIT_INVALID
-    try:
-        subsets = enumerate_invariant_saturated(graph)
-    except RotshiftError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    subsets = enumerate_invariant_saturated(graph)
     entries = []
     lines = []
-    for s in subsets:
-        names = s.names(graph)
+    for w in subsets:
+        names = graph.vertex_names(w)
         entry: dict = {"vertices": names}
         label = "{" + ",".join(names) + "}"
-        if 0 < len(s.vertices) < graph.vertex_count:
-            q = quotient_system(graph, s.vertices)
+        if 0 < len(w) < graph.vertex_count:
+            q = quotient_system(graph, w)
             entry["quotient"] = {
                 "vertices": list(q.graph.vertices),
                 "surviving_alphabet": list(q.surviving_alphabet),
@@ -283,19 +283,13 @@ def _cmd_oracle_orbit(args) -> int:
     doc, _header, graph = _read_graph(args)
     if graph is None:
         return EXIT_INVALID
-    overrides = _gen_overrides(args.gen)
+    overrides = _gen_overrides(args.gen, doc.context.ids)
     theta = doc.float_angles(overrides)
     start_vertex = args.start_vertex or graph.vertices[0]
     if start_vertex not in graph.vertex_index:
         print(f"error: unknown start vertex {start_vertex!r}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        sample = orbit_density(
-            graph, theta, start_vertex, args.start_point, args.steps, args.eps
-        )
-    except RotshiftError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    sample = orbit_density(graph, theta, start_vertex, args.start_point, args.steps, args.eps)
     payload = {
         "epsilon": sample.epsilon,
         "steps_used": sample.steps_used,
@@ -331,7 +325,7 @@ def _parse_float_or_expr(chunk: str, overrides: dict[str, float]) -> float:
 
 
 def _cmd_oracle_weyl(args) -> int:
-    overrides = _gen_overrides(args.gen)
+    overrides = _gen_overrides(args.gen, _generator_context(args.angles).ids)
     try:
         theta = [
             _parse_float_or_expr(chunk.strip(), overrides)
@@ -340,11 +334,7 @@ def _cmd_oracle_weyl(args) -> int:
     except RotshiftError as exc:
         print(f"error: bad --angles list: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        table = weyl_sums(theta, args.n, args.lmax)
-    except (RotshiftError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    table = weyl_sums(theta, args.n, args.lmax)
     payload = {
         "angles": theta,
         "n": args.n,
@@ -425,7 +415,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except RotshiftError as exc:
+    except (RotshiftError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -17,14 +17,12 @@ the set of symbols still labeling an edge.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable
 
 from .errors import CapExceeded, GraphValidationError, NotInvariantSaturated
 from .graph import LabeledGraph, validate_graph
 
 __all__ = [
-    "IdealSubset",
     "classify_subset",
     "enumerate_invariant_saturated",
     "hasse_edges",
@@ -36,67 +34,59 @@ __all__ = [
 MAX_IDEAL_VERTICES = 20
 
 
-@dataclass(frozen=True)
-class IdealSubset:
-    vertices: frozenset[int]
-    invariant: bool
-    saturated: bool
-
-    def names(self, graph: LabeledGraph) -> list[str]:
-        return graph.vertex_names(self.vertices)
-
-
-def _out_neighbors(graph: LabeledGraph) -> list[set[int]]:
-    succ: list[set[int]] = [set() for _ in graph.vertices]
-    for i, edges in enumerate(graph.out_edges):
-        for j, _symbol in edges:
-            succ[i].add(j)
-    return succ
-
-
-def classify_subset(graph: LabeledGraph, subset: Iterable[int]) -> IdealSubset:
-    """Decide invariance and saturation of a vertex subset.
+def classify_subset(graph: LabeledGraph, subset: Iterable[int]) -> tuple[bool, bool]:
+    """Decide (invariant, saturated) for a vertex subset.
 
     The empty set and the full set are always both.  (Essentiality
     guarantees nobody has an empty successor set, which would otherwise
     make the empty set non-saturated.)
     """
     w = frozenset(subset)
-    succ = _out_neighbors(graph)
+    succ = [{j for j, _symbol in edges} for edges in graph.out_edges]
     invariant = all(succ[i] <= w for i in w)
     saturated = all(i in w for i in range(graph.vertex_count) if succ[i] <= w)
-    return IdealSubset(w, invariant, saturated)
+    return invariant, saturated
 
 
-def enumerate_invariant_saturated(graph: LabeledGraph) -> list[IdealSubset]:
+def enumerate_invariant_saturated(graph: LabeledGraph) -> list[frozenset[int]]:
     """All invariant saturated vertex subsets, smallest first.
 
     Sorted by size, then lexicographically on the sorted index tuples.
-    Exhaustive over the 2^n subsets, hence the vertex cap.
+    Let R(v) be the set of vertices on a cycle that v reaches by a path
+    of length >= 1.  In an essential graph W is invariant and saturated
+    exactly when W = {v : R(v) <= W}: invariance gives <=, and every
+    path out of a vertex ends on a cycle, which gives >= by induction
+    along the acyclic part.  So taking the cycle vertices of W maps the
+    lattice one to one onto the unions of the sets R(x), and
+    C -> {v : R(v) <= C} inverts it.  The cost is O(n) set operations
+    per ideal; the vertex cap remains because n disjoint loops have 2^n
+    ideals.
     """
     n = graph.vertex_count
     if n > MAX_IDEAL_VERTICES:
         raise CapExceeded("ideal enumeration vertex count", n, MAX_IDEAL_VERTICES)
-    succ = _out_neighbors(graph)
-    found: list[IdealSubset] = []
-    for size in range(n + 1):
-        for combo in combinations(range(n), size):
-            w = frozenset(combo)
-            if all(succ[i] <= w for i in w) and all(
-                i in w for i in range(n) if succ[i] <= w
-            ):
-                found.append(IdealSubset(w, True, True))
-    return found
+    reach = [{j for j, _symbol in edges} for edges in graph.out_edges]
+    for k in range(n):  # Warshall: reach[i] = vertices reached by a path of length >= 1
+        for r in reach:
+            if k in r:
+                r |= reach[k]
+    cyclic = {v for v in range(n) if v in reach[v]}
+    cores = [frozenset(r & cyclic) for r in reach]
+    unions = {frozenset()}
+    for r in set(cores):
+        unions |= {c | r for c in unions}
+    found = [frozenset(v for v in range(n) if cores[v] <= c) for c in unions]
+    return sorted(found, key=lambda w: (len(w), sorted(w)))
 
 
-def hasse_edges(subsets: list[IdealSubset]) -> list[tuple[int, int]]:
+def hasse_edges(subsets: list[frozenset[int]]) -> list[tuple[int, int]]:
     """Cover relations (i, j) meaning subsets[i] < subsets[j] with nothing between."""
     covers = []
     for i, a in enumerate(subsets):
         for j, b in enumerate(subsets):
-            if not a.vertices < b.vertices:
+            if not a < b:
                 continue
-            if any(a.vertices < c.vertices < b.vertices for c in subsets):
+            if any(a < c < b for c in subsets):
                 continue
             covers.append((i, j))
     return covers
@@ -122,11 +112,11 @@ def quotient_system(graph: LabeledGraph, subset: Iterable[int]) -> QuotientSyste
     carried instead of trusting that argument blindly.
     """
     w = frozenset(subset)
-    check = classify_subset(graph, w)
-    if not (check.invariant and check.saturated):
+    invariant, saturated = classify_subset(graph, w)
+    if not (invariant and saturated):
         raise NotInvariantSaturated(
             f"subset {sorted(w)} is not invariant+saturated "
-            f"(invariant={check.invariant}, saturated={check.saturated})"
+            f"(invariant={invariant}, saturated={saturated})"
         )
     if len(w) == graph.vertex_count:
         raise NotInvariantSaturated("the full vertex set leaves an empty quotient")

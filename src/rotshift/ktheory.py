@@ -224,8 +224,3 @@ def scaled_normal_form(a: int, m: int, n: int) -> tuple[int, int]:
         a //= n
         m -= 1
     return a, m
-
-
-def scaled_nonnegative(a: int, m: int, n: int) -> bool:
-    """Positivity in the limit order: a@m >= 0 iff a >= 0."""
-    return scaled_value(a, m, n) >= 0

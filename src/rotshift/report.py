@@ -112,7 +112,7 @@ def analyze_document(
     try:
         subsets = enumerate_invariant_saturated(graph)
         report["ideals"] = {
-            "invariant_saturated": [s.names(graph) for s in subsets],
+            "invariant_saturated": [graph.vertex_names(w) for w in subsets],
             "count": len(subsets),
             "hasse": [list(pair) for pair in hasse_edges(subsets)],
         }

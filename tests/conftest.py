@@ -268,6 +268,26 @@ def cycle_angle(cycle, angles):
     return total
 
 
+def brute_force_ideals(graph: LabeledGraph) -> list[frozenset[int]]:
+    """Every invariant saturated vertex subset, by testing all 2^n subsets
+    against the definitions, smallest first and then lexicographically on
+    the sorted index tuples.  Successor sets come from the raw edge list."""
+    n = len(graph.vertices)
+    index = {v: i for i, v in enumerate(graph.vertices)}
+    succ: list[set[int]] = [set() for _ in range(n)]
+    for e in graph.edges:
+        succ[index[e.src]].add(index[e.dst])
+    found = []
+    for size in range(n + 1):
+        for combo in itertools.combinations(range(n), size):
+            w = frozenset(combo)
+            invariant = all(succ[i] <= w for i in w)
+            saturated = all(i in w for i in range(n) if succ[i] <= w)
+            if invariant and saturated:
+                found.append(w)
+    return found
+
+
 def closure_irreducibility(graph: LabeledGraph) -> list[str] | None:
     """None when every vertex reaches every vertex; otherwise the forward
     closure of the first vertex (in declared order) that does not, as

@@ -236,12 +236,12 @@ def test_criterion_8_ideal_lattice(capsys):
         docs = bundled_documents()
         graph = docs["reducible3"].graph()
         subsets = enumerate_invariant_saturated(graph)
-        assert [s.names(graph) for s in subsets] == [
+        assert [graph.vertex_names(w) for w in subsets] == [
             [],
             ["v2", "v3"],
             ["v1", "v2", "v3"],
         ]
-        q = quotient_system(graph, subsets[1].vertices)
+        q = quotient_system(graph, subsets[1])
         assert q.warning is None  # quotient revalidated cleanly
         assert q.graph.vertices == ("v1",)
         assert q.surviving_alphabet == ("a",)
@@ -253,8 +253,8 @@ def test_criterion_8_ideal_lattice(capsys):
                 continue
             subs = enumerate_invariant_saturated(g)
             assert len(subs) == 2, name
-            assert subs[0].vertices == frozenset()
-            assert subs[1].vertices == frozenset(range(g.vertex_count))
+            assert subs[0] == frozenset()
+            assert subs[1] == frozenset(range(g.vertex_count))
             trivial += 1
         assert trivial >= 3
         return f"chain of 3 on reducible3; {trivial} irreducible systems trivial"

@@ -227,6 +227,44 @@ def test_bad_gen_flag(capsys):
     assert info.value.code == 1
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["words", path("goldenmean.sds"), "-k", "-1"], "negative word length"),
+        (["ktheory", path("goldenmean.sds"), "--af-core", "-1"], "negative depth"),
+        (["ktheory", path("fullshift2.sds"), "--bunce-deddens", "-1"], "negative depth"),
+        (["oracle", "orbit", path("goldenmean.sds"), "--eps", "2"], "epsilon must lie in (0, 1)"),
+    ],
+    ids=["words", "af-core", "bunce-deddens", "orbit-eps"],
+)
+def test_out_of_range_argument_exits_1_with_one_error_line(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [f"error: {message}"]
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, name, declared",
+    [
+        (["oracle", "orbit", path("goldenmean.sds"), "--steps", "10"], "G", "g"),
+        (["oracle", "weyl", "--angles", "0,1*g", "--n", "5", "--lmax", "2"], "h", "g"),
+        (["oracle", "weyl", "--angles", "0,1/2", "--n", "5", "--lmax", "2"], "g", "none"),
+    ],
+    ids=["orbit", "weyl", "weyl-rational"],
+)
+def test_gen_with_undeclared_name_exits_1(capsys, argv, name, declared):
+    with pytest.raises(SystemExit) as info:
+        run(capsys, *argv, "--gen", f"{name}=0.25")
+    assert info.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: --gen names undeclared generator {name!r} (declared: {declared})"
+    ]
+
+
 def test_usage_error_exit_1(capsys):
     with pytest.raises(SystemExit) as info:
         run(capsys, "words", path("goldenmean.sds"))  # missing -k

@@ -4,10 +4,18 @@ import random
 
 import pytest
 
-from conftest import build, goldenmean, random_graph, reducible3
+from conftest import (
+    brute_force_ideals,
+    build,
+    goldenmean,
+    random_graph,
+    reducible3,
+    wall_clock_limit,
+)
 from rotshift.errors import CapExceeded, NotInvariantSaturated
 from rotshift.graph import full_shift_graph
 from rotshift.ideals import (
+    MAX_IDEAL_VERTICES,
     classify_subset,
     enumerate_invariant_saturated,
     hasse_edges,
@@ -19,20 +27,18 @@ from rotshift.verdicts import is_irreducible
 
 def test_classify_reducible3():
     graph, _ = reducible3()
-    tail = classify_subset(graph, frozenset({1, 2}))  # {v2, v3}
-    assert tail.invariant and tail.saturated
-    sink = classify_subset(graph, frozenset({2}))  # {v3} absorbs v2
-    assert sink.invariant and not sink.saturated
-    head = classify_subset(graph, frozenset({0}))  # v1 leaks to v2
-    assert not head.invariant
-    assert classify_subset(graph, frozenset()).invariant
-    assert classify_subset(graph, frozenset({0, 1, 2})).saturated
+    assert classify_subset(graph, frozenset({1, 2})) == (True, True)  # {v2, v3}
+    assert classify_subset(graph, frozenset({2})) == (True, False)  # {v3} absorbs v2
+    invariant, _ = classify_subset(graph, frozenset({0}))  # v1 leaks to v2
+    assert not invariant
+    assert classify_subset(graph, frozenset())[0]
+    assert classify_subset(graph, frozenset({0, 1, 2}))[1]
 
 
 def test_enumeration_reducible3_is_a_chain():
     graph, _ = reducible3()
     subs = enumerate_invariant_saturated(graph)
-    assert [s.names(graph) for s in subs] == [[], ["v2", "v3"], ["v1", "v2", "v3"]]
+    assert [graph.vertex_names(w) for w in subs] == [[], ["v2", "v3"], ["v1", "v2", "v3"]]
     assert hasse_edges(subs) == [(0, 1), (1, 2)]
 
 
@@ -46,8 +52,8 @@ def test_irreducible_graphs_have_trivial_lattice():
         found += 1
         subs = enumerate_invariant_saturated(graph)
         assert len(subs) == 2
-        assert subs[0].vertices == frozenset()
-        assert subs[1].vertices == frozenset(range(graph.vertex_count))
+        assert subs[0] == frozenset()
+        assert subs[1] == frozenset(range(graph.vertex_count))
     assert found >= 10
 
 
@@ -59,7 +65,7 @@ def test_two_component_graph():
         ("a", "b"),
     )
     subs = enumerate_invariant_saturated(graph)
-    names = [tuple(s.names(graph)) for s in subs]
+    names = [tuple(graph.vertex_names(w)) for w in subs]
     assert names == [(), ("v1",), ("v2",), ("v1", "v2")]
     covers = hasse_edges(subs)
     assert (0, 1) in covers and (0, 2) in covers
@@ -107,4 +113,104 @@ def test_enumeration_cap():
 def test_goldenmean_trivial_lattice():
     graph, _ = goldenmean()
     subs = enumerate_invariant_saturated(graph)
-    assert [s.names(graph) for s in subs] == [[], ["v1", "v2"]]
+    assert [graph.vertex_names(w) for w in subs] == [[], ["v1", "v2"]]
+
+
+def _layered_graph(rng: random.Random, max_vertices: int):
+    """A random valid graph with planted structure.
+
+    Components (each a cycle on symbol a, plus random inner edges) and
+    transient vertices are laid out in a random order; edges between
+    them only run forward.  A transient vertex sits strictly between the
+    first and the last component and gets one edge in and one edge out.
+    Vertex indices are shuffled against that order."""
+    n = rng.randint(1, max_vertices)
+    transient = rng.randint(0, (n - 2) // 2) if n >= 3 else 0
+    sizes = [1] * (n - transient)
+    while len(sizes) > 1 and rng.random() < 0.5:  # merge into larger components
+        k = rng.randrange(len(sizes) - 1)
+        sizes[k : k + 2] = [sizes[k] + sizes[k + 1]]
+    if len(sizes) < 2:
+        sizes, transient = [n], 0
+    units: list[list[int]] = []
+    names = list(range(n))
+    rng.shuffle(names)
+    for size in sizes:
+        units.append([names.pop() for _ in range(size)])
+    middle = [[names.pop()] for _ in range(transient)]
+    for unit in middle:
+        units.insert(rng.randint(1, len(units) - 1), unit)
+    edges = {}  # (target, symbol) -> source
+
+    def add(src, dst, symbols):
+        free = [s for s in symbols if (dst, s) not in edges]
+        if free:
+            edges[(dst, rng.choice(free))] = src
+
+    for unit in units:
+        if unit not in middle:
+            for k, v in enumerate(unit):
+                edges[(unit[(k + 1) % len(unit)], "a")] = v
+            for _ in range(rng.randint(0, len(unit))):
+                add(rng.choice(unit), rng.choice(unit), "bc")
+    for pos, unit in enumerate(units):
+        if unit in middle:  # at most 5 of them, so "fghij" never runs out
+            add(rng.choice([v for u in units[:pos] for v in u]), unit[0], "f")
+            add(unit[0], rng.choice([v for u in units[pos + 1 :] for v in u]), "fghij")
+        for later in units[pos + 1 :]:
+            if rng.random() < 0.3:
+                add(rng.choice(unit), rng.choice(later), "de")
+    vertices = tuple(f"v{i}" for i in range(n))
+    triples = [(vertices[src], vertices[dst], s) for (dst, s), src in edges.items()]
+    alphabet = tuple(sorted({s for _, s in edges}))
+    return build(vertices, triples, alphabet)
+
+
+def _on_no_cycle(graph) -> int:
+    """How many vertices lie on no cycle (the transient ones)."""
+    count = 0
+    for start in graph.vertices:
+        seen, frontier = set(), [start]
+        while frontier:
+            v = frontier.pop()
+            for e in graph.edges:
+                if e.src == v and e.dst not in seen:
+                    seen.add(e.dst)
+                    frontier.append(e.dst)
+        count += start not in seen
+    return count
+
+
+def test_enumeration_matches_brute_force_on_random_graphs():
+    rng = random.Random(2024)
+    transient = larger = 0
+    for _ in range(300):
+        graph = _layered_graph(rng, max_vertices=12)
+        expected = brute_force_ideals(graph)
+        subs = enumerate_invariant_saturated(graph)
+        assert subs == expected, graph
+        covers = [
+            (i, j)
+            for i, a in enumerate(expected)
+            for j, b in enumerate(expected)
+            if a < b and not any(a < c < b for c in expected)
+        ]
+        assert hasse_edges(subs) == covers
+        transient += _on_no_cycle(graph) > 0
+        larger += len(expected) > 3
+    assert transient >= 100 and larger >= 150
+
+
+def test_chain_of_twenty_loops_is_fast():
+    # v(i+1) feeds vi and every vertex carries a loop: the ideals are the
+    # 21 initial segments v0..v(k-1)
+    n = MAX_IDEAL_VERTICES
+    vertices = tuple(f"v{i}" for i in range(n))
+    edges = [(v, v, "a") for v in vertices]
+    edges += [(vertices[i + 1], vertices[i], "b") for i in range(n - 1)]
+    graph = build(vertices, edges, ("a", "b"))
+    with wall_clock_limit(0.5):
+        subs = enumerate_invariant_saturated(graph)
+        covers = hasse_edges(subs)
+    assert subs == [frozenset(range(k)) for k in range(n + 1)]
+    assert covers == [(k, k + 1) for k in range(n)]

@@ -17,7 +17,6 @@ from rotshift.ktheory import (
     fullshift_k_groups,
     graph_k_groups,
     scaled_equal,
-    scaled_nonnegative,
     scaled_normal_form,
     scaled_value,
 )
@@ -156,9 +155,6 @@ def test_scaled_integer_arithmetic():
     assert not scaled_equal(3, 1, 5, 2, 2)
     assert scaled_normal_form(6, 2, 2) == (3, 1)
     assert scaled_normal_form(4, 2, 2) == (1, 0)
-    assert scaled_nonnegative(0, 3, 2)
-    assert scaled_nonnegative(7, 2, 3)
-    assert not scaled_nonnegative(-1, 2, 3)
 
 
 def test_scaled_identification_random():
