@@ -21,6 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -110,6 +111,33 @@ class ExactAngle:
     @classmethod
     def zero(cls, context: GeneratorContext = EMPTY_CONTEXT) -> "ExactAngle":
         return cls.make(context, 0)
+
+    # -- integer coordinates ------------------------------------------
+
+    @staticmethod
+    def integer_coordinates(angles: Mapping[str, "ExactAngle"]):
+        """Put the angles over one common denominator L, the lcm of every
+        rational part's and coefficient's denominator.  Returns the merged
+        context (EMPTY_CONTEXT mixes with any, as in addition), L, and per
+        key the int tuple (rational*L, c_1*L, ..., c_k*L) in generator
+        order; sums of tuples are sums of angles, unreduced mod 1."""
+        context, common = EMPTY_CONTEXT, 1
+        for a in angles.values():
+            context = _merge_contexts(context, a.context)
+            common = lcm(common, a.rational.denominator, *(c.denominator for _, c in a.coefficients))
+        coords = {}
+        for key, a in angles.items():
+            terms = dict(a.coefficients)
+            values = (a.rational, *(terms.get(name, 0) for name in context.ids))
+            coords[key] = tuple(int(x * common) for x in values)
+        return context, common, coords
+
+    @classmethod
+    def from_integer_coordinates(cls, context: GeneratorContext, common: int, coords) -> "ExactAngle":
+        """Inverse of integer_coordinates: the reduced angle of one tuple."""
+        rational, *terms = coords
+        coefficients = tuple((name, Fraction(c, common)) for name, c in zip(context.ids, terms) if c)
+        return cls(context, Fraction(rational % common, common), coefficients)
 
     # -- group structure ----------------------------------------------
 

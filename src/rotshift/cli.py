@@ -113,15 +113,17 @@ def _read_graph(args) -> tuple[SystemDocument, dict, LabeledGraph | None]:
 
 
 def _generator_context(text: str) -> GeneratorContext:
-    """Declare every identifier in text as a generator, in order of
-    first appearance."""
-    names = re.findall(r"[A-Za-z_][A-Za-z0-9_]*", text)
+    """Declare every identifier that follows a '*' in text as a
+    generator, in order of first appearance.  The angle grammar has no
+    other place for one, so the exponent of a float literal such as
+    1e-3 declares nothing."""
+    names = re.findall(r"\*\s*([A-Za-z_][A-Za-z0-9_]*)", text)
     return GeneratorContext(tuple(dict.fromkeys(names)))
 
 
 def _angles_document(angle_list: str) -> SystemDocument:
     """Build an n-loop full-shift document from a comma-separated list
-    of exact angle expressions; identifiers are auto-declared as
+    of exact angle expressions; names after '*' are auto-declared as
     generators in order of first appearance."""
     exprs = [chunk.strip() for chunk in angle_list.split(",")]
     if any(not chunk for chunk in exprs):

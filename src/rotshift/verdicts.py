@@ -18,7 +18,9 @@ Decisions implemented:
 * irrational cycle: some closed path has an irrational total rotation
   angle.  Decided exactly by spanning-tree potentials per strongly
   connected component; all cycle angles are rational iff every edge
-  defect (edge angle minus potential difference) is rational.
+  defect (edge angle minus potential difference) is rational.  The
+  search adds int tuples over one common denominator and turns only
+  the No certificate's potentials back into exact angles.
 * minimality of the decorated system: dense orbits in the disjoint
   union of circle fibers.  Irreducible + irrational cycle gives Yes;
   a reducible graph or all-rational cycles give No with witnesses.
@@ -36,7 +38,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
+from operator import add
 from typing import Mapping, Sequence
 
 from .angles import ExactAngle
@@ -296,13 +299,6 @@ def strongly_connected_components(graph: LabeledGraph) -> list[int]:
 # irrational cycles
 
 
-def _walk_angle(walk: Sequence[Edge], angles: Mapping[str, ExactAngle], zero: ExactAngle) -> ExactAngle:
-    total = zero
-    for e in walk:
-        total = total + angles[e.symbol]
-    return total
-
-
 def irrational_cycle(graph: LabeledGraph, angles: Mapping[str, ExactAngle]) -> VerdictReport:
     """Is there a closed path whose total rotation angle is irrational?
 
@@ -313,75 +309,79 @@ def irrational_cycle(graph: LabeledGraph, angles: Mapping[str, ExactAngle]) -> V
     the defects of its edges, so irrational cycles exist iff some edge
     inside a component has an irrational defect.  In that case one of
     two explicit closed walks through that edge's endpoints must be
-    irrational and is returned as the certificate.  Otherwise every
-    cycle angle is rational with denominator dividing the reported one.
+    irrational (summed as exact angles) and is returned as the
+    certificate.  Otherwise every cycle angle is rational with
+    denominator dividing the reported one.
+
+    Potentials and defects are int tuples over one common denominator L
+    (ExactAngle.integer_coordinates): a defect is rational iff its
+    generator coordinates vanish, with denominator L / gcd(r, L) for its
+    rational coordinate r.  Potentials become exact angles again only
+    for the No certificate.
     """
     criterion = "irrational total rotation along some closed path"
     check_angle_assignment(graph, angles)
-    context = next(iter(angles.values())).context if angles else None
-    zero = ExactAngle.zero(context) if context is not None else ExactAngle.zero()
+    context, common, coords = ExactAngle.integer_coordinates(angles)
     comp = strongly_connected_components(graph)
     vi = graph.vertex_index
     # vertices and inner edges of each component, in declared order
     members: dict[int, list[int]] = {}
     for v, cid in enumerate(comp):
         members.setdefault(cid, []).append(v)
-    inner: dict[int, list[Edge]] = {cid: [] for cid in members}
+    inner: dict[int, list[tuple[int, int, Edge]]] = {cid: [] for cid in members}
     for e in graph.edges:
-        cid = comp[vi[e.src]]
-        if comp[vi[e.dst]] == cid:
-            inner[cid].append(e)
+        u, w = vi[e.src], vi[e.dst]
+        if comp[u] == comp[w]:
+            inner[comp[u]].append((u, w, e))
 
-    potentials: dict[int, ExactAngle] = {}
+    potentials: dict[int, tuple[int, ...]] = {}
     roots: list[int] = []
     denominator = 1
 
     for cid in sorted(members):
-        allowed = set(members[cid])
         root = members[cid][0]
         roots.append(root)
         # BFS arborescence and tree potentials
-        pot: dict[int, ExactAngle] = {root: zero}
-        parent_edge: dict[int, Edge] = {}
+        potentials[root] = (0,) * (len(context.ids) + 1)
+        parent: dict[int, tuple[int, str]] = {}
         queue = [root]
         while queue:
             frontier: list[int] = []
             for v in queue:
+                pv = potentials[v]
                 for w, symbol in graph.out_edges[v]:
-                    if w in allowed and w not in pot:
-                        pot[w] = pot[v] + angles[symbol]
-                        parent_edge[w] = Edge(
-                            graph.vertices[v], graph.vertices[w], symbol
-                        )
+                    if comp[w] == cid and w not in potentials:
+                        potentials[w] = tuple(map(add, pv, coords[symbol]))
+                        parent[w] = (v, symbol)
                         frontier.append(w)
             queue = frontier
-        potentials.update(pot)
 
         def tree_path(v: int) -> list[Edge]:
             path: list[Edge] = []
             while v != root:
-                e = parent_edge[v]
-                path.append(e)
-                v = vi[e.src]
+                p, symbol = parent[v]
+                path.append(Edge(graph.vertices[p], graph.vertices[v], symbol))
+                v = p
             path.reverse()
             return path
 
-        for e in inner[cid]:
-            u, w = vi[e.src], vi[e.dst]
-            defect = pot[u] + angles[e.symbol] - pot[w]
-            if defect.is_rational():
-                denominator = lcm(denominator, defect.rational_denominator())
+        for u, w, e in inner[cid]:
+            r, *terms = (
+                pu + a - pw for pu, a, pw in zip(potentials[u], coords[e.symbol], potentials[w])
+            )
+            if not any(terms):
+                denominator = lcm(denominator, common // gcd(r, common))
                 continue
             # the defect carries a generator: at least one of these two
             # closed walks at the root has an irrational angle
-            back = _bfs_edge_path(graph, w, root, allowed)
+            back = _bfs_edge_path(graph, w, root, set(members[cid]))
             assert back is not None
             walk_a = tree_path(u) + [e] + back
             walk_b = tree_path(w) + back
             for walk in (walk_a, walk_b):
                 if not walk:
                     continue
-                total = _walk_angle(walk, angles, zero)
+                total = sum((angles[edge.symbol] for edge in walk), ExactAngle.zero(context))
                 if not total.is_rational():
                     return VerdictReport(
                         YES,
@@ -398,7 +398,10 @@ def irrational_cycle(graph: LabeledGraph, angles: Mapping[str, ExactAngle]) -> V
         NO,
         {
             "cycle_denominator": denominator,
-            "potentials": {graph.vertices[v]: str(a) for v, a in potentials.items()},
+            "potentials": {
+                graph.vertices[v]: str(ExactAngle.from_integer_coordinates(context, common, p))
+                for v, p in potentials.items()
+            },
             "roots": [graph.vertices[r] for r in roots],
         },
         criterion,

@@ -162,6 +162,50 @@ def random_graph(rng: random.Random, max_vertices=6, max_symbols=3) -> LabeledGr
     raise RuntimeError("rejection sampling failed to find a valid graph")
 
 
+def layered_graph(rng: random.Random, max_vertices=8, max_symbols=3, shifts=None) -> LabeledGraph:
+    """A random valid graph with planted reducible structure.
+
+    The vertices fall into consecutive blocks; an edge stays inside its
+    block or runs to a later one, and some singleton blocks take no
+    inner edge, so their vertex lies on no cycle.  Draws have several
+    strongly connected components and transient vertices far more often
+    than random_graph.  With shifts (one int per symbol) every vertex
+    also gets a grade in 0..2, and an edge labeled by the i-th symbol
+    raises the grade by shifts[i], so along every cycle the shifts of
+    its labels sum to 0.  Rejection sampling, as in random_graph."""
+    graded = shifts is not None
+    shifts = shifts or (0,) * max_symbols
+    for attempt in range(5000):
+        if attempt % 100 == 0:  # small graphs pass far more often: keep the size a while
+            n = rng.randint(1, max_vertices)
+            k = rng.randint(1, max_symbols)
+        vertices = tuple(f"v{i+1}" for i in range(n))
+        symbols = tuple("abcde"[:k])
+        block = [0]
+        for _i in range(1, n):
+            block.append(block[-1] + (rng.random() < 0.4))
+        transient = {
+            b for b in range(1, block[-1]) if block.count(b) == 1 and rng.random() < 0.5
+        }
+        density = rng.uniform(0.4, 0.9)
+        grade = [rng.randint(0, 2) if graded else 0 for _ in range(n)]
+        edges = []
+        for target in range(n):
+            for i, sym in enumerate(symbols):
+                sources = [
+                    s for s in range(n)
+                    if (block[s] < block[target] or (block[s] == block[target] and block[s] not in transient))
+                    and grade[target] - grade[s] == shifts[i]
+                ]
+                if sources and rng.random() < density:
+                    edges.append((vertices[rng.choice(sources)], vertices[target], sym))
+        try:
+            return validate_graph(vertices, tuple(edges), symbols)
+        except GraphValidationError:
+            continue
+    raise RuntimeError("rejection sampling failed to find a valid graph")
+
+
 def hamiltonian_graph(
     rng: random.Random, n_vertices: int, n_symbols: int, extra_p: float = 0.5
 ) -> LabeledGraph:
@@ -186,6 +230,35 @@ def random_angles(rng: random.Random, graph: LabeledGraph, ctx=GCTX):
         q = rng.randint(1, 6)
         c = rng.choice([-2, -1, 0, 0, 1, 2])
         out[s] = ExactAngle.make(ctx, Fraction(p, q), {"g": Fraction(c)})
+    return out
+
+
+def mixed_angles(rng: random.Random, graph: LabeledGraph, shifts=None):
+    """Random exact angle per symbol over 0-2 generators g, h.
+
+    Rational parts and coefficients have mixed denominators.  Without
+    shifts many coefficients are 0; with them (one int per symbol, as
+    for layered_graph) the i-th symbol's generator terms are shifts[i]
+    times one common random vector, so they cancel along every cycle of
+    a graph graded by the same shifts.  An angle without generator terms
+    is put over EMPTY_CONTEXT half the time, so it mixes with the rest."""
+    ctx = GeneratorContext(("g", "h")[: rng.randint(0, 2)])
+
+    def coefficient(choices):
+        return Fraction(rng.choice(choices), rng.choice((1, 2, 3, 5)))
+
+    slope = {name: coefficient((-2, -1, 1, 2)) for name in ctx.ids}
+    out = {}
+    for i, s in enumerate(graph.alphabet):
+        rational = Fraction(rng.randint(-7, 7), rng.choice((1, 2, 3, 4, 5, 6, 8, 12)))
+        if shifts:
+            coeffs = {name: shifts[i] * c for name, c in slope.items()}
+        else:
+            coeffs = {name: coefficient((-2, -1, 0, 0, 0, 1, 2)) for name in ctx.ids}
+        if not any(coeffs.values()) and rng.random() < 0.5:
+            out[s] = ExactAngle.make(EMPTY_CONTEXT, rational)
+        else:
+            out[s] = ExactAngle.make(ctx, rational, coeffs)
     return out
 
 

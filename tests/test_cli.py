@@ -251,8 +251,10 @@ def test_out_of_range_argument_exits_1_with_one_error_line(capsys, argv, message
         (["oracle", "orbit", path("goldenmean.sds"), "--steps", "10"], "G", "g"),
         (["oracle", "weyl", "--angles", "0,1*g", "--n", "5", "--lmax", "2"], "h", "g"),
         (["oracle", "weyl", "--angles", "0,1/2", "--n", "5", "--lmax", "2"], "g", "none"),
+        # the exponent letter of a float literal is no generator
+        (["oracle", "weyl", "--angles", "1e-3,0", "--n", "5", "--lmax", "2"], "e", "none"),
     ],
-    ids=["orbit", "weyl", "weyl-rational"],
+    ids=["orbit", "weyl", "weyl-rational", "weyl-float-exponent"],
 )
 def test_gen_with_undeclared_name_exits_1(capsys, argv, name, declared):
     with pytest.raises(SystemExit) as info:

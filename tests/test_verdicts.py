@@ -7,6 +7,7 @@ of all simple cycles.
 """
 
 import random
+from math import lcm
 
 import pytest
 
@@ -19,6 +20,9 @@ from conftest import (
     fullshift,
     gen,
     goldenmean,
+    hamiltonian_graph,
+    layered_graph,
+    mixed_angles,
     patch_everywhere,
     random_angles,
     random_graph,
@@ -26,10 +30,12 @@ from conftest import (
     reducible3,
     simple_cycles,
     two_cycle,
+    wall_clock_limit,
 )
 from rotshift import verdicts
-from rotshift.angles import ExactAngle
+from rotshift.angles import ExactAngle, GeneratorContext, parse_angle
 from rotshift.errors import FewerThanTwoAngles, UnknownSymbol
+from rotshift.graph import MAX_EDGES, MAX_VERTICES, Edge
 from rotshift.verdicts import (
     NO,
     UNKNOWN,
@@ -269,23 +275,90 @@ def test_irrational_cycle_ignores_transient_edges():
     assert r.is_no
 
 
+def inner_edges(graph):
+    """Edges whose target reaches their source, i.e. edges on some cycle,
+    by one search per vertex over the raw edge list."""
+    reach = {}
+    for start in graph.vertices:
+        seen = {start}
+        frontier = [start]
+        while frontier:
+            v = frontier.pop()
+            for e in graph.edges:
+                if e.src == v and e.dst not in seen:
+                    seen.add(e.dst)
+                    frontier.append(e.dst)
+        reach[start] = seen
+    return [e for e in graph.edges if e.src in reach[e.dst]]
+
+
+def assert_cycle_certificate(graph, angles, r, inner):
+    """Re-check an irrational_cycle certificate with exact angle
+    arithmetic only.  Yes: a closed walk of graph edges whose summed
+    angle is irrational and printed as the certificate's angle.  No: the
+    printed potentials parse, vanish at the roots, and leave every inner
+    edge a rational defect; cycle_denominator is the lcm of the defect
+    denominators."""
+    if r.is_yes:
+        assert_walk(graph, r.certificate["cycle"])
+        total = cycle_angle([Edge(*e) for e in r.certificate["cycle"]], angles)
+        assert not total.is_rational()
+        assert r.certificate["angle"] == str(total)
+        return
+    context = GeneratorContext(max((a.context.ids for a in angles.values()), key=len))
+    potentials = {v: parse_angle(text, context) for v, text in r.certificate["potentials"].items()}
+    assert sorted(potentials) == sorted(graph.vertices)
+    assert all(potentials[root].is_zero() for root in r.certificate["roots"])
+    q = r.certificate["cycle_denominator"]
+    denominators = 1
+    for e in inner:
+        defect = potentials[e.src] + angles[e.symbol] - potentials[e.dst]
+        assert defect.is_rational(), (e, str(defect))
+        assert q % defect.rational_denominator() == 0, (e, str(defect), q)
+        denominators = lcm(denominators, defect.rational_denominator())
+    assert denominators == q
+
+
 def test_irrational_cycle_vs_brute_force():
     rng = random.Random(77)
+    draws = []
     for _ in range(60):
         graph = random_graph(rng, max_vertices=5, max_symbols=3)
-        angles = random_angles(rng, graph)
+        draws.append((graph, random_angles(rng, graph)))
+    # several components, transient vertices, 0-2 generators; every other
+    # draw is graded so that generator terms cancel along every cycle
+    for i in range(300):
+        shifts = tuple(rng.sample((-1, 0, 1), 3)) if i % 2 else None
+        graph = layered_graph(rng, max_vertices=8, shifts=shifts)
+        draws.append((graph, mixed_angles(rng, graph, shifts)))
+    for graph, angles in draws:
         r = irrational_cycle(graph, angles)
-        brute = any(
-            not cycle_angle(c, angles).is_rational() for c in simple_cycles(graph)
-        )
+        cycles = simple_cycles(graph)
+        brute = any(not cycle_angle(c, angles).is_rational() for c in cycles)
         assert r.is_yes == brute, (graph.edges, {s: str(a) for s, a in angles.items()})
-        if r.is_yes:
-            assert_walk(graph, r.certificate["cycle"])
-        else:
+        assert_cycle_certificate(graph, angles, r, inner_edges(graph))
+        if r.is_no:
             # every simple cycle angle denominator divides the certificate
             q = r.certificate["cycle_denominator"]
-            for c in simple_cycles(graph):
+            for c in cycles:
                 assert (cycle_angle(c, angles).rational * q).denominator == 1
+            # and q is no larger: each edge defect is the difference of
+            # two closed walks, whose denominators divide this lcm
+            assert q == lcm(*(cycle_angle(c, angles).rational_denominator() for c in cycles))
+
+
+def test_irrational_cycle_at_the_size_caps():
+    rng = random.Random(1000)
+    graph = hamiltonian_graph(rng, MAX_VERTICES, 10, extra_p=0.9)
+    assert 8500 <= len(graph.edges) <= MAX_EDGES
+    rational = {s: rat(rng.randint(0, 11), rng.choice((1, 2, 3, 4, 6, 12))) for s in graph.alphabet}
+    irrational = dict(rational, a7=gen(1, 1, 3))
+    for angles, verdict in ((rational, NO), (irrational, YES)):
+        with wall_clock_limit(10):
+            r = irrational_cycle(graph, angles)
+        assert r.verdict == verdict
+        # a Hamiltonian cycle makes the graph strongly connected
+        assert_cycle_certificate(graph, angles, r, graph.edges)
 
 
 # -- minimality ------------------------------------------------------------------
