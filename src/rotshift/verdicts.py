@@ -30,8 +30,10 @@ Decisions implemented:
   distribution of the angle sums, decided by pairwise differences.
 
 Analysis(graph, angles) holds the six graph verdicts of one analysis
-and makes each base decision at most once; the composite module-level
-functions each read one verdict from a fresh Analysis.
+and makes each base decision at most once.  The composite module-level
+functions read one verdict from the Analysis kept on the graph object,
+so consecutive calls on one graph with equal angles share it; a new
+graph object, or a changed angle assignment, gets a fresh one.
 """
 
 from __future__ import annotations
@@ -121,17 +123,21 @@ def condition_I(graph: LabeledGraph) -> VerdictReport:
         trail: list[str] = []
         seen: dict[frozenset[int], int] = {support: 0}
         while True:
-            available = [
-                s for s in graph.alphabet if forward_support(graph, support, s)
-            ]
-            if len(available) >= 2:
+            # the first two readable symbols, with their images
+            readable: list[tuple[str, frozenset[int]]] = []
+            for s in graph.alphabet:
+                image = forward_support(graph, support, s)
+                if image:
+                    readable.append((s, image))
+                    if len(readable) == 2:
+                        break
+            if len(readable) == 2:
                 branching[graph.vertices[start]] = {
                     "depth": len(trail),
-                    "symbols": available[:2],
+                    "symbols": [s for s, _ in readable],
                 }
                 break
-            symbol = available[0]  # essential graphs always offer a continuation
-            support = forward_support(graph, support, symbol)
+            symbol, support = readable[0]  # essential graphs always offer a continuation
             trail.append(symbol)
             if support in seen:
                 cut = seen[support]
@@ -196,14 +202,17 @@ def _bfs_edge_path(
 
 
 def is_irreducible(graph: LabeledGraph) -> VerdictReport:
-    """Strong connectivity of the underlying digraph, in O(n + m).
+    """Strong connectivity of the underlying digraph.
 
     The graph is strongly connected iff vertex 0 reaches every vertex
-    and every vertex reaches vertex 0.  No-certificate: the forward
-    closure of the first vertex that cannot reach everything; it is a
-    proper nonempty forward-closed subset, so the fibers above it form
-    a closed invariant region.  Yes-certificate: a single closed walk
-    visiting every vertex.
+    and every vertex reaches vertex 0, which is decided in O(n + m).
+    No-certificate: the forward closure of the first vertex that cannot
+    reach everything; it is a proper nonempty forward-closed subset, so
+    the fibers above it form a closed invariant region.  Yes-certificate:
+    a single closed walk visiting every vertex, joined in index order
+    from shortest paths to each vertex the walk has not yet passed
+    through.  Building it costs one BFS per such vertex, so the
+    certificate is not O(n + m).
     """
     criterion = "irreducibility: the transition digraph is strongly connected"
     n = graph.vertex_count
@@ -233,11 +242,18 @@ def is_irreducible(graph: LabeledGraph) -> VerdictReport:
         )
     # build one closed walk covering all vertices
     walk: list[Edge] = []
+    # vertices passed on the way to an earlier target; a one-edge
+    # segment passes none, and targets only increase
+    passed: set[str] = set()
     cur = 0
     for target in range(1, n):
+        if graph.vertices[target] in passed:
+            continue
         seg = _bfs_edge_path(graph, cur, target)
         assert seg is not None
         walk.extend(seg)
+        if len(seg) > 1:
+            passed.update(e.dst for e in seg)
         cur = target
     seg = _bfs_edge_path(graph, cur, 0)
     assert seg is not None
@@ -531,6 +547,16 @@ class Analysis:
         )
 
 
+def _shared_analysis(graph: LabeledGraph, angles: Mapping[str, ExactAngle]) -> Analysis:
+    """The Analysis kept on this graph object, as cached_property values
+    are, built anew whenever the angles differ from its own snapshot."""
+    snapshot = dict(angles)
+    analysis = graph.__dict__.get("_analysis")
+    if analysis is None or analysis.angles != snapshot:
+        analysis = graph.__dict__["_analysis"] = Analysis(graph, snapshot)
+    return analysis
+
+
 def graph_minimality(graph: LabeledGraph, angles: Mapping[str, ExactAngle]) -> VerdictReport:
     """Minimality of the decorated action on the union of circle fibers.
 
@@ -545,7 +571,7 @@ def graph_minimality(graph: LabeledGraph, angles: Mapping[str, ExactAngle]) -> V
       denominator per reachable coset).  This case is a derived
       strengthening of the sufficient Yes test and is flagged as such.
     """
-    return Analysis(graph, angles).minimal
+    return _shared_analysis(graph, angles).minimal
 
 
 def crossed_product_simplicity(
@@ -560,7 +586,7 @@ def crossed_product_simplicity(
     condition (I) the equivalence is unavailable and the verdict is
     Unknown.
     """
-    return Analysis(graph, angles).simple
+    return _shared_analysis(graph, angles).simple
 
 
 def pure_infiniteness(graph: LabeledGraph, angles: Mapping[str, ExactAngle]) -> VerdictReport:
@@ -570,7 +596,7 @@ def pure_infiniteness(graph: LabeledGraph, angles: Mapping[str, ExactAngle]) -> 
     algebra to be simple and purely infinite.  The test is one-sided:
     when any hypothesis fails the verdict is Unknown, not No.
     """
-    return Analysis(graph, angles).purely_infinite
+    return _shared_analysis(graph, angles).purely_infinite
 
 
 # ---------------------------------------------------------------------------

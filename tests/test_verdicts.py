@@ -6,13 +6,17 @@ cross-check the irrational cycle decision against a brute-force sweep
 of all simple cycles.
 """
 
+import gc
+import os
 import random
+import weakref
 from math import lcm
 
 import pytest
 
 from conftest import (
     GCTX,
+    SYSTEMS,
     build,
     closure_irreducibility,
     cycle_angle,
@@ -35,7 +39,9 @@ from conftest import (
 from rotshift import verdicts
 from rotshift.angles import ExactAngle, GeneratorContext, parse_angle
 from rotshift.errors import FewerThanTwoAngles, UnknownSymbol
+from rotshift.fileformat import parse_system
 from rotshift.graph import MAX_EDGES, MAX_VERTICES, Edge
+from rotshift.report import analyze_document
 from rotshift.verdicts import (
     NO,
     UNKNOWN,
@@ -203,6 +209,31 @@ def test_irreducibility_on_random_graphs_matches_scc():
                 if graph.vertex_index[e.src] in w:
                     assert graph.vertex_index[e.dst] in w
     assert reducible > 50
+
+
+def interleaved_cycle(n):
+    """One symbol on a single n-cycle through v0, v2, ..., v1, v3, ...:
+    a covering walk that joins paths to v1, v2, ... in index order
+    without skipping vertices already passed goes round n/2 times."""
+    order = [f"v{i}" for i in range(0, n, 2)] + [f"v{i}" for i in range(1, n, 2)]
+    return (
+        "[alphabet]\na\n\n[vertices]\n"
+        + "".join(f"v{i}\n" for i in range(n))
+        + "\n[edges]\n"
+        + "".join(f"{order[k]} -> {order[(k + 1) % n]} : a\n" for k in range(n))
+    )
+
+
+def test_covering_walk_skips_vertices_already_passed():
+    n = MAX_VERTICES
+    text = interleaved_cycle(n)
+    graph = parse_system(text).graph()
+    walk = is_irreducible(graph).certificate["covering_closed_walk"]
+    assert_walk(graph, walk, covering=True)
+    assert len(walk) <= 2 * n
+    with wall_clock_limit(10):
+        report, ok = analyze_document(parse_system(text), text)
+    assert ok and report["irreducible"]["verdict"] == YES
 
 
 def test_composites_on_reducible_graph_skip_the_cycle_search(monkeypatch):
@@ -439,6 +470,72 @@ def test_pure_infiniteness_names_missing_hypothesis():
     r = pure_infiniteness(graph, {"a": gen(1)})
     assert r.verdict == UNKNOWN
     assert any("condition (I)" in n for n in r.notes)
+
+
+# -- one shared analysis per graph object -------------------------------------------
+
+
+def count_base_decisions(monkeypatch):
+    calls = {"condition_I": 0, "is_irreducible": 0, "irrational_cycle": 0}
+
+    def counting(name):
+        original = getattr(verdicts, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    for name in calls:
+        patch_everywhere(monkeypatch, verdicts, name, counting(name))
+    return calls
+
+
+def test_composites_on_one_graph_decide_each_base_verdict_once(monkeypatch):
+    calls = count_base_decisions(monkeypatch)
+    graph, angles = goldenmean()
+    assert crossed_product_simplicity(graph, angles).is_yes
+    assert pure_infiniteness(graph, angles).is_yes
+    assert graph_minimality(graph, dict(angles)).is_yes
+    assert calls == {"condition_I": 1, "is_irreducible": 1, "irrational_cycle": 1}
+
+
+def test_shared_analysis_follows_the_angles():
+    graph, angles = goldenmean()
+    rational = dict(angles, a=rat(1, 3))
+    assert pure_infiniteness(graph, angles).is_yes
+    assert pure_infiniteness(graph, rational).verdict == UNKNOWN
+    assert pure_infiniteness(graph, angles).is_yes
+    # the same dict, mutated between calls
+    assert pure_infiniteness(graph, rational).verdict == UNKNOWN
+    rational["b"] = gen(1, 1, 2)
+    assert pure_infiniteness(graph, rational).is_yes
+    rational["b"] = rat(0)
+    assert pure_infiniteness(graph, rational).verdict == UNKNOWN
+    assert graph_minimality(graph, rational).is_no
+
+
+def test_reparsed_equal_graph_decides_afresh(monkeypatch):
+    calls = count_base_decisions(monkeypatch)
+    with open(os.path.join(SYSTEMS, "goldenmean.sds"), encoding="utf-8") as fh:
+        text = fh.read()
+    first, second = parse_system(text), parse_system(text)
+    assert first.graph() == second.graph()
+    for doc in (first, second):
+        graph = doc.graph()
+        crossed_product_simplicity(graph, doc.angles)
+        pure_infiniteness(graph, doc.angles)
+    assert calls == {"condition_I": 2, "is_irreducible": 2, "irrational_cycle": 2}
+
+
+def test_shared_analysis_is_freed_with_its_graph():
+    graph, angles = goldenmean()
+    assert pure_infiniteness(graph, angles).is_yes
+    ref = weakref.ref(graph)
+    del graph
+    gc.collect()
+    assert ref() is None
 
 
 # -- full shift specials --------------------------------------------------------------
