@@ -77,6 +77,15 @@ class LabeledGraph:
         return tuple(tuple(lst) for lst in out)
 
     @cached_property
+    def in_edges(self) -> tuple[tuple[tuple[int, str], ...], ...]:
+        """Per vertex index: tuple of (source index, symbol)."""
+        into: list[list[tuple[int, str]]] = [[] for _ in self.vertices]
+        vi = self.vertex_index
+        for e in self.edges:
+            into[vi[e.dst]].append((vi[e.src], e.symbol))
+        return tuple(tuple(lst) for lst in into)
+
+    @cached_property
     def successors(self) -> dict[tuple[int, str], tuple[int, ...]]:
         """(source index, symbol) -> sorted target indices."""
         acc: dict[tuple[int, str], list[int]] = {}

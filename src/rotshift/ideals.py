@@ -29,9 +29,11 @@ __all__ = [
     "QuotientSystem",
     "quotient_system",
     "MAX_IDEAL_VERTICES",
+    "MAX_IDEALS",
 ]
 
 MAX_IDEAL_VERTICES = 20
+MAX_IDEALS = 1024
 
 
 def classify_subset(graph: LabeledGraph, subset: Iterable[int]) -> tuple[bool, bool]:
@@ -59,8 +61,8 @@ def enumerate_invariant_saturated(graph: LabeledGraph) -> list[frozenset[int]]:
     along the acyclic part.  So taking the cycle vertices of W maps the
     lattice one to one onto the unions of the sets R(x), and
     C -> {v : R(v) <= C} inverts it.  The cost is O(n) set operations
-    per ideal; the vertex cap remains because n disjoint loops have 2^n
-    ideals.
+    per ideal; n disjoint loops have 2^n ideals, so CapExceeded is
+    raised as soon as the unions pass MAX_IDEALS.
     """
     n = graph.vertex_count
     if n > MAX_IDEAL_VERTICES:
@@ -75,21 +77,33 @@ def enumerate_invariant_saturated(graph: LabeledGraph) -> list[frozenset[int]]:
     unions = {frozenset()}
     for r in set(cores):
         unions |= {c | r for c in unions}
+        if len(unions) > MAX_IDEALS:
+            raise CapExceeded("ideal count", f"at least {len(unions)}", MAX_IDEALS)
     found = [frozenset(v for v in range(n) if cores[v] <= c) for c in unions]
     return sorted(found, key=lambda w: (len(w), sorted(w)))
 
 
 def hasse_edges(subsets: list[frozenset[int]]) -> list[tuple[int, int]]:
-    """Cover relations (i, j) meaning subsets[i] < subsets[j] with nothing between."""
-    covers = []
-    for i, a in enumerate(subsets):
-        for j, b in enumerate(subsets):
-            if not a < b:
-                continue
-            if any(a < c < b for c in subsets):
-                continue
-            covers.append((i, j))
-    return covers
+    """Cover relations (i, j) meaning subsets[i] < subsets[j] with nothing between.
+
+    subsets is the lattice enumerate_invariant_saturated returns, sorted
+    by size.  It is the lattice of down-sets of the cyclic components,
+    so it is distributive, hence graded: a < b is a cover exactly when
+    rank(b) = rank(a) + 1, rank(b) being one more than the largest rank
+    strictly below b.  That is O(k^2) subset tests for k members.
+    """
+    rank: list[int] = []
+    by_rank: dict[int, list[int]] = {}
+    for j, b in enumerate(subsets):
+        r = max((rank[i] + 1 for i in range(j) if subsets[i] < b), default=0)
+        rank.append(r)
+        by_rank.setdefault(r, []).append(j)
+    return [
+        (i, j)
+        for i, a in enumerate(subsets)
+        for j in by_rank.get(rank[i] + 1, ())
+        if a < subsets[j]
+    ]
 
 
 @dataclass(frozen=True)

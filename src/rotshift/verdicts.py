@@ -27,7 +27,11 @@ Decisions implemented:
 * simplicity / pure infiniteness of the associated algebra, through
   the sufficient criteria that condition (I) supports.
 * full shifts: simplicity of the gauge-fixed core and uniform
-  distribution of the angle sums, decided by pairwise differences.
+  distribution of the angle sums, decided by the differences from the
+  first angle, which decide every pairwise difference.
+
+Every path question above is answered by one breadth-first search,
+_bfs_tree; _tree_path reads a path out of the tree it returns.
 
 Analysis(graph, angles) holds the six graph verdicts of one analysis
 and makes each base decision at most once.  The composite module-level
@@ -42,7 +46,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd, lcm
 from operator import add
-from typing import Mapping, Sequence
+from typing import Container, Mapping, Sequence
 
 from .angles import ExactAngle
 from .errors import FewerThanTwoAngles
@@ -153,52 +157,47 @@ def condition_I(graph: LabeledGraph) -> VerdictReport:
 
 
 # ---------------------------------------------------------------------------
+# breadth-first trees
+
+
+def _bfs_tree(
+    adjacency: Sequence[Sequence[tuple[int, str]]],
+    root: int,
+    allowed: Container[int] | None = None,
+    goal: int | None = None,
+) -> dict[int, tuple[int, str] | None]:
+    """Breadth-first tree {vertex: (reached_from, symbol) | None} in
+    visiting order, entering only vertices in allowed (if given) and
+    stopping once goal is discovered.  Neighbours come in adjacency
+    order and keep the parent they were first discovered from."""
+    tree: dict[int, tuple[int, str] | None] = {root: None}
+    if root == goal:
+        return tree
+    queue = [root]
+    for v in queue:
+        for w, symbol in adjacency[v]:
+            if w in tree or (allowed is not None and w not in allowed):
+                continue
+            tree[w] = (v, symbol)
+            if w == goal:
+                return tree
+            queue.append(w)
+    return tree
+
+
+def _tree_path(graph: LabeledGraph, tree: dict[int, tuple[int, str] | None], v: int) -> list[Edge]:
+    """The edges from the root of a tree over graph.out_edges to v."""
+    path: list[Edge] = []
+    while tree[v] is not None:
+        p, symbol = tree[v]
+        path.append(Edge(graph.vertices[p], graph.vertices[v], symbol))
+        v = p
+    path.reverse()
+    return path
+
+
+# ---------------------------------------------------------------------------
 # irreducibility
-
-
-def _closure(graph: LabeledGraph, start: int) -> set[int]:
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for w, _s in graph.out_edges[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen
-
-
-def _bfs_edge_path(
-    graph: LabeledGraph, src: int, dst: int, allowed: set[int] | None = None
-) -> list[Edge] | None:
-    """Shortest edge path src -> dst, optionally confined to a vertex set."""
-    if src == dst:
-        return []
-    prev: dict[int, tuple[int, Edge]] = {}
-    queue = [src]
-    seen = {src}
-    while queue:
-        nxt: list[int] = []
-        for v in queue:
-            for w, symbol in graph.out_edges[v]:
-                if allowed is not None and w not in allowed:
-                    continue
-                if w in seen:
-                    continue
-                seen.add(w)
-                prev[w] = (v, Edge(graph.vertices[v], graph.vertices[w], symbol))
-                if w == dst:
-                    path = []
-                    x = dst
-                    while x != src:
-                        p, e = prev[x]
-                        path.append(e)
-                        x = p
-                    path.reverse()
-                    return path
-                nxt.append(w)
-        queue = nxt
-    return None
 
 
 def is_irreducible(graph: LabeledGraph) -> VerdictReport:
@@ -216,23 +215,13 @@ def is_irreducible(graph: LabeledGraph) -> VerdictReport:
     """
     criterion = "irreducibility: the transition digraph is strongly connected"
     n = graph.vertex_count
-    closure = _closure(graph, 0)
+    closure = _bfs_tree(graph.out_edges, 0)
     if len(closure) == n:
         # vertex 0 reaches everything, so a vertex reaches everything
         # iff it reaches vertex 0: search backwards from vertex 0
-        pred: list[list[int]] = [[] for _ in range(n)]
-        for v, outs in enumerate(graph.out_edges):
-            for w, _s in outs:
-                pred[w].append(v)
-        back = {0}
-        stack = [0]
-        while stack:
-            for v in pred[stack.pop()]:
-                if v not in back:
-                    back.add(v)
-                    stack.append(v)
+        back = _bfs_tree(graph.in_edges, 0)
         if len(back) < n:
-            closure = _closure(graph, next(v for v in range(n) if v not in back))
+            closure = _bfs_tree(graph.out_edges, next(v for v in range(n) if v not in back))
     if len(closure) < n:
         return VerdictReport(
             NO,
@@ -249,15 +238,12 @@ def is_irreducible(graph: LabeledGraph) -> VerdictReport:
     for target in range(1, n):
         if graph.vertices[target] in passed:
             continue
-        seg = _bfs_edge_path(graph, cur, target)
-        assert seg is not None
+        seg = _tree_path(graph, _bfs_tree(graph.out_edges, cur, goal=target), target)
         walk.extend(seg)
         if len(seg) > 1:
             passed.update(e.dst for e in seg)
         cur = target
-    seg = _bfs_edge_path(graph, cur, 0)
-    assert seg is not None
-    walk.extend(seg)
+    walk.extend(_tree_path(graph, _bfs_tree(graph.out_edges, cur, goal=0), 0))
     if not walk:
         # single vertex: use any loop (essentiality provides one)
         j, symbol = graph.out_edges[0][0]
@@ -268,14 +254,11 @@ def is_irreducible(graph: LabeledGraph) -> VerdictReport:
 
 
 def strongly_connected_components(graph: LabeledGraph) -> list[int]:
-    """Component id per vertex (Kosaraju, iterative)."""
+    """Component id per vertex (Kosaraju, iterative): in reverse
+    depth-first finishing order, each unassigned vertex takes the next
+    id together with the unassigned vertices that reach it."""
     n = graph.vertex_count
-    adj: list[list[int]] = [[] for _ in range(n)]
-    radj: list[list[int]] = [[] for _ in range(n)]
-    for i, outs in enumerate(graph.out_edges):
-        for j, _s in outs:
-            adj[i].append(j)
-            radj[j].append(i)
+    out = graph.out_edges
     order: list[int] = []
     seen = [False] * n
     for s in range(n):
@@ -285,9 +268,9 @@ def strongly_connected_components(graph: LabeledGraph) -> list[int]:
         stack: list[tuple[int, int]] = [(s, 0)]
         while stack:
             v, i = stack[-1]
-            if i < len(adj[v]):
+            if i < len(out[v]):
                 stack[-1] = (v, i + 1)
-                w = adj[v][i]
+                w = out[v][i][0]
                 if not seen[w]:
                     seen[w] = True
                     stack.append((w, 0))
@@ -295,18 +278,15 @@ def strongly_connected_components(graph: LabeledGraph) -> list[int]:
                 order.append(v)
                 stack.pop()
     comp = [-1] * n
+    unassigned = set(range(n))
     c = 0
     for v in reversed(order):
         if comp[v] != -1:
             continue
-        comp[v] = c
-        frontier = [v]
-        while frontier:
-            x = frontier.pop()
-            for w in radj[x]:
-                if comp[w] == -1:
-                    comp[w] = c
-                    frontier.append(w)
+        component = _bfs_tree(graph.in_edges, v, unassigned)
+        unassigned.difference_update(component)
+        for x in component:
+            comp[x] = c
         c += 1
     return comp
 
@@ -341,47 +321,28 @@ def irrational_cycle(graph: LabeledGraph, angles: Mapping[str, ExactAngle]) -> V
     comp = strongly_connected_components(graph)
     vi = graph.vertex_index
     # vertices and inner edges of each component, in declared order
-    members: dict[int, list[int]] = {}
+    members: list[list[int]] = [[] for _ in range(max(comp) + 1)]
     for v, cid in enumerate(comp):
-        members.setdefault(cid, []).append(v)
-    inner: dict[int, list[tuple[int, int, Edge]]] = {cid: [] for cid in members}
+        members[cid].append(v)
+    inner: list[list[tuple[int, int, Edge]]] = [[] for _ in members]
     for e in graph.edges:
         u, w = vi[e.src], vi[e.dst]
         if comp[u] == comp[w]:
             inner[comp[u]].append((u, w, e))
 
+    zero = (0,) * (len(context.ids) + 1)
     potentials: dict[int, tuple[int, ...]] = {}
-    roots: list[int] = []
     denominator = 1
 
-    for cid in sorted(members):
-        root = members[cid][0]
-        roots.append(root)
-        # BFS arborescence and tree potentials
-        potentials[root] = (0,) * (len(context.ids) + 1)
-        parent: dict[int, tuple[int, str]] = {}
-        queue = [root]
-        while queue:
-            frontier: list[int] = []
-            for v in queue:
-                pv = potentials[v]
-                for w, symbol in graph.out_edges[v]:
-                    if comp[w] == cid and w not in potentials:
-                        potentials[w] = tuple(map(add, pv, coords[symbol]))
-                        parent[w] = (v, symbol)
-                        frontier.append(w)
-            queue = frontier
-
-        def tree_path(v: int) -> list[Edge]:
-            path: list[Edge] = []
-            while v != root:
-                p, symbol = parent[v]
-                path.append(Edge(graph.vertices[p], graph.vertices[v], symbol))
-                v = p
-            path.reverse()
-            return path
-
-        for u, w, e in inner[cid]:
+    for vertices, edges in zip(members, inner):
+        root = vertices[0]
+        allowed = set(vertices)
+        tree = _bfs_tree(graph.out_edges, root, allowed)
+        for v, step in tree.items():
+            potentials[v] = zero if step is None else tuple(
+                map(add, potentials[step[0]], coords[step[1]])
+            )
+        for u, w, e in edges:
             r, *terms = (
                 pu + a - pw for pu, a, pw in zip(potentials[u], coords[e.symbol], potentials[w])
             )
@@ -390,10 +351,9 @@ def irrational_cycle(graph: LabeledGraph, angles: Mapping[str, ExactAngle]) -> V
                 continue
             # the defect carries a generator: at least one of these two
             # closed walks at the root has an irrational angle
-            back = _bfs_edge_path(graph, w, root, set(members[cid]))
-            assert back is not None
-            walk_a = tree_path(u) + [e] + back
-            walk_b = tree_path(w) + back
+            back = _tree_path(graph, _bfs_tree(graph.out_edges, w, allowed, goal=root), root)
+            walk_a = _tree_path(graph, tree, u) + [e] + back
+            walk_b = _tree_path(graph, tree, w) + back
             for walk in (walk_a, walk_b):
                 if not walk:
                     continue
@@ -418,7 +378,7 @@ def irrational_cycle(graph: LabeledGraph, angles: Mapping[str, ExactAngle]) -> V
                 graph.vertices[v]: str(ExactAngle.from_integer_coordinates(context, common, p))
                 for v, p in potentials.items()
             },
-            "roots": [graph.vertices[r] for r in roots],
+            "roots": [graph.vertices[vertices[0]] for vertices in members],
         },
         criterion,
         notes=(
@@ -603,26 +563,27 @@ def pure_infiniteness(graph: LabeledGraph, angles: Mapping[str, ExactAngle]) -> 
 # full shifts
 
 
-def _pairwise_differences(angles: Sequence[ExactAngle], labels: Sequence[str]):
-    n = len(angles)
-    if n < 2:
-        raise FewerThanTwoAngles(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            yield i, j, labels[i], labels[j], angles[i] - angles[j]
-
-
 def _fullshift_difference_verdict(
     angles: Sequence[ExactAngle], labels: Sequence[str] | None, criterion: str, notes_yes, notes_no
 ) -> VerdictReport:
+    # a - b = (first - b) - (first - a): the differences from the first
+    # angle give the first irrational pair in lexicographic order and
+    # the lcm of the denominators over all pairs
+    n = len(angles)
+    if n < 2:
+        raise FewerThanTwoAngles(n)
     if labels is None:
-        labels = [f"s{i + 1}" for i in range(len(angles))]
+        labels = [f"s{i + 1}" for i in range(n)]
+    elif len(labels) != n:
+        raise ValueError(f"{len(labels)} labels for {n} angles")
+    first = angles[0]
     denominator = 1
-    for i, j, li, lj, diff in _pairwise_differences(angles, labels):
+    for label, angle in zip(labels[1:], angles[1:]):
+        diff = first - angle
         if not diff.is_rational():
             return VerdictReport(
                 YES,
-                {"pair": [li, lj], "difference": str(diff)},
+                {"pair": [labels[0], label], "difference": str(diff)},
                 criterion,
                 notes=notes_yes,
             )

@@ -303,6 +303,18 @@ def test_vertex_cap_exits_1_naming_the_cap(capsys, tmp_path, command):
     assert "vertex count: requested 1001, cap is 1000" in err
 
 
+def test_ideal_count_cap_exits_1_naming_the_cap(capsys, tmp_path):
+    n = 20
+    vertices = "\n".join(f"v{i}" for i in range(n))
+    edges = "\n".join(f"v{i} -> v{i} : a" for i in range(n))
+    loops = tmp_path / "loops.sds"
+    loops.write_text(f"[alphabet]\na\n\n[vertices]\n{vertices}\n\n[edges]\n{edges}\n")
+    code, out, err = run(capsys, "ideals", str(loops), "--json")
+    assert code == 1
+    assert out == ""
+    assert "ideal count" in err and "cap is 1024" in err
+
+
 @pytest.mark.parametrize("command", FILE_COMMANDS, ids=lambda c: " ".join(c[:2]))
 def test_validation_failure_emits_witness(capsys, command):
     code, out, _ = run(capsys, *_with_file(command, path("bad.sds")))

@@ -16,6 +16,7 @@ from rotshift.errors import CapExceeded, NotInvariantSaturated
 from rotshift.graph import full_shift_graph
 from rotshift.ideals import (
     MAX_IDEAL_VERTICES,
+    MAX_IDEALS,
     classify_subset,
     enumerate_invariant_saturated,
     hasse_edges,
@@ -214,3 +215,29 @@ def test_chain_of_twenty_loops_is_fast():
         covers = hasse_edges(subs)
     assert subs == [frozenset(range(k)) for k in range(n + 1)]
     assert covers == [(k, k + 1) for k in range(n)]
+
+
+def _disjoint_loops(n):
+    vertices = tuple(f"v{i}" for i in range(n))
+    return build(vertices, [(v, v, "a") for v in vertices], ("a",))
+
+
+def test_ten_disjoint_loops_give_the_boolean_lattice_fast():
+    # 2^10 ideals, the cap itself; each one covers-up by adding one loop
+    graph = _disjoint_loops(10)
+    with wall_clock_limit(1):
+        subs = enumerate_invariant_saturated(graph)
+        covers = hasse_edges(subs)
+    assert len(subs) == MAX_IDEALS == 1024
+    assert len(covers) == 5120
+    assert all(subs[i] < subs[j] and len(subs[j] - subs[i]) == 1 for i, j in covers)
+    assert covers == sorted(covers)
+
+
+def test_twenty_disjoint_loops_hit_the_ideal_count_cap():
+    graph = _disjoint_loops(MAX_IDEAL_VERTICES)
+    with wall_clock_limit(1):
+        with pytest.raises(CapExceeded) as info:
+            enumerate_invariant_saturated(graph)
+    assert info.value.what == "ideal count"
+    assert info.value.cap == MAX_IDEALS

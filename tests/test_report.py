@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from conftest import bundled_systems, patch_everywhere
+from conftest import bundled_systems, patch_everywhere, wall_clock_limit
 from rotshift import verdicts
 from rotshift.fileformat import parse_system, parse_system_file
 from rotshift.report import analyze_document, input_digest
@@ -76,6 +76,20 @@ def test_ideal_vertex_cap_degrades_to_warning():
     assert ok
     assert report["ideals"] is None
     assert any("ideal" in w.lower() for w in report["warnings"])
+
+
+def test_ideal_count_cap_degrades_to_warning():
+    # 20 disjoint loops: within the vertex cap, but 2^20 ideals
+    n = 20
+    vs = "\n".join(f"v{i}" for i in range(n))
+    es = "\n".join(f"v{i} -> v{i} : a" for i in range(n))
+    text = f"[alphabet]\na\n\n[vertices]\n{vs}\n\n[edges]\n{es}\n"
+    doc = parse_system(text)
+    with wall_clock_limit(2):
+        report, ok = analyze_document(doc, source_text=text)
+    assert ok
+    assert report["ideals"] is None
+    assert any("ideal count" in w for w in report["warnings"])
 
 
 def test_validation_failure_reports_witness():

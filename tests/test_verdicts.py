@@ -574,6 +574,37 @@ def test_fullshift_needs_two_angles():
         fullshift_core_simplicity([rat(0)])
 
 
+def test_fullshift_verdicts_match_all_pairs():
+    # the first irrational pair in lexicographic order and the lcm of
+    # the pairwise denominators, found by checking every pair
+    rng = random.Random(2024)
+    for _ in range(300):
+        angles = [
+            gen(rng.choice([0, 0, 0, 1, 2]), rng.randint(0, 5), rng.randint(1, 6))
+            for _ in range(rng.randint(2, 6))
+        ]
+        labels = [f"x{i}" for i in range(len(angles))]
+        pairs = [(i, j) for i in range(len(angles)) for j in range(i + 1, len(angles))]
+        irrational = [(i, j) for i, j in pairs if not (angles[i] - angles[j]).is_rational()]
+        for decide in (fullshift_core_simplicity, fullshift_uniform_distribution):
+            r = decide(angles, labels)
+            if irrational:
+                i, j = irrational[0]
+                assert r.is_yes
+                assert r.certificate["pair"] == [labels[i], labels[j]]
+                assert r.certificate["difference"] == str(angles[i] - angles[j])
+            else:
+                expected = lcm(*((angles[i] - angles[j]).rational_denominator() for i, j in pairs))
+                assert r.is_no
+                assert r.certificate == {"common_denominator": expected}
+
+
+@pytest.mark.parametrize("labels", [["a"], ["a", "b", "c"]])
+def test_fullshift_labels_must_match_angles(labels):
+    with pytest.raises(ValueError, match="labels for 2 angles"):
+        fullshift_core_simplicity([rat(0), gen(1)], labels=labels)
+
+
 def test_fullshift_custom_labels():
     r = fullshift_core_simplicity([rat(0), gen(1)], labels=["a", "b"])
     assert r.certificate["pair"] == ["a", "b"]
