@@ -9,6 +9,8 @@ Subcommands:
 * ideals FILE: invariant saturated subsets, lattice and quotients.
 * oracle orbit FILE ... / oracle weyl ...: the numeric oracles.
 
+`--json` prints exactly json.dumps(payload, indent=2) and a newline.
+
 Exit codes: 0 success, 2 graph validation failure (the report header
 with the defect's witness is still emitted), 1 usage or IO errors,
 out-of-range argument values and exceeded size caps.
@@ -19,6 +21,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -76,16 +79,65 @@ def _gen_overrides(pairs: list[str] | None, declared: tuple[str, ...]) -> dict[s
             )
             sys.exit(EXIT_USAGE)
         try:
-            out[name] = float(value)
+            number = float(value)
         except ValueError:
+            number = math.nan
+        if not math.isfinite(number):
             print(f"error: bad numeric value in --gen {pair!r}", file=sys.stderr)
             sys.exit(EXIT_USAGE)
+        out[name] = number
     return out
+
+
+_escape = json.encoder.encode_basestring_ascii
+_scalar = json.JSONEncoder().encode
+
+
+def _json_key(key) -> str:
+    """A dict key that is no string, converted as json.dumps converts it."""
+    if key is None or isinstance(key, (int, float)):
+        return _escape(_scalar(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _indented_json(value, indent: str = "\n") -> str:
+    """json.dumps(value, indent=2), written in one pass.
+
+    The stdlib writes indented JSON with pure-Python generators; here
+    its C string escaper does the strings and its compact encoder every
+    scalar but str and int, so floats, NaN and Infinity come out as
+    json.dumps writes them.
+    """
+    if isinstance(value, str):
+        return _escape(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        items = [
+            f"{_escape(k) if isinstance(k, str) else _json_key(k)}: {_indented_json(v, inner)}"
+            for k, v in value.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        separator = "," + inner
+        if isinstance(value[0], str):
+            try:  # a list of strings, escaped in one C loop
+                return "[" + inner + separator.join(map(_escape, value)) + indent + "]"
+            except TypeError:  # a later item is no string
+                pass
+        return "[" + inner + separator.join([_indented_json(v, inner) for v in value]) + indent + "]"
+    if isinstance(value, int) and not isinstance(value, bool):
+        return int.__repr__(value)
+    return _scalar(value)
 
 
 def _emit(payload: dict, as_json: bool, text_lines: list[str]) -> None:
     if as_json:
-        print(json.dumps(payload, indent=2))
+        print(_indented_json(payload))
     else:
         for line in text_lines:
             print(line)
@@ -93,7 +145,7 @@ def _emit(payload: dict, as_json: bool, text_lines: list[str]) -> None:
 
 def _emit_invalid(report: dict, as_json: bool) -> int:
     """Emit a report whose graph validation failed; returns the exit code."""
-    _emit(report, as_json, ["validation: FAILED", json.dumps(report["validation"], indent=2)])
+    _emit(report, as_json, ["validation: FAILED", _indented_json(report["validation"])])
     return EXIT_INVALID
 
 
@@ -313,17 +365,20 @@ def _cmd_oracle_orbit(args) -> int:
 
 
 def _parse_float_or_expr(chunk: str, overrides: dict[str, float]) -> float:
+    """A float literal, a fraction or an angle expression evaluated at
+    the generator values; NaN or an infinity is a ParseError."""
     try:
-        return float(chunk)
+        value = float(chunk)
     except ValueError:
-        pass
-    try:
-        return float(Fraction(chunk))
-    except (ValueError, ZeroDivisionError):
-        pass
-    context = _generator_context(chunk)
-    values = {**dict.fromkeys(context.ids, DEFAULT_GENERATOR_VALUE), **overrides}
-    return parse_angle(chunk, context).to_float(values)
+        try:
+            value = float(Fraction(chunk))
+        except (ValueError, ZeroDivisionError):
+            context = _generator_context(chunk)
+            values = {**dict.fromkeys(context.ids, DEFAULT_GENERATOR_VALUE), **overrides}
+            value = parse_angle(chunk, context).to_float(values)
+    if not math.isfinite(value):
+        raise ParseError(f"non-finite angle {chunk!r}")
+    return value
 
 
 def _cmd_oracle_weyl(args) -> int:

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from math import isfinite, nan
 from typing import Mapping
 
 from .angles import DEFAULT_GENERATOR_VALUE, ExactAngle, GeneratorContext, parse_angle
@@ -108,9 +109,12 @@ def parse_system(text: str) -> SystemDocument:
             gen_names[name] = None
             if value:
                 try:
-                    gen_values[name] = float(value)
+                    number = float(value)
                 except ValueError:
+                    number = nan
+                if not isfinite(number):
                     raise ParseError(f"bad numeric value {value!r} for generator {name!r}", lineno)
+                gen_values[name] = number
         elif section == "alphabet":
             name, eq, expr = (p.strip() for p in line.partition("="))
             if not _NAME_RE.match(name):

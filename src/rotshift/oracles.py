@@ -13,7 +13,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from itertools import combinations
-from math import floor, gcd
+from math import floor, gcd, isfinite
 from typing import Mapping, Sequence
 
 from .errors import StepCapExceeded
@@ -80,6 +80,8 @@ def orbit_density(
         raise StepCapExceeded("orbit steps", steps, MAX_ORBIT_STEPS)
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie in (0, 1)")
+    if not isfinite(start_point):
+        raise ValueError(f"start point must be finite, got {start_point!r}")
     for s in graph.alphabet:
         if s not in theta:
             raise KeyError(f"no numeric angle for symbol {s!r}")

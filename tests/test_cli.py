@@ -4,8 +4,10 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rotshift.cli import main
+from rotshift.cli import _indented_json, main
 
 SYSTEMS = os.path.join(os.path.dirname(__file__), "..", "systems")
 
@@ -214,17 +216,26 @@ def test_oracle_weyl_symbolic_angles(capsys):
     assert payload["max_value"] < 0.01
 
 
-def test_bad_gen_flag(capsys):
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["oracle", "orbit", path("fullshift2.sds"), "--gen", "g:0.5"], "--gen wants name=value, got 'g:0.5'"),
+        (["oracle", "orbit", path("fullshift2.sds"), "--gen", "g=inf"], "bad numeric value in --gen 'g=inf'"),
+        (["oracle", "orbit", path("goldenmean.sds"), "--gen", "g=nan"], "bad numeric value in --gen 'g=nan'"),
+        (
+            ["oracle", "weyl", "--angles", "0,1*g", "--n", "5", "--lmax", "2", "--gen", "g=-inf", "--json"],
+            "bad numeric value in --gen 'g=-inf'",
+        ),
+    ],
+    ids=["no-equals", "orbit-inf", "orbit-nan", "weyl-minus-inf"],
+)
+def test_bad_gen_flag(capsys, argv, message):
     with pytest.raises(SystemExit) as info:
-        run(
-            capsys,
-            "oracle",
-            "orbit",
-            path("fullshift2.sds"),
-            "--gen",
-            "g:0.5",
-        )
+        run(capsys, *argv)
     assert info.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {message}"]
 
 
 @pytest.mark.parametrize(
@@ -234,8 +245,18 @@ def test_bad_gen_flag(capsys):
         (["ktheory", path("goldenmean.sds"), "--af-core", "-1"], "negative depth"),
         (["ktheory", path("fullshift2.sds"), "--bunce-deddens", "-1"], "negative depth"),
         (["oracle", "orbit", path("goldenmean.sds"), "--eps", "2"], "epsilon must lie in (0, 1)"),
+        (["oracle", "orbit", path("goldenmean.sds"), "--start-point", "nan"], "start point must be finite, got nan"),
+        (["oracle", "orbit", path("goldenmean.sds"), "--start-point=-inf"], "start point must be finite, got -inf"),
+        (
+            ["oracle", "weyl", "--angles", "nan,0", "--n", "5", "--lmax", "2", "--json"],
+            "bad --angles list: non-finite angle 'nan'",
+        ),
+        (
+            ["oracle", "weyl", "--angles", "0,1e400", "--n", "5", "--lmax", "2", "--json"],
+            "bad --angles list: non-finite angle '1e400'",
+        ),
     ],
-    ids=["words", "af-core", "bunce-deddens", "orbit-eps"],
+    ids=["words", "af-core", "bunce-deddens", "orbit-eps", "orbit-start-nan", "orbit-start-inf", "weyl-nan", "weyl-inf"],
 )
 def test_out_of_range_argument_exits_1_with_one_error_line(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -335,3 +356,43 @@ def test_validation_failure_text_names_the_defect(capsys, command):
     assert code == 2
     assert out.splitlines()[0] == "validation: FAILED"
     assert '"error": "not-left-resolving"' in out
+
+
+# The --json writer against json.dumps(value, indent=2).  The strings
+# carry what JSON escapes, text beyond ASCII and U+2028; the floats
+# include the extremes and the constants that json.dumps writes as NaN
+# and Infinity.
+json_text = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\u2028\u00e9\u6f22\U0001f600'), st.characters()))
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.floats(),
+    st.sampled_from([-0.0, 1e-320, 1e308, float("nan"), float("inf"), float("-inf")]),
+    json_text,
+)
+json_keys = st.one_of(json_text, st.none(), st.booleans(), st.integers(-(2**70), 2**70), st.floats())
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.lists(json_text, max_size=4),
+        st.dictionaries(json_keys, inner, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300)
+@given(json_values)
+def test_json_writer_matches_json_dumps(value):
+    assert _indented_json(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [{(1,): 2}, {"a": {1, 2}}, [b"bytes"]], ids=["tuple-key", "set", "bytes"])
+def test_json_writer_rejects_what_json_dumps_rejects(value):
+    with pytest.raises(TypeError):
+        json.dumps(value, indent=2)
+    with pytest.raises(TypeError):
+        _indented_json(value)

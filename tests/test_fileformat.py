@@ -84,6 +84,8 @@ def test_graph_accessor_validates():
         ("[generators]\n2bad\n", "bad generator name"),
         ("[generators]\ng\ng\n", "declared twice"),
         ("[generators]\ng = abc\n", "bad numeric value"),
+        ("[generators]\ng = nan\n", "bad numeric value 'nan'"),
+        ("[generators]\ng = 1e400\n", "bad numeric value '1e400'"),
         ("[alphabet]\na\na\n", "declared twice"),
         ("[alphabet]\n-x\n", "bad symbol name"),
         ("[alphabet]\na\n[vertices]\nv\nv\n", "declared twice"),

@@ -72,6 +72,17 @@ def expected_exit(output: str) -> int:
     return 2 if validation is not None and not validation["ok"] else 0
 
 
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(GOLDEN)))
+def test_golden_file_is_strict_json(name):
+    """No golden output holds NaN or Infinity, which json.loads accepts
+    by default but JSON does not."""
+    json.loads(golden_file(name), parse_constant=reject_constant)
+
+
 @pytest.mark.parametrize("command", ["analyze", "validate"])
 @pytest.mark.parametrize("path", bundled_systems(), ids=os.path.basename)
 def test_report_matches_golden(capsys, path, command):

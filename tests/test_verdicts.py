@@ -7,6 +7,8 @@ of all simple cycles.
 """
 
 import gc
+import hashlib
+import json
 import os
 import random
 import weakref
@@ -36,7 +38,7 @@ from conftest import (
     two_cycle,
     wall_clock_limit,
 )
-from rotshift import verdicts
+from rotshift import cli, verdicts
 from rotshift.angles import ExactAngle, GeneratorContext, parse_angle
 from rotshift.errors import FewerThanTwoAngles, UnknownSymbol
 from rotshift.fileformat import parse_system
@@ -224,16 +226,25 @@ def interleaved_cycle(n):
     )
 
 
-def test_covering_walk_skips_vertices_already_passed():
+def test_covering_walk_skips_vertices_already_passed(capsys, tmp_path):
     n = MAX_VERTICES
     text = interleaved_cycle(n)
     graph = parse_system(text).graph()
     walk = is_irreducible(graph).certificate["covering_closed_walk"]
     assert_walk(graph, walk, covering=True)
     assert len(walk) <= 2 * n
+    system = tmp_path / "interleaved.sds"
+    system.write_text(text, encoding="utf-8")
     with wall_clock_limit(10):
         report, ok = analyze_document(parse_system(text), text)
+        code = cli.main(["analyze", str(system), "--json"])
     assert ok and report["irreducible"]["verdict"] == YES
+    # the largest report inside the caps, about 17 MB: compare digests
+    # so that a failure does not diff two such strings
+    out = capsys.readouterr().out
+    expected = json.dumps(report, indent=2) + "\n"
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == hashlib.sha256(expected.encode()).hexdigest()
 
 
 def test_composites_on_reducible_graph_skip_the_cycle_search(monkeypatch):
