@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, inf, isfinite, lcm
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -129,15 +129,20 @@ class ExactAngle:
         for key, a in angles.items():
             terms = dict(a.coefficients)
             values = (a.rational, *(terms.get(name, 0) for name in context.ids))
-            coords[key] = tuple(int(x * common) for x in values)
+            coords[key] = tuple(x.numerator * (common // x.denominator) for x in values)
         return context, common, coords
 
-    @classmethod
-    def from_integer_coordinates(cls, context: GeneratorContext, common: int, coords) -> "ExactAngle":
-        """Inverse of integer_coordinates: the reduced angle of one tuple."""
+    @staticmethod
+    def format_integer_coordinates(context: GeneratorContext, common: int, coords) -> str:
+        """str() of the angle of one integer_coordinates tuple, written
+        without building the angle: the rational part reduced mod 1 and
+        every nonzero coefficient in lowest terms."""
         rational, *terms = coords
-        coefficients = tuple((name, Fraction(c, common)) for name, c in zip(context.ids, terms) if c)
-        return cls(context, Fraction(rational % common, common), coefficients)
+        parts = [_ratio_text(rational % common, common)]
+        for name, c in zip(context.ids, terms):
+            if c:
+                parts.append(f"{'-' if c < 0 else '+'} {_ratio_text(abs(c), common)}*{name}")
+        return " ".join(parts)
 
     # -- group structure ----------------------------------------------
 
@@ -177,7 +182,8 @@ class ExactAngle:
 
         Without a mapping every generator stands for
         DEFAULT_GENERATOR_VALUE.  A mapping that is given must cover
-        every generator the angle uses, else MissingGeneratorValue.
+        every generator the angle uses, else MissingGeneratorValue.  An
+        angle whose value overflows a float raises ValueError.
         """
         if values is None:
             values = dict.fromkeys(self.context.ids, DEFAULT_GENERATOR_VALUE)
@@ -185,7 +191,12 @@ class ExactAngle:
         for name, c in self.coefficients:
             if name not in values:
                 raise MissingGeneratorValue(name)
-            x += float(c) * values[name]
+            try:
+                x += float(c) * values[name]
+            except OverflowError:
+                x = inf
+        if not isfinite(x):
+            raise ValueError(f"angle {self} is too large for a float")
         return x % 1.0
 
     # -- presentation ---------------------------------------------------
@@ -196,6 +207,12 @@ class ExactAngle:
             sign = "-" if c < 0 else "+"
             parts.append(f"{sign} {abs(c)}*{name}")
         return " ".join(parts)
+
+
+def _ratio_text(p: int, q: int) -> str:
+    """str(Fraction(p, q)) for p >= 0 and q > 0."""
+    g = gcd(p, q)
+    return str(p // g) if g == q else f"{p // g}/{q // g}"
 
 
 def _parse_rat(chunk: str, whole: str) -> Fraction:

@@ -372,6 +372,8 @@ def _parse_float_or_expr(chunk: str, overrides: dict[str, float]) -> float:
     except ValueError:
         try:
             value = float(Fraction(chunk))
+        except OverflowError:
+            value = math.inf
         except (ValueError, ZeroDivisionError):
             context = _generator_context(chunk)
             values = {**dict.fromkeys(context.ids, DEFAULT_GENERATOR_VALUE), **overrides}

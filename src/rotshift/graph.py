@@ -127,46 +127,41 @@ def validate_graph(
         dup = next(s for i, s in enumerate(alphabet) if s in alphabet[:i])
         raise ValueError(f"duplicate alphabet symbol {dup!r}")
 
-    vset = set(vertices)
-    sset = set(alphabet)
-    seen: set[tuple[str, str, str]] = set()
-    incoming: dict[tuple[str, str], list[tuple[str, str, str]]] = {}
-    has_out: set[str] = set()
-    has_in: set[str] = set()
-    used: set[str] = set()
-    for raw in edges:
-        e = (raw[0], raw[1], raw[2])
-        if e in seen:
-            raise DuplicateEdge(e)
-        seen.add(e)
-        if e[0] not in vset:
-            raise UnknownVertex(e[0], e)
-        if e[1] not in vset:
-            raise UnknownVertex(e[1], e)
-        if e[2] not in sset:
-            raise UnknownSymbol(e[2], e)
-        incoming.setdefault((e[1], e[2]), []).append(e)
-        has_out.add(e[0])
-        has_in.add(e[1])
-        used.add(e[2])
+    # bulk set checks; the edges are walked in order only to name the
+    # first defect
+    vset, sset = set(vertices), set(alphabet)
+    built = tuple(map(Edge._make, edges))
+    srcs, dsts, symbols = zip(*built) if built else ((), (), ())
+    if len(set(built)) < len(built) or not vset.issuperset(srcs + dsts) or not sset.issuperset(symbols):
+        seen: set[Edge] = set()
+        for e in built:
+            if e in seen:
+                raise DuplicateEdge(e)
+            seen.add(e)
+            if e.src not in vset:
+                raise UnknownVertex(e.src, e)
+            if e.dst not in vset:
+                raise UnknownVertex(e.dst, e)
+            if e.symbol not in sset:
+                raise UnknownSymbol(e.symbol, e)
+    if len(set(zip(dsts, symbols))) < len(built):
+        incoming: dict[tuple[str, str], list[Edge]] = {}
+        for e in built:
+            incoming.setdefault((e.dst, e.symbol), []).append(e)
+        (v, s), group = next(item for item in incoming.items() if len(item[1]) > 1)
+        raise NotLeftResolving(v, s, group)
+    has_out, has_in = set(srcs), set(dsts)
+    if len(has_out) < len(vset) or len(has_in) < len(vset):
+        for v in vertices:
+            if v not in has_out:
+                raise NotEssential(v, "outgoing")
+            if v not in has_in:
+                raise NotEssential(v, "incoming")
+    used = set(symbols)
+    if len(used) < len(sset):
+        raise UnusedSymbol(next(s for s in alphabet if s not in used))
 
-    for (v, s), group in incoming.items():
-        if len(group) > 1:
-            raise NotLeftResolving(v, s, group)
-    for v in vertices:
-        if v not in has_out:
-            raise NotEssential(v, "outgoing")
-        if v not in has_in:
-            raise NotEssential(v, "incoming")
-    for s in alphabet:
-        if s not in used:
-            raise UnusedSymbol(s)
-
-    return LabeledGraph(
-        vertices=tuple(vertices),
-        alphabet=tuple(alphabet),
-        edges=tuple(Edge(*e) for e in edges),
-    )
+    return LabeledGraph(vertices=tuple(vertices), alphabet=tuple(alphabet), edges=built)
 
 
 def full_shift_graph(n: int) -> LabeledGraph:

@@ -10,17 +10,18 @@ sufficient conditions cover.
 Decisions implemented:
 
 * condition (I): every vertex emits at least two distinct one-sided
-  infinite label sequences.  Decided by a deterministic support walk
-  per vertex; failing vertices get their unique eventually periodic
-  label sequence as the certificate.
+  infinite label sequences.  A vertex with two symbols on its
+  out-edges branches at once; any other vertex is decided by a
+  deterministic support walk, and failing vertices get their unique
+  eventually periodic label sequence as the certificate.
 * irreducibility: the underlying digraph is strongly connected,
   equivalently no proper nonempty vertex subset is forward closed.
 * irrational cycle: some closed path has an irrational total rotation
   angle.  Decided exactly by spanning-tree potentials per strongly
   connected component; all cycle angles are rational iff every edge
   defect (edge angle minus potential difference) is rational.  The
-  search adds int tuples over one common denominator and turns only
-  the No certificate's potentials back into exact angles.
+  search adds int tuples over one common denominator, and both
+  certificates write their angles straight from those tuples.
 * minimality of the decorated system: dense orbits in the disjoint
   union of circle fibers.  Irreducible + irrational cycle gives Yes;
   a reducible graph or all-rational cycles give No with witnesses.
@@ -112,7 +113,9 @@ def check_angle_assignment(graph: LabeledGraph, angles: Mapping[str, ExactAngle]
 def condition_I(graph: LabeledGraph) -> VerdictReport:
     """Does every vertex emit at least two distinct infinite label words?
 
-    Walk the support sets starting from a single vertex.  If at some
+    A vertex whose out-edges carry two distinct symbols branches at
+    depth 0; its certificate names the first two in alphabet order.
+    From any other vertex, walk the support sets.  If at some
     depth two symbols are simultaneously readable, both extend to
     infinite words (the graph is essential), so the vertex branches.
     If exactly one symbol is readable forever the walk is eventually
@@ -122,7 +125,15 @@ def condition_I(graph: LabeledGraph) -> VerdictReport:
     criterion = "condition (I): two distinct infinite label words from every vertex"
     branching: dict[str, dict] = {}
     failures: dict[str, dict] = {}
+    si = graph.symbol_index
     for start in range(graph.vertex_count):
+        symbols = {s for _, s in graph.out_edges[start]}
+        if len(symbols) > 1:
+            branching[graph.vertices[start]] = {
+                "depth": 0,
+                "symbols": sorted(symbols, key=si.__getitem__)[:2],
+            }
+            continue
         support = frozenset({start})
         trail: list[str] = []
         seen: dict[frozenset[int], int] = {support: 0}
@@ -305,15 +316,15 @@ def irrational_cycle(graph: LabeledGraph, angles: Mapping[str, ExactAngle]) -> V
     the defects of its edges, so irrational cycles exist iff some edge
     inside a component has an irrational defect.  In that case one of
     two explicit closed walks through that edge's endpoints must be
-    irrational (summed as exact angles) and is returned as the
+    irrational (its edges' int tuples summed) and is returned as the
     certificate.  Otherwise every cycle angle is rational with
     denominator dividing the reported one.
 
     Potentials and defects are int tuples over one common denominator L
     (ExactAngle.integer_coordinates): a defect is rational iff its
     generator coordinates vanish, with denominator L / gcd(r, L) for its
-    rational coordinate r.  Potentials become exact angles again only
-    for the No certificate.
+    rational coordinate r.  The Yes angle and the No potentials are
+    written from their tuples by ExactAngle.format_integer_coordinates.
     """
     criterion = "irrational total rotation along some closed path"
     check_angle_assignment(graph, angles)
@@ -355,15 +366,14 @@ def irrational_cycle(graph: LabeledGraph, angles: Mapping[str, ExactAngle]) -> V
             walk_a = _tree_path(graph, tree, u) + [e] + back
             walk_b = _tree_path(graph, tree, w) + back
             for walk in (walk_a, walk_b):
-                if not walk:
-                    continue
-                total = sum((angles[edge.symbol] for edge in walk), ExactAngle.zero(context))
-                if not total.is_rational():
+                # an empty walk sums to [] and is passed over
+                total = [sum(column) for column in zip(*(coords[edge.symbol] for edge in walk))]
+                if any(total[1:]):
                     return VerdictReport(
                         YES,
                         {
                             "cycle": [list(edge) for edge in walk],
-                            "angle": str(total),
+                            "angle": ExactAngle.format_integer_coordinates(context, common, total),
                             "base_vertex": graph.vertices[root],
                         },
                         criterion,
@@ -375,7 +385,7 @@ def irrational_cycle(graph: LabeledGraph, angles: Mapping[str, ExactAngle]) -> V
         {
             "cycle_denominator": denominator,
             "potentials": {
-                graph.vertices[v]: str(ExactAngle.from_integer_coordinates(context, common, p))
+                graph.vertices[v]: ExactAngle.format_integer_coordinates(context, common, p)
                 for v, p in potentials.items()
             },
             "roots": [graph.vertices[vertices[0]] for vertices in members],

@@ -187,6 +187,38 @@ def test_float_homomorphism_on_addition_chains(chain):
     assert circle_distance(exact.to_float(VALUES), approx) < 2.0**-38
 
 
+# -- integer coordinates ---------------------------------------------------------
+
+
+# a coordinate: zero, small, a multiple of the denominator or past 2^64
+coordinate = st.one_of(
+    st.just(0), st.integers(-5, 5), st.integers(-(2**80), 2**80), st.integers(-3, 3).map(lambda k: k * 2**70)
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.integers(0, 3),
+    st.one_of(st.integers(1, 12), st.integers(1, 2**70), st.just(2**70)),
+    st.lists(coordinate, min_size=4, max_size=4),
+)
+def test_format_integer_coordinates_matches_str(k, common, coords):
+    context = GeneratorContext(("g", "h", "x1", "y_2")[:k])
+    rational, *terms = coords[: k + 1]
+    angle = ExactAngle.make(
+        context, Fraction(rational, common), {g: Fraction(c, common) for g, c in zip(context.ids, terms)}
+    )
+    assert ExactAngle.format_integer_coordinates(context, common, coords[: k + 1]) == str(angle)
+
+
+@given(st.lists(exact_angles(), min_size=1, max_size=6))
+def test_integer_coordinates_write_back_each_angle(chain):
+    angles = {f"s{i}": a for i, a in enumerate(chain)}
+    context, common, coords = ExactAngle.integer_coordinates(angles)
+    for key, a in angles.items():
+        assert ExactAngle.format_integer_coordinates(context, common, coords[key]) == str(a)
+
+
 def test_str_is_canonical():
     a = ExactAngle.make(CTX, Fraction(1, 2), {"g": Fraction(-1, 3), "h": Fraction(2)})
     assert str(a) == "1/2 - 1/3*g + 2*h"

@@ -238,6 +238,34 @@ def test_bad_gen_flag(capsys, argv, message):
     assert captured.err.splitlines() == [f"error: {message}"]
 
 
+HUGE = 10**400
+
+# systems whose exact angles are fine but overflow a float
+OVERFLOW_SYSTEMS = {
+    "huge-coefficient": ("g", HUGE),
+    "large-product": ("g = 1e10", 10**300),
+}
+
+
+def write_overflow_system(tmp_path, name):
+    generator, coefficient = OVERFLOW_SYSTEMS[name]
+    file = tmp_path / f"{name}.sds"
+    file.write_text(
+        f"[generators]\n{generator}\n[alphabet]\na = {coefficient}*g\nb = 1/3\n"
+        "[vertices]\nv1\n[edges]\nv1 -> v1 : a\nv1 -> v1 : b\n"
+    )
+    return file
+
+
+@pytest.mark.parametrize("name", sorted(OVERFLOW_SYSTEMS))
+def test_analyze_is_exact_where_floats_overflow(capsys, tmp_path, name):
+    code, out, err = run(capsys, "analyze", str(write_overflow_system(tmp_path, name)), "--json")
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["purely_infinite_O"]["verdict"] == "Yes"
+    assert report["irrational_cycle"]["certificate"]["angle"] == f"0 + {OVERFLOW_SYSTEMS[name][1]}*g"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -255,10 +283,21 @@ def test_bad_gen_flag(capsys, argv, message):
             ["oracle", "weyl", "--angles", "0,1e400", "--n", "5", "--lmax", "2", "--json"],
             "bad --angles list: non-finite angle '1e400'",
         ),
+        (["oracle", "orbit", "{huge-coefficient}"], f"angle 0 + {HUGE}*g is too large for a float"),
+        # a finite coefficient times g = 1e10 overflows: inf % 1.0 would be nan
+        (["oracle", "orbit", "{large-product}"], f"angle 0 + {10**300}*g is too large for a float"),
+        (
+            ["oracle", "weyl", "--angles", f"{HUGE}/3,0", "--n", "5", "--lmax", "2", "--json"],
+            f"bad --angles list: non-finite angle '{HUGE}/3'",
+        ),
     ],
-    ids=["words", "af-core", "bunce-deddens", "orbit-eps", "orbit-start-nan", "orbit-start-inf", "weyl-nan", "weyl-inf"],
+    ids=[
+        "words", "af-core", "bunce-deddens", "orbit-eps", "orbit-start-nan", "orbit-start-inf", "weyl-nan", "weyl-inf",
+        "orbit-huge-coefficient", "orbit-large-product", "weyl-huge-fraction",
+    ],
 )
-def test_out_of_range_argument_exits_1_with_one_error_line(capsys, argv, message):
+def test_out_of_range_argument_exits_1_with_one_error_line(capsys, tmp_path, argv, message):
+    argv = [str(write_overflow_system(tmp_path, a[1:-1])) if a.startswith("{") else a for a in argv]
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""

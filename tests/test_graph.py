@@ -7,6 +7,7 @@ from rotshift.errors import (
     CapExceeded,
     DuplicateEdge,
     EmptyGraph,
+    GraphValidationError,
     NotEssential,
     NotLeftResolving,
     UnknownSymbol,
@@ -40,6 +41,42 @@ def test_unknown_vertex_and_symbol():
         validate_graph(("v1",), (("v1", "v9", "a"),), ("a",))
     with pytest.raises(UnknownSymbol):
         validate_graph(("v1",), (("v1", "v1", "z"),), ("a",))
+
+
+@pytest.mark.parametrize(
+    "edges, witness",
+    [
+        # an unknown symbol on edge 1 comes before the duplicate on edge 3
+        (
+            (("v1", "v1", "z"), ("v1", "v2", "b"), ("v1", "v2", "b"), ("v2", "v9", "a")),
+            {"error": "unknown-symbol", "symbol": "z", "edge": ["v1", "v1", "z"]},
+        ),
+        (
+            (("v1", "v1", "a"), ("v1", "v1", "a"), ("v1", "v9", "b")),
+            {"error": "duplicate-edge", "edge": ["v1", "v1", "a"]},
+        ),
+        # within one edge the source is checked before the target and the symbol
+        (
+            (("v1", "v1", "a"), ("v8", "v9", "z")),
+            {"error": "unknown-vertex", "vertex": "v8", "edge": ["v8", "v9", "z"]},
+        ),
+        # the first (target, symbol) slot to repeat is the one whose first edge comes first
+        (
+            (("v1", "v2", "b"), ("v2", "v1", "a"), ("v2", "v2", "b"), ("v1", "v1", "a"), ("v1", "v2", "a")),
+            {"error": "not-left-resolving", "vertex": "v2", "symbol": "b", "edges": [["v1", "v2", "b"], ["v2", "v2", "b"]]},
+        ),
+        (
+            (("v1", "v1", "a"), ("v2", "v1", "b")),
+            {"error": "not-essential", "vertex": "v2", "direction": "incoming"},
+        ),
+        ((("v1", "v2", "a"), ("v2", "v1", "a")), {"error": "unused-symbol", "symbol": "b"}),
+    ],
+    ids=["unknown-symbol-before-duplicate", "duplicate-before-unknown-vertex", "source-first", "left-resolving", "essential", "unused"],
+)
+def test_validation_reports_the_first_of_several_defects(edges, witness):
+    with pytest.raises(GraphValidationError) as info:
+        validate_graph(("v1", "v2"), edges, ("a", "b"))
+    assert info.value.witness() == witness
 
 
 def test_left_resolving_violation_witnessed():

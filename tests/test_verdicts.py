@@ -42,7 +42,7 @@ from rotshift import cli, verdicts
 from rotshift.angles import ExactAngle, GeneratorContext, parse_angle
 from rotshift.errors import FewerThanTwoAngles, UnknownSymbol
 from rotshift.fileformat import parse_system
-from rotshift.graph import MAX_EDGES, MAX_VERTICES, Edge
+from rotshift.graph import MAX_EDGES, MAX_VERTICES, Edge, validate_graph
 from rotshift.report import analyze_document
 from rotshift.verdicts import (
     NO,
@@ -155,6 +155,53 @@ def test_condition_I_periodic_with_prefix():
     assert set(failures) == {"v1", "v2", "v3"}
     assert failures["v1"] == {"prefix": ["a"], "period": ["b", "c"]}
     assert failures["v2"] == {"prefix": [], "period": ["b", "c"]}
+
+
+def support_walk_condition_I(graph):
+    """(verdict, certificate) of condition (I) by the support walk from
+    every vertex, depth 0 included, read off the out-edge lists."""
+    branching, failures = {}, {}
+    for start, name in enumerate(graph.vertices):
+        support, trail, seen = frozenset({start}), [], {}
+        while True:
+            seen[support] = len(trail)
+            images = {}
+            for v in support:
+                for w, symbol in graph.out_edges[v]:
+                    images.setdefault(symbol, set()).add(w)
+            readable = sorted(images, key=graph.alphabet.index)
+            if len(readable) > 1:
+                branching[name] = {"depth": len(trail), "symbols": readable[:2]}
+                break
+            trail.append(readable[0])
+            support = frozenset(images[readable[0]])
+            if support in seen:
+                cut = seen[support]
+                failures[name] = {"prefix": trail[:cut], "period": trail[cut:]}
+                break
+    return (NO, {"unique_word": failures}) if failures else (YES, {"branching": branching})
+
+
+def test_condition_I_matches_the_support_walk_from_every_vertex():
+    """Depth-0 branching read off the out-edges gives the certificate the
+    support walk gives, keys in vertex order, on graphs where many
+    vertices carry a single out-symbol."""
+    rng = random.Random(1711)
+    graphs = [random_graph(rng, max_vertices=7, max_symbols=rng.choice([2, 3])) for _ in range(150)]
+    graphs += [layered_graph(rng, max_vertices=9) for _ in range(150)]
+    graphs += list(enumerate_left_resolving(2, 2))
+    # alphabet order differs from string order and from edge order
+    graphs += [validate_graph(g.vertices, g.edges, g.alphabet[::-1]) for g in graphs]
+    single = deeper = failing = 0
+    for graph in graphs:
+        r = condition_I(graph)
+        verdict, certificate = support_walk_condition_I(graph)
+        assert r.verdict == verdict
+        assert json.dumps(r.certificate) == json.dumps(certificate)
+        single += sum(len({s for _, s in out}) == 1 for out in graph.out_edges)
+        deeper += any(c["depth"] > 0 for c in certificate.get("branching", {}).values())
+        failing += r.is_no
+    assert single > 1000 and deeper > 100 and failing > 200
 
 
 # -- irreducibility -----------------------------------------------------------
@@ -305,6 +352,19 @@ def test_rational_decoration_has_no_irrational_cycle():
     # cycle aa..: angle k/3; cycle bc: 1/2; denominators 2 and 3 both divide
     assert r.certificate["cycle_denominator"] % 2 == 0
     assert r.certificate["cycle_denominator"] % 3 == 0
+
+
+def test_irrational_cycle_passes_over_a_rational_first_walk():
+    # the tree reaches v3 by d, so edge b is the first with an irrational
+    # defect; its first walk a b c has the rational angle 1/2, not 0
+    graph = build(
+        ("v1", "v2", "v3"),
+        (("v1", "v2", "a"), ("v1", "v3", "d"), ("v2", "v3", "b"), ("v3", "v1", "c")),
+    )
+    angles = {"a": gen(1), "b": gen(-1, 1, 2), "c": rat(0), "d": gen(1)}
+    r = irrational_cycle(graph, angles)
+    assert r.certificate["cycle"] == [["v1", "v3", "d"], ["v3", "v1", "c"]]
+    assert r.certificate["angle"] == "0 + 1*g"
 
 
 def test_irrational_cycle_ignores_transient_edges():
