@@ -31,6 +31,7 @@ from .errors import (
 )
 
 __all__ = [
+    "Condensation",
     "Edge",
     "LabeledGraph",
     "validate_graph",
@@ -45,6 +46,17 @@ class Edge(NamedTuple):
     src: str
     dst: str
     symbol: str
+
+
+class Condensation(NamedTuple):
+    """Strongly connected components.  component[v] is the id of v's
+    component; ids run in topological order, sources first, so an edge
+    between components goes from a lower id to a higher one.  members[c]
+    is ascending; cyclic[c] says c has two or more vertices or a loop."""
+
+    component: tuple[int, ...]
+    members: tuple[tuple[int, ...], ...]
+    cyclic: tuple[bool, ...]
 
 
 @dataclass(frozen=True)
@@ -84,6 +96,44 @@ class LabeledGraph:
         for e in self.edges:
             into[vi[e.dst]].append((vi[e.src], e.symbol))
         return tuple(tuple(lst) for lst in into)
+
+    @cached_property
+    def condensation(self) -> Condensation:
+        """Kosaraju, iterative: in reverse depth-first finishing order,
+        each unassigned vertex takes the next id together with the
+        unassigned vertices that reach it."""
+        n = self.vertex_count
+        out = self.out_edges
+        order: list[int] = []
+        seen = [False] * n
+        for s in range(n):
+            stack = [] if seen[s] else [(s, iter(out[s]))]
+            seen[s] = True
+            while stack:
+                v, todo = stack[-1]
+                for w, _symbol in todo:
+                    if not seen[w]:
+                        seen[w] = True
+                        stack.append((w, iter(out[w])))
+                        break
+                else:
+                    order.append(v)
+                    stack.pop()
+        comp = [-1] * n
+        members: list[tuple[int, ...]] = []
+        for v in reversed(order):
+            if comp[v] != -1:
+                continue
+            comp[v] = len(members)
+            found = [v]
+            for x in found:
+                for w, _symbol in self.in_edges[x]:
+                    if comp[w] == -1:
+                        comp[w] = comp[v]
+                        found.append(w)
+            members.append(tuple(sorted(found)))
+        cyclic = tuple(len(m) > 1 or any(w == m[0] for w, _symbol in out[m[0]]) for m in members)
+        return Condensation(tuple(comp), tuple(members), cyclic)
 
     @cached_property
     def successors(self) -> dict[tuple[int, str], tuple[int, ...]]:

@@ -44,9 +44,9 @@ def classify_subset(graph: LabeledGraph, subset: Iterable[int]) -> tuple[bool, b
     make the empty set non-saturated.)
     """
     w = frozenset(subset)
-    succ = [{j for j, _symbol in edges} for edges in graph.out_edges]
-    invariant = all(succ[i] <= w for i in w)
-    saturated = all(i in w for i in range(graph.vertex_count) if succ[i] <= w)
+    lands_inside = [all(j in w for j, _symbol in edges) for edges in graph.out_edges]
+    invariant = all(lands_inside[i] for i in w)
+    saturated = all(i in w for i, inside in enumerate(lands_inside) if inside)
     return invariant, saturated
 
 
@@ -60,20 +60,22 @@ def enumerate_invariant_saturated(graph: LabeledGraph) -> list[frozenset[int]]:
     path out of a vertex ends on a cycle, which gives >= by induction
     along the acyclic part.  So taking the cycle vertices of W maps the
     lattice one to one onto the unions of the sets R(x), and
-    C -> {v : R(v) <= C} inverts it.  The cost is O(n) set operations
-    per ideal; n disjoint loops have 2^n ideals, so CapExceeded is
-    raised as soon as the unions pass MAX_IDEALS.
+    C -> {v : R(v) <= C} inverts it.  R(v) is shared within a strongly
+    connected component: its members if it is cyclic, plus what its
+    successors reach; one pass over graph.condensation, sinks first,
+    finds them all.  Each ideal then costs O(n) set operations; n
+    disjoint loops have 2^n ideals, so CapExceeded is raised as soon as
+    the unions pass MAX_IDEALS.
     """
     n = graph.vertex_count
     if n > MAX_IDEAL_VERTICES:
         raise CapExceeded("ideal enumeration vertex count", n, MAX_IDEAL_VERTICES)
-    reach = [{j for j, _symbol in edges} for edges in graph.out_edges]
-    for k in range(n):  # Warshall: reach[i] = vertices reached by a path of length >= 1
-        for r in reach:
-            if k in r:
-                r |= reach[k]
-    cyclic = {v for v in range(n) if v in reach[v]}
-    cores = [frozenset(r & cyclic) for r in reach]
+    comp, members, cyclic = graph.condensation
+    reach: list[frozenset[int]] = [frozenset()] * len(members)
+    for c in reversed(range(len(members))):  # sinks first; edges inside c add the empty reach[c]
+        successors = (reach[comp[j]] for v in members[c] for j, _symbol in graph.out_edges[v])
+        reach[c] = frozenset(members[c] if cyclic[c] else ()).union(*successors)
+    cores = [reach[c] for c in comp]
     unions = {frozenset()}
     for r in set(cores):
         unions |= {c | r for c in unions}
@@ -137,10 +139,8 @@ def quotient_system(graph: LabeledGraph, subset: Iterable[int]) -> QuotientSyste
     vi = graph.vertex_index
     survivors = [v for v in graph.vertices if vi[v] not in w]
     edges = [e for e in graph.edges if vi[e.src] not in w and vi[e.dst] not in w]
-    used = []
-    for s in graph.alphabet:
-        if any(e.symbol == s for e in edges):
-            used.append(s)
+    labels = {e.symbol for e in edges}
+    used = [s for s in graph.alphabet if s in labels]
     warning = None
     try:
         q = validate_graph(survivors, edges, used)

@@ -31,8 +31,8 @@ Decisions implemented:
   distribution of the angle sums, decided by the differences from the
   first angle, which decide every pairwise difference.
 
-Every path question above is answered by one breadth-first search,
-_bfs_tree; _tree_path reads a path out of the tree it returns.
+Components come from graph.condensation (Kosaraju); every other path
+question is one breadth-first search, _bfs_tree, read by _tree_path.
 
 Analysis(graph, angles) holds the six graph verdicts of one analysis
 and makes each base decision at most once.  The composite module-level
@@ -264,44 +264,6 @@ def is_irreducible(graph: LabeledGraph) -> VerdictReport:
     )
 
 
-def strongly_connected_components(graph: LabeledGraph) -> list[int]:
-    """Component id per vertex (Kosaraju, iterative): in reverse
-    depth-first finishing order, each unassigned vertex takes the next
-    id together with the unassigned vertices that reach it."""
-    n = graph.vertex_count
-    out = graph.out_edges
-    order: list[int] = []
-    seen = [False] * n
-    for s in range(n):
-        if seen[s]:
-            continue
-        seen[s] = True
-        stack: list[tuple[int, int]] = [(s, 0)]
-        while stack:
-            v, i = stack[-1]
-            if i < len(out[v]):
-                stack[-1] = (v, i + 1)
-                w = out[v][i][0]
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append((w, 0))
-            else:
-                order.append(v)
-                stack.pop()
-    comp = [-1] * n
-    unassigned = set(range(n))
-    c = 0
-    for v in reversed(order):
-        if comp[v] != -1:
-            continue
-        component = _bfs_tree(graph.in_edges, v, unassigned)
-        unassigned.difference_update(component)
-        for x in component:
-            comp[x] = c
-        c += 1
-    return comp
-
-
 # ---------------------------------------------------------------------------
 # irrational cycles
 
@@ -329,12 +291,9 @@ def irrational_cycle(graph: LabeledGraph, angles: Mapping[str, ExactAngle]) -> V
     criterion = "irrational total rotation along some closed path"
     check_angle_assignment(graph, angles)
     context, common, coords = ExactAngle.integer_coordinates(angles)
-    comp = strongly_connected_components(graph)
+    comp, members, _cyclic = graph.condensation
     vi = graph.vertex_index
-    # vertices and inner edges of each component, in declared order
-    members: list[list[int]] = [[] for _ in range(max(comp) + 1)]
-    for v, cid in enumerate(comp):
-        members[cid].append(v)
+    # inner edges of each component, in declared order
     inner: list[list[tuple[int, int, Edge]]] = [[] for _ in members]
     for e in graph.edges:
         u, w = vi[e.src], vi[e.dst]

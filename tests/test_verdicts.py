@@ -42,7 +42,7 @@ from rotshift import cli, verdicts
 from rotshift.angles import ExactAngle, GeneratorContext, parse_angle
 from rotshift.errors import FewerThanTwoAngles, UnknownSymbol
 from rotshift.fileformat import parse_system
-from rotshift.graph import MAX_EDGES, MAX_VERTICES, Edge, validate_graph
+from rotshift.graph import MAX_EDGES, MAX_VERTICES, Edge, LabeledGraph, validate_graph
 from rotshift.report import analyze_document
 from rotshift.verdicts import (
     NO,
@@ -58,7 +58,6 @@ from rotshift.verdicts import (
     irrational_cycle,
     is_irreducible,
     pure_infiniteness,
-    strongly_connected_components,
 )
 
 
@@ -245,7 +244,7 @@ def test_irreducibility_on_random_graphs_matches_scc():
         r = is_irreducible(graph)
         witness = closure_irreducibility(graph)
         assert r.is_yes == (witness is None)
-        assert r.is_yes == (len(set(strongly_connected_components(graph))) == 1)
+        assert r.is_yes == (len(graph.condensation.members) == 1)
         if r.is_yes:
             assert_walk(graph, r.certificate["covering_closed_walk"], covering=True)
         else:
@@ -258,6 +257,93 @@ def test_irreducibility_on_random_graphs_matches_scc():
                 if graph.vertex_index[e.src] in w:
                     assert graph.vertex_index[e.dst] in w
     assert reducible > 50
+
+
+def reach_by_search(graph):
+    """Per vertex name, the names reached by a path of one or more edges:
+    one search per vertex over the raw edge list."""
+    reach = {}
+    for start in graph.vertices:
+        seen = set()
+        frontier = [start]
+        while frontier:
+            v = frontier.pop()
+            for e in graph.edges:
+                if e.src == v and e.dst not in seen:
+                    seen.add(e.dst)
+                    frontier.append(e.dst)
+        reach[start] = seen
+    return reach
+
+
+def test_condensation_matches_reachability_by_search():
+    """Two vertices share a component iff each reaches the other; edges
+    between components raise the id; members are ascending; a component
+    is cyclic iff a member reaches itself."""
+    rng = random.Random(1412)
+    graphs = [random_graph(rng, max_vertices=rng.choice([4, 6, 9])) for _ in range(200)]
+    graphs += [layered_graph(rng, max_vertices=9) for _ in range(200)]
+    graphs += list(enumerate_left_resolving(3, 2))
+    several = acyclic = 0
+    for graph in graphs:
+        component, members, cyclic = graph.condensation
+        reach = reach_by_search(graph)
+        names, vi = graph.vertices, graph.vertex_index
+        for u in names:
+            for w in names:
+                mutual = u == w or (w in reach[u] and u in reach[w])
+                assert (component[vi[u]] == component[vi[w]]) == mutual
+        for e in graph.edges:
+            assert component[vi[e.src]] <= component[vi[e.dst]]
+        assert members == tuple(
+            tuple(v for v in range(len(names)) if component[v] == c) for c in range(len(members))
+        )
+        assert cyclic == tuple(any(names[v] in reach[names[v]] for v in m) for m in members)
+        several += len(members) > 2
+        acyclic += not all(cyclic)
+    assert several > 300 and acyclic > 100
+
+
+def test_condensation_at_the_size_caps():
+    """A chain of loops, vertex i+1 feeding vertex i, has one cyclic
+    component per vertex, numbered from the source v999 down; a single
+    1000-cycle has one component."""
+    n = MAX_VERTICES
+    vertices = [f"v{i}" for i in range(n)]
+    edges = [(v, v, "a") for v in vertices] + [(vertices[i + 1], vertices[i], "b") for i in range(n - 1)]
+    graph = validate_graph(vertices, edges, ["a", "b"])
+    with wall_clock_limit(2):
+        _component, members, cyclic = graph.condensation
+        r = irrational_cycle(graph, {"a": rat(1, 3), "b": gen(1)})
+    assert len(members) == n and all(cyclic)
+    assert r.is_no and r.certificate["cycle_denominator"] == 3
+    assert r.certificate["roots"] == vertices[::-1]
+    assert len(parse_system(interleaved_cycle(n)).graph().condensation.members) == 1
+
+
+def count_condensation_builds(monkeypatch):
+    """A list that gains the graph each time a condensation is built."""
+    prop = LabeledGraph.__dict__["condensation"]
+    build_condensation = prop.func
+    built = []
+
+    def counted(graph):
+        built.append(graph)
+        return build_condensation(graph)
+
+    monkeypatch.setattr(prop, "func", counted)
+    return built
+
+
+def test_analyze_builds_one_condensation(monkeypatch):
+    """The irrational-cycle verdict and the ideal lattice share it."""
+    with open(os.path.join(SYSTEMS, "reducible3.sds"), encoding="utf-8") as f:
+        text = f.read()
+    built = count_condensation_builds(monkeypatch)
+    report, ok = analyze_document(parse_system(text), text)
+    assert ok and report["irreducible"]["verdict"] == NO
+    assert report["ideals"]["count"] == 3
+    assert len(built) == 1
 
 
 def interleaved_cycle(n):
@@ -296,7 +382,8 @@ def test_covering_walk_skips_vertices_already_passed(capsys, tmp_path):
 
 def test_composites_on_reducible_graph_skip_the_cycle_search(monkeypatch):
     """Reducible with condition (I): simplicity stops at irreducibility,
-    so neither composite may search for an irrational cycle."""
+    so neither composite may search for an irrational cycle or build
+    the condensation."""
     graph = build(
         ("v1", "v2"),
         (
@@ -314,12 +401,14 @@ def test_composites_on_reducible_graph_skip_the_cycle_search(monkeypatch):
         raise AssertionError("irrational_cycle computed on a reducible graph")
 
     patch_everywhere(monkeypatch, verdicts, "irrational_cycle", forbidden)
+    built = count_condensation_builds(monkeypatch)
     assert condition_I(graph).is_yes
     simple = crossed_product_simplicity(graph, angles)
     assert simple.is_no and "forward_closed" in simple.certificate
     purely = pure_infiniteness(graph, angles)
     assert purely.verdict == UNKNOWN
     assert purely.notes == ("missing hypothesis: irreducibility",)
+    assert built == []
 
 
 # -- irrational cycles ----------------------------------------------------------
@@ -380,18 +469,8 @@ def test_irrational_cycle_ignores_transient_edges():
 def inner_edges(graph):
     """Edges whose target reaches their source, i.e. edges on some cycle,
     by one search per vertex over the raw edge list."""
-    reach = {}
-    for start in graph.vertices:
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            v = frontier.pop()
-            for e in graph.edges:
-                if e.src == v and e.dst not in seen:
-                    seen.add(e.dst)
-                    frontier.append(e.dst)
-        reach[start] = seen
-    return [e for e in graph.edges if e.src in reach[e.dst]]
+    reach = reach_by_search(graph)
+    return [e for e in graph.edges if e.src == e.dst or e.src in reach[e.dst]]
 
 
 def assert_cycle_certificate(graph, angles, r, inner):
