@@ -272,24 +272,28 @@ def _cmd_ktheory(args) -> int:
     _doc, _header, graph = _read_graph(args)
     if graph is None:
         return EXIT_INVALID
+    # both ladders check their depth, and --bunce-deddens its graph,
+    # before the K-groups run, which can take minutes
+    core = None if args.af_core is None else core_dimension_data(graph, args.af_core)
+    n = len(graph.alphabet)
+    ladder = None
+    if args.bunce_deddens is not None:
+        if graph.vertex_count != 1 or n < 2:
+            print("error: --bunce-deddens needs a single-vertex full shift", file=sys.stderr)
+            return EXIT_USAGE
+        ladder = bunce_deddens_data(n, args.bunce_deddens)
     groups = graph_k_groups(graph)
     payload: dict = {"k_theory": groups.to_json()}
     lines = [f"K0 = K1 = {groups.k0}"]
-    if args.af_core is not None:
-        data = core_dimension_data(graph, args.af_core)
-        payload["af_core"] = data.to_json()
+    if core is not None:
+        payload["af_core"] = core.to_json()
         lines.append(f"core levels 0..{args.af_core}: rank {graph.vertex_count} in both degrees per level")
-        lines.append(f"connecting map (both degrees): {data.k0_maps[0].to_lists() if data.k0_maps else 'none'}")
-    if args.bunce_deddens is not None:
-        if graph.vertex_count != 1 or len(graph.alphabet) < 2:
-            print("error: --bunce-deddens needs a single-vertex full shift", file=sys.stderr)
-            return EXIT_USAGE
-        n = len(graph.alphabet)
-        data = bunce_deddens_data(n, args.bunce_deddens)
-        payload["bunce_deddens"] = data.to_json()
+        lines.append(f"connecting map (both degrees): {core.k0_maps[0].to_lists() if core.k0_maps else 'none'}")
+    if ladder is not None:
+        payload["bunce_deddens"] = ladder.to_json()
         lines.append(
-            f"scaled-integer ladder: K0 = Z --x{n}--> Z (limit {data.k0_limit}, "
-            f"order unit 1), K1 = Z --id--> Z (limit {data.k1_limit})"
+            f"scaled-integer ladder: K0 = Z --x{n}--> Z (limit {ladder.k0_limit}, "
+            f"order unit 1), K1 = Z --id--> Z (limit {ladder.k1_limit})"
         )
     _emit(payload, args.json, lines)
     return EXIT_OK

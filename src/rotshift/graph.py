@@ -89,60 +89,52 @@ class LabeledGraph:
         return tuple(tuple(lst) for lst in out)
 
     @cached_property
-    def in_edges(self) -> tuple[tuple[tuple[int, str], ...], ...]:
-        """Per vertex index: tuple of (source index, symbol)."""
-        into: list[list[tuple[int, str]]] = [[] for _ in self.vertices]
-        vi = self.vertex_index
-        for e in self.edges:
-            into[vi[e.dst]].append((vi[e.src], e.symbol))
-        return tuple(tuple(lst) for lst in into)
-
-    @cached_property
     def condensation(self) -> Condensation:
-        """Kosaraju, iterative: in reverse depth-first finishing order,
-        each unassigned vertex takes the next id together with the
-        unassigned vertices that reach it."""
+        """Tarjan, iterative.  The depth-first search takes roots 0..n-1
+        and edges in out_edges order, and closes each component at its
+        first visited vertex; ids count the components in the reverse of
+        the order in which they close, which is a topological order."""
         n = self.vertex_count
         out = self.out_edges
-        order: list[int] = []
-        seen = [False] * n
+        index = [-1] * n  # discovery number
+        low = [0] * n  # least discovery number reached from the subtree
+        closing = [-1] * n  # the component's closing number; -1 while open
+        stack: list[int] = []
+        closed: list[tuple[int, ...]] = []
+        count = 0
         for s in range(n):
-            stack = [] if seen[s] else [(s, iter(out[s]))]
-            seen[s] = True
-            while stack:
-                v, todo = stack[-1]
-                for w, _symbol in todo:
-                    if not seen[w]:
-                        seen[w] = True
-                        stack.append((w, iter(out[w])))
-                        break
-                else:
-                    order.append(v)
-                    stack.pop()
-        comp = [-1] * n
-        members: list[tuple[int, ...]] = []
-        for v in reversed(order):
-            if comp[v] != -1:
+            if index[s] != -1:
                 continue
-            comp[v] = len(members)
-            found = [v]
-            for x in found:
-                for w, _symbol in self.in_edges[x]:
-                    if comp[w] == -1:
-                        comp[w] = comp[v]
-                        found.append(w)
-            members.append(tuple(sorted(found)))
+            index[s] = low[s] = count
+            count += 1
+            stack.append(s)
+            path = [(s, iter(out[s]))]
+            while path:
+                v, todo = path[-1]
+                for w, _symbol in todo:
+                    if index[w] == -1:
+                        index[w] = low[w] = count
+                        count += 1
+                        stack.append(w)
+                        path.append((w, iter(out[w])))
+                        break
+                    if closing[w] == -1 and index[w] < low[v]:
+                        low[v] = index[w]
+                else:
+                    path.pop()
+                    if path and low[v] < low[path[-1][0]]:
+                        low[path[-1][0]] = low[v]
+                    if low[v] == index[v]:
+                        found = [stack.pop()]
+                        while found[-1] != v:
+                            found.append(stack.pop())
+                        for w in found:
+                            closing[w] = len(closed)
+                        closed.append(tuple(sorted(found)))
+        last = len(closed) - 1
+        members = tuple(reversed(closed))
         cyclic = tuple(len(m) > 1 or any(w == m[0] for w, _symbol in out[m[0]]) for m in members)
-        return Condensation(tuple(comp), tuple(members), cyclic)
-
-    @cached_property
-    def successors(self) -> dict[tuple[int, str], tuple[int, ...]]:
-        """(source index, symbol) -> sorted target indices."""
-        acc: dict[tuple[int, str], list[int]] = {}
-        vi = self.vertex_index
-        for e in self.edges:
-            acc.setdefault((vi[e.src], e.symbol), []).append(vi[e.dst])
-        return {k: tuple(sorted(v)) for k, v in acc.items()}
+        return Condensation(tuple(last - c for c in closing), members, cyclic)
 
     def word_sort_key(self, word: Sequence[str]):
         si = self.symbol_index

@@ -78,6 +78,8 @@ def orbit_density(
     """
     if steps > MAX_ORBIT_STEPS:
         raise StepCapExceeded("orbit steps", steps, MAX_ORBIT_STEPS)
+    if steps < 0:
+        raise ValueError("negative step count")
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie in (0, 1)")
     if not isfinite(start_point):

@@ -42,11 +42,8 @@ def forward_support(graph: LabeledGraph, support: Iterable[int], symbol: str) ->
     Monotone in the support and distributes over unions; the empty set
     is absorbing.
     """
-    succ = graph.successors
-    out: set[int] = set()
-    for i in support:
-        out.update(succ.get((i, symbol), ()))
-    return frozenset(out)
+    out = graph.out_edges
+    return frozenset(w for v in support for w, s in out[v] if s == symbol)
 
 
 def full_support(graph: LabeledGraph) -> frozenset[int]:
@@ -72,18 +69,23 @@ def admissible_words(graph: LabeledGraph, length: int) -> list[tuple[str, ...]]:
         raise CapExceeded("word length", length, MAX_WORD_LENGTH)
     if length < 0:
         raise ValueError("negative word length")
+    out, si = graph.out_edges, graph.symbol_index
     words: list[tuple[str, ...]] = []
 
-    def extend(prefix: tuple[str, ...], support: frozenset[int]):
+    def extend(prefix: tuple[str, ...], support: Iterable[int]):
         if len(prefix) == length:
             words.append(prefix)
             return
-        for symbol in graph.alphabet:
-            img = forward_support(graph, support, symbol)
-            if img:
-                extend(prefix + (symbol,), img)
+        # every nonempty image in one pass; left-resolving keeps the
+        # targets of one symbol distinct
+        images: dict[str, list[int]] = {}
+        for v in support:
+            for w, s in out[v]:
+                images.setdefault(s, []).append(w)
+        for symbol in sorted(images, key=si.__getitem__):
+            extend(prefix + (symbol,), images[symbol])
 
-    extend((), full_support(graph))
+    extend((), range(graph.vertex_count))
     return words
 
 
@@ -101,11 +103,11 @@ def decorated_forward(
     """
     theta = angles[symbol]
     out: dict[int, ExactAngle] = {}
-    succ = graph.successors
     for i, acc in state.items():
-        for j in succ.get((i, symbol), ()):
-            assert j not in out, "left-resolving violated"
-            out[j] = acc + theta
+        for j, s in graph.out_edges[i]:
+            if s == symbol:
+                assert j not in out, "left-resolving violated"
+                out[j] = acc + theta
     return out
 
 

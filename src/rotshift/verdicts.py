@@ -10,12 +10,14 @@ sufficient conditions cover.
 Decisions implemented:
 
 * condition (I): every vertex emits at least two distinct one-sided
-  infinite label sequences.  A vertex with two symbols on its
-  out-edges branches at once; any other vertex is decided by a
-  deterministic support walk, and failing vertices get their unique
-  eventually periodic label sequence as the certificate.
+  infinite label sequences.  Each vertex is decided by a support walk
+  from depth 0 that stops where two symbols are readable, and failing
+  vertices get their unique eventually periodic label sequence as the
+  certificate.
 * irreducibility: the underlying digraph is strongly connected,
   equivalently no proper nonempty vertex subset is forward closed.
+  Decided by one forward search and, when that covers every vertex,
+  the component count of the condensation.
 * irrational cycle: some closed path has an irrational total rotation
   angle.  Decided exactly by spanning-tree potentials per strongly
   connected component; all cycle angles are rational iff every edge
@@ -31,8 +33,9 @@ Decisions implemented:
   distribution of the angle sums, decided by the differences from the
   first angle, which decide every pairwise difference.
 
-Components come from graph.condensation (Kosaraju); every other path
-question is one breadth-first search, _bfs_tree, read by _tree_path.
+Components come from graph.condensation (Tarjan over out_edges, the
+graph's one adjacency list); every other path question is one
+breadth-first search, _bfs_tree, read by _tree_path.
 
 Analysis(graph, angles) holds the six graph verdicts of one analysis
 and makes each base decision at most once.  The composite module-level
@@ -52,7 +55,6 @@ from typing import Container, Mapping, Sequence
 from .angles import ExactAngle
 from .errors import FewerThanTwoAngles
 from .graph import Edge, LabeledGraph
-from .subshift import forward_support
 
 __all__ = [
     "VerdictReport",
@@ -113,47 +115,42 @@ def check_angle_assignment(graph: LabeledGraph, angles: Mapping[str, ExactAngle]
 def condition_I(graph: LabeledGraph) -> VerdictReport:
     """Does every vertex emit at least two distinct infinite label words?
 
-    A vertex whose out-edges carry two distinct symbols branches at
-    depth 0; its certificate names the first two in alphabet order.
-    From any other vertex, walk the support sets.  If at some
-    depth two symbols are simultaneously readable, both extend to
-    infinite words (the graph is essential), so the vertex branches.
-    If exactly one symbol is readable forever the walk is eventually
-    periodic in the finite lattice of supports, and the vertex emits a
-    single infinite sequence: that sequence is the failure certificate.
+    From each vertex, walk the support sets, starting at depth 0 with
+    the vertex alone.  If at some depth two symbols label edges out of
+    the support, both extend to infinite words (the graph is essential),
+    so the vertex branches; its certificate names the depth and the
+    first two such symbols in alphabet order.  While exactly one symbol
+    is readable, every out-edge carries it and the next support is the
+    set of all out-neighbours.  If that goes on forever the walk is
+    eventually periodic in the finite lattice of supports, and the
+    vertex emits a single infinite sequence: that sequence is the
+    failure certificate.
     """
     criterion = "condition (I): two distinct infinite label words from every vertex"
     branching: dict[str, dict] = {}
     failures: dict[str, dict] = {}
     si = graph.symbol_index
+    out = graph.out_edges
     for start in range(graph.vertex_count):
-        symbols = {s for _, s in graph.out_edges[start]}
-        if len(symbols) > 1:
-            branching[graph.vertices[start]] = {
-                "depth": 0,
-                "symbols": sorted(symbols, key=si.__getitem__)[:2],
-            }
-            continue
         support = frozenset({start})
         trail: list[str] = []
         seen: dict[frozenset[int], int] = {support: 0}
         while True:
-            # the first two readable symbols, with their images
-            readable: list[tuple[str, frozenset[int]]] = []
-            for s in graph.alphabet:
-                image = forward_support(graph, support, s)
-                if image:
-                    readable.append((s, image))
-                    if len(readable) == 2:
-                        break
-            if len(readable) == 2:
+            symbols: set[str] = set()
+            targets: set[int] = set()
+            for v in support:
+                for w, s in out[v]:
+                    symbols.add(s)
+                    targets.add(w)
+            if len(symbols) > 1:
                 branching[graph.vertices[start]] = {
                     "depth": len(trail),
-                    "symbols": [s for s, _ in readable],
+                    "symbols": sorted(symbols, key=si.__getitem__)[:2],
                 }
                 break
-            symbol, support = readable[0]  # essential graphs always offer a continuation
+            (symbol,) = symbols  # essential graphs always offer a continuation
             trail.append(symbol)
+            support = frozenset(targets)
             if support in seen:
                 cut = seen[support]
                 failures[graph.vertices[start]] = {
@@ -214,25 +211,24 @@ def _tree_path(graph: LabeledGraph, tree: dict[int, tuple[int, str] | None], v: 
 def is_irreducible(graph: LabeledGraph) -> VerdictReport:
     """Strong connectivity of the underlying digraph.
 
-    The graph is strongly connected iff vertex 0 reaches every vertex
-    and every vertex reaches vertex 0, which is decided in O(n + m).
-    No-certificate: the forward closure of the first vertex that cannot
-    reach everything; it is a proper nonempty forward-closed subset, so
-    the fibers above it form a closed invariant region.  Yes-certificate:
-    a single closed walk visiting every vertex, joined in index order
-    from shortest paths to each vertex the walk has not yet passed
-    through.  Building it costs one BFS per such vertex, so the
-    certificate is not O(n + m).
+    A forward search decides whether vertex 0 reaches every vertex.  If
+    it does, vertex 0's component is the only source of the condensation
+    (id 0), and the graph is strongly connected iff that is the only
+    component.  No-certificate: the forward closure of vertex 0, or else
+    of the first vertex outside component 0; it is a proper nonempty
+    forward-closed subset, so the fibers above it form a closed invariant
+    region.  Yes-certificate: a single closed walk visiting every vertex,
+    joined in index order from shortest paths to each vertex the walk has
+    not yet passed through.  Building it costs one BFS per such vertex,
+    so the certificate is not O(n + m).
     """
     criterion = "irreducibility: the transition digraph is strongly connected"
     n = graph.vertex_count
     closure = _bfs_tree(graph.out_edges, 0)
     if len(closure) == n:
-        # vertex 0 reaches everything, so a vertex reaches everything
-        # iff it reaches vertex 0: search backwards from vertex 0
-        back = _bfs_tree(graph.in_edges, 0)
-        if len(back) < n:
-            closure = _bfs_tree(graph.out_edges, next(v for v in range(n) if v not in back))
+        component = graph.condensation.component
+        if any(component):
+            closure = _bfs_tree(graph.out_edges, next(v for v in range(n) if component[v]))
     if len(closure) < n:
         return VerdictReport(
             NO,

