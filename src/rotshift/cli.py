@@ -288,7 +288,7 @@ def _cmd_ktheory(args) -> int:
     if core is not None:
         payload["af_core"] = core.to_json()
         lines.append(f"core levels 0..{args.af_core}: rank {graph.vertex_count} in both degrees per level")
-        lines.append(f"connecting map (both degrees): {core.k0_maps[0].to_lists() if core.k0_maps else 'none'}")
+        lines.append(f"connecting map (both degrees): {core.k0_map.to_lists()}")
     if ladder is not None:
         payload["bunce_deddens"] = ladder.to_json()
         lines.append(

@@ -21,19 +21,20 @@ For the full shift on N symbols this collapses to the cyclic group
 Z/(N-1) in both degrees; fullshift_k_groups computes that directly and
 graph_k_groups on the N-loop graph must agree (asserted).
 
-The gauge-fixed core is an inductive limit of circle algebras; its
-per-level dimension data is emitted for inspection by
-core_dimension_data, with the transpose adjacency acting as the
-connecting multiplicity matrix on the vertex blocks in both degrees.
-For full shifts the core's ordered K-theory is the classical
-scaled-integers invariant: bunce_deddens_data lays out the colimit
-ladder whose K0 maps are multiplication by N (limit Z[1/N], order unit
-1) and whose K1 maps are identities (limit Z).
+The gauge-fixed core is a stationary inductive limit of circle
+algebras: every level carries the same group and every step applies the
+same connecting map.  A StationaryLadder therefore holds one level, one
+map per degree and the depth, so its size does not grow with the depth.
+core_dimension_data gives the core's ladder, free of rank N0 with the
+transpose adjacency as the map in both degrees.  For full shifts the
+core's ordered K-theory is the classical scaled-integers invariant:
+bunce_deddens_data gives the ladder that multiplies by N in K0 (limit
+Z[1/N], order unit 1) and is the identity in K1 (limit Z).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .graph import LabeledGraph, full_shift_graph
@@ -43,7 +44,7 @@ __all__ = [
     "KGroups",
     "graph_k_groups",
     "fullshift_k_groups",
-    "InductiveKData",
+    "StationaryLadder",
     "core_dimension_data",
     "bunce_deddens_data",
     "scaled_value",
@@ -112,68 +113,60 @@ def fullshift_k_groups(n: int) -> KGroups:
 
 
 @dataclass(frozen=True)
-class InductiveKData:
-    """Dimension data of an inductive limit, one entry per level.
+class StationaryLadder:
+    """Dimension data of a stationary inductive limit, stored once.
 
-    k0_levels / k1_levels are the per-level groups; k0_maps / k1_maps
-    the connecting multiplicity matrices between consecutive levels
+    Levels 0..depth all carry the group `level` in both degrees, and
+    every one of the depth steps applies k0_map in K0 and k1_map in K1
     (entry [i][j]: multiplicity of level-l block j inside level-(l+1)
     block i after transposition bookkeeping).  Limit tags are symbolic
     names for recognized limits, or None when no recognition is
     attempted.
     """
 
-    k0_levels: tuple[AbelianGroupPresentation, ...]
-    k1_levels: tuple[AbelianGroupPresentation, ...]
-    k0_maps: tuple[IntMatrix, ...]
-    k1_maps: tuple[IntMatrix, ...]
-    k0_limit: str | None = field(default=None)
-    k1_limit: str | None = field(default=None)
-    order_unit: tuple[int, ...] | None = field(default=None)
+    depth: int
+    level: AbelianGroupPresentation
+    k0_map: IntMatrix
+    k1_map: IntMatrix
+    k0_limit: str | None = None
+    k1_limit: str | None = None
+    order_unit: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        assert len(self.k0_maps) == max(0, len(self.k0_levels) - 1)
-        assert len(self.k1_maps) == max(0, len(self.k1_levels) - 1)
+        if self.depth < 0:
+            raise ValueError("negative depth")
 
     def to_json(self) -> dict:
         return {
-            "K0_levels": [str(g) for g in self.k0_levels],
-            "K1_levels": [str(g) for g in self.k1_levels],
-            "K0_maps": [m.to_lists() for m in self.k0_maps],
-            "K1_maps": [m.to_lists() for m in self.k1_maps],
+            "depth": self.depth,
+            "level": str(self.level),
+            "K0_map": self.k0_map.to_lists(),
+            "K1_map": self.k1_map.to_lists(),
             "K0_limit": self.k0_limit,
             "K1_limit": self.k1_limit,
             "order_unit": list(self.order_unit) if self.order_unit else None,
         }
 
 
-def core_dimension_data(graph: LabeledGraph, depth: int) -> InductiveKData:
-    """Per-level K-data of the gauge-fixed core, levels 0..depth.
+def core_dimension_data(graph: LabeledGraph, depth: int) -> StationaryLadder:
+    """The core ladder, levels 0..depth.
 
     Every level contributes one circle-algebra block per vertex, so the
-    groups are free of rank N0 in both degrees; the connecting maps are
-    the transpose adjacency acting on the vertex blocks, again in both
+    group is free of rank N0 in both degrees; the connecting map is the
+    transpose adjacency acting on the vertex blocks, again in both
     degrees.  No limit recognition is attempted: the ladder is emitted
     for inspection.
     """
-    if depth < 0:
-        raise ValueError("negative depth")
     n = graph.vertex_count
-    level = AbelianGroupPresentation((), n)
     rows = [[0] * n for _ in range(n)]
     for i, out in enumerate(graph.out_edges):
         for j, _symbol in out:
             rows[j][i] += 1
     trans = IntMatrix(tuple(map(tuple, rows)))
-    return InductiveKData(
-        k0_levels=(level,) * (depth + 1),
-        k1_levels=(level,) * (depth + 1),
-        k0_maps=(trans,) * depth,
-        k1_maps=(trans,) * depth,
-    )
+    return StationaryLadder(depth, AbelianGroupPresentation((), n), trans, trans)
 
 
-def bunce_deddens_data(n: int, depth: int) -> InductiveKData:
+def bunce_deddens_data(n: int, depth: int) -> StationaryLadder:
     """Ordered K-theory ladder of the full-shift core on n symbols.
 
     K0: Z --xN--> Z --xN--> ... with limit the scaled integers Z[1/n]
@@ -183,14 +176,11 @@ def bunce_deddens_data(n: int, depth: int) -> InductiveKData:
     """
     if n < 2:
         raise ValueError("full shift needs at least 2 symbols")
-    if depth < 0:
-        raise ValueError("negative depth")
-    z = AbelianGroupPresentation((), 1)
-    return InductiveKData(
-        k0_levels=(z,) * (depth + 1),
-        k1_levels=(z,) * (depth + 1),
-        k0_maps=(IntMatrix.from_rows([[n]]),) * depth,
-        k1_maps=(IntMatrix.identity(1),) * depth,
+    return StationaryLadder(
+        depth,
+        AbelianGroupPresentation((), 1),
+        IntMatrix.from_rows([[n]]),
+        IntMatrix.identity(1),
         k0_limit=f"Z[1/{n}]",
         k1_limit="Z",
         order_unit=(1,),

@@ -16,7 +16,7 @@ from itertools import combinations
 from math import floor, gcd, isfinite
 from typing import Mapping, Sequence
 
-from .errors import StepCapExceeded
+from .errors import CapExceeded, StepCapExceeded
 from .graph import LabeledGraph
 from .intlinalg import IntMatrix
 
@@ -28,9 +28,13 @@ __all__ = [
     "integer_determinant",
     "invariant_factors_via_minors",
     "MAX_ORBIT_STEPS",
+    "MAX_WEYL_TERMS",
 ]
 
 MAX_ORBIT_STEPS = 1_000_000
+# levels times angles: at the cap, `oracle weyl --json` finishes within
+# 2 s with 1 angle and with 10
+MAX_WEYL_TERMS = 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -58,6 +62,30 @@ class OrbitSample:
 def _circle_distance(x: float, y: float) -> float:
     d = abs(x - y) % 1.0
     return min(d, 1.0 - d)
+
+
+def _grid_gap(pts: tuple[float, ...], epsilon: float) -> float:
+    """Largest circle distance from a grid point k*epsilon to the sorted
+    points pts, 0.5 when pts is empty.
+
+    One sweep walks the grid and the points together.  On each side of
+    a grid point g the distance d = |g - p| is monotone in p, so the
+    nearest points on either side reach the least d and the first and
+    last points reach the least 1 - d: these four give the same float
+    as a scan over all points.
+    """
+    if not pts:
+        return 0.5
+    worst = 0.0
+    i = 0
+    for k in range(int(floor(1.0 / epsilon)) + 1):
+        g = k * epsilon
+        while i < len(pts) and pts[i] <= g:
+            i += 1
+        nearest = pts[max(i - 1, 0) : i + 1]
+        best = min(_circle_distance(g, p) for p in (pts[0], pts[-1], *nearest))
+        worst = max(worst, best)
+    return worst
 
 
 def orbit_density(
@@ -115,18 +143,7 @@ def orbit_density(
     points = {
         graph.vertices[i]: tuple(sorted(seen[i].values())) for i in range(len(seen))
     }
-    gap: dict[str, float] = {}
-    grid_count = int(floor(1.0 / epsilon)) + 1
-    for name, pts in points.items():
-        if not pts:
-            gap[name] = 0.5
-            continue
-        worst = 0.0
-        for k in range(grid_count):
-            g = k * epsilon
-            best = min(_circle_distance(g, p) for p in pts)
-            worst = max(worst, best)
-        gap[name] = worst
+    gap = {name: _grid_gap(pts, epsilon) for name, pts in points.items()}
     dense = all(g < epsilon for g in gap.values())
     return OrbitSample(
         epsilon=epsilon, steps_used=used, points=points, gap=gap, dense=dense
@@ -144,7 +161,10 @@ def weyl_sums(theta: Sequence[float], n: int, lmax: int) -> list[tuple[int, floa
     e^{2 pi i l (sum of word angles)}|.  The sum over words factors into
     the n-th power of the single-letter sum, which is what makes the
     exact evaluation cheap:  value(l) = |sum_k e^{2 pi i l theta_k} / N| ** n.
+    The lmax * N terms are capped at MAX_WEYL_TERMS.
     """
+    if lmax * len(theta) > MAX_WEYL_TERMS:
+        raise CapExceeded("weyl terms", lmax * len(theta), MAX_WEYL_TERMS)
     if n < 0 or lmax < 1:
         raise ValueError("need n >= 0 and lmax >= 1")
     big_n = len(theta)

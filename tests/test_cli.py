@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import wall_clock_limit
 from rotshift import cli
 from rotshift.cli import _indented_json, main
+from rotshift.oracles import MAX_WEYL_TERMS
 
 SYSTEMS = os.path.join(os.path.dirname(__file__), "..", "systems")
 
@@ -142,7 +144,8 @@ def test_ktheory_ladders(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["k_theory"]["K0"] == "0"
-    assert payload["af_core"]["K0_maps"] == [[[2]], [[2]]]
+    assert payload["af_core"]["K0_map"] == [[2]]
+    assert payload["af_core"]["depth"] == 2
     assert payload["bunce_deddens"]["K0_limit"] == "Z[1/2]"
 
 
@@ -160,6 +163,37 @@ def test_ktheory_bunce_deddens_needs_full_shift(capsys, monkeypatch):
     ):
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+TEN_ANGLES = ",".join(f"{k}/10" for k in range(9)) + ",1*g"
+
+
+@pytest.mark.parametrize(
+    "argv, budget, code, err",
+    [
+        (["ktheory", path("goldenmean.sds"), "--af-core", "1000000000", "--json"], 1, 0, []),
+        (["ktheory", path("fullshift3.sds"), "--bunce-deddens", "1000000000", "--json"], 1, 0, []),
+        (["oracle", "weyl", "--angles", "0.3", "--n", "5", "--lmax", str(MAX_WEYL_TERMS), "--json"], 2, 0, []),
+        (["oracle", "weyl", "--angles", TEN_ANGLES, "--n", "5", "--lmax", str(MAX_WEYL_TERMS // 10), "--json"], 2, 0, []),
+        (
+            ["oracle", "weyl", "--angles", "0.3", "--n", "5", "--lmax", str(MAX_WEYL_TERMS + 1), "--json"],
+            1,
+            1,
+            [f"error: weyl terms: requested {MAX_WEYL_TERMS + 1}, cap is {MAX_WEYL_TERMS}"],
+        ),
+        (["oracle", "orbit", path("goldenmean.sds"), "--steps", "1000", "--eps", "1e-4", "--json"], 2, 0, []),
+    ],
+    ids=["af-core-deep", "bunce-deddens-deep", "weyl-cap-1-angle", "weyl-cap-10-angles", "weyl-past-cap", "orbit-fine-eps"],
+)
+def test_bounded_corners_finish_within_budget(capsys, argv, budget, code, err):
+    """A deep ladder is one map plus its depth, `oracle weyl` stops at
+    its term cap, and the orbit gap scan is one sweep per fiber: each
+    corner finishes within its budget in seconds."""
+    with wall_clock_limit(budget):
+        result = run(capsys, *argv)
+    assert (result[0], result[2].splitlines()) == (code, err)
+    if argv[0] == "ktheory":
+        assert len(result[1]) < 1024
 
 
 def test_ideals_output(capsys):

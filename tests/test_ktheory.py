@@ -125,21 +125,21 @@ def test_core_dimension_data_shapes():
     graph, _ = reducible3()
     data = core_dimension_data(graph, 3)
     n = graph.vertex_count
-    assert len(data.k0_levels) == 4
-    assert all(p.free_rank == n and not p.torsion for p in data.k0_levels)
+    assert data.depth == 3
+    assert data.level.free_rank == n and not data.level.torsion
     # the connecting map is the transpose of the adjacency in both degrees
     adjacency = _adjacency(graph)
     transpose = [list(col) for col in zip(*adjacency)]
     assert adjacency != transpose  # asymmetric on purpose
-    for m in data.k0_maps + data.k1_maps:
-        assert m.to_lists() == transpose
+    assert data.k0_map.to_lists() == data.k1_map.to_lists() == transpose
     assert data.k0_limit is None and data.k1_limit is None
 
 
 def test_bunce_deddens_ladder():
     data = bunce_deddens_data(3, 4)
-    assert [m.to_lists() for m in data.k0_maps] == [[[3]]] * 4
-    assert [m.to_lists() for m in data.k1_maps] == [[[1]]] * 4
+    assert data.depth == 4
+    assert data.k0_map.to_lists() == [[3]]
+    assert data.k1_map.to_lists() == [[1]]
     assert data.k0_limit == "Z[1/3]"
     assert data.k1_limit == "Z"
     assert data.order_unit == (1,)

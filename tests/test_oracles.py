@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import build, goldenmean, random_graph
 from rotshift.errors import StepCapExceeded
@@ -78,6 +80,38 @@ def test_orbit_guards():
         orbit_density(graph, {"s1": 0.0, "s2": 0.5}, "v", 0.0, 10, 1.0)
     with pytest.raises(KeyError):
         orbit_density(graph, {"s1": 0.0}, "v", 0.0, 10, 0.1)
+
+
+def brute_grid_gap(pts, epsilon):
+    """Largest distance from a grid point k*epsilon to its nearest point
+    of pts, every grid point against every point; 0.5 when pts is empty."""
+    if not pts:
+        return 0.5
+
+    def circle_distance(x, y):
+        d = abs(x - y) % 1.0
+        return min(d, 1.0 - d)
+
+    grid = [k * epsilon for k in range(math.floor(1.0 / epsilon) + 1)]
+    return max(min(circle_distance(g, p) for p in pts) for g in grid)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    system=st.sampled_from(["goldenmean", "fullshift2", "fullshift3"]),
+    angles=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=3, max_size=3),
+    start_point=st.floats(-2.0, 2.0),
+    steps=st.integers(0, 300),
+    epsilon=st.one_of(st.sampled_from([0.5, 0.25, 0.1, 0.05, 0.01]), st.floats(0.002, 0.9)),
+)
+def test_orbit_gap_matches_brute_force_grid_scan(system, angles, start_point, steps, epsilon):
+    """The one-sweep gap equals, float for float, the scan of every grid
+    point against every visited point."""
+    graph = goldenmean()[0] if system == "goldenmean" else full_shift_graph(int(system[-1]))
+    theta = dict(zip(graph.alphabet, angles))
+    sample = orbit_density(graph, theta, graph.vertices[0], start_point, steps, epsilon)
+    for vertex, pts in sample.points.items():
+        assert sample.gap[vertex] == brute_grid_gap(pts, epsilon)
 
 
 # -- exponential sums ------------------------------------------------------------
