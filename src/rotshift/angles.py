@@ -215,11 +215,12 @@ def _ratio_text(p: int, q: int) -> str:
     return str(p // g) if g == q else f"{p // g}/{q // g}"
 
 
-def _parse_rat(chunk: str, whole: str) -> Fraction:
-    try:
-        return Fraction(chunk)
-    except ZeroDivisionError:
-        raise AngleSyntaxError(f"zero denominator in {chunk!r} (in {whole!r})") from None
+def _parse_rat(chunk: str, whole: str) -> tuple[int, int]:
+    """Numerator and denominator of a chunk that matches _RAT_RE."""
+    num, _, den = chunk.partition("/")
+    if den and not int(den):
+        raise AngleSyntaxError(f"zero denominator in {chunk!r} (in {whole!r})")
+    return int(num), int(den or 1)
 
 
 def parse_angle(text: str, context: GeneratorContext = EMPTY_CONTEXT) -> ExactAngle:
@@ -238,27 +239,30 @@ def parse_angle(text: str, context: GeneratorContext = EMPTY_CONTEXT) -> ExactAn
     if not stripped:
         raise AngleSyntaxError("empty angle expression")
     # split into signed chunks; signs only occur between terms or leading
-    chunks = re.findall(r"[+-]?[^+-]+", stripped.replace(" ", "").replace("\t", ""))
-    if not chunks or "".join(chunks) != stripped.replace(" ", "").replace("\t", ""):
+    compact = stripped.replace(" ", "").replace("\t", "")
+    chunks = re.findall(r"[+-]?[^+-]+", compact)
+    if not chunks or "".join(chunks) != compact:
         raise AngleSyntaxError(f"cannot tokenize angle expression {text!r}")
-    rational = Fraction(0)
-    seen_rational = False
+    rational = None
     coeffs: dict[str, Fraction] = {}
     for chunk in chunks:
-        if "*" in chunk:
-            coef_text, _, ident = chunk.partition("*")
+        coef_text, star, ident = chunk.partition("*")
+        if star:
             if not _RAT_RE.match(coef_text):
                 raise AngleSyntaxError(f"bad coefficient {coef_text!r} in {text!r}")
             if not _IDENT_RE.match(ident):
                 raise AngleSyntaxError(f"bad generator name {ident!r} in {text!r}")
             if ident not in context.ids:
                 raise ContextMismatch(f"generator {ident!r} not declared (have {context.ids})")
-            coeffs[ident] = coeffs.get(ident, Fraction(0)) + _parse_rat(coef_text, text)
+            c = Fraction(*_parse_rat(coef_text, text))
+            coeffs[ident] = coeffs[ident] + c if ident in coeffs else c
         else:
-            if seen_rational:
+            if rational is not None:
                 raise AngleSyntaxError(f"two rational terms in angle expression {text!r}")
             if not _RAT_RE.match(chunk):
                 raise AngleSyntaxError(f"bad rational term {chunk!r} in {text!r}")
-            rational = _parse_rat(chunk, text)
-            seen_rational = True
-    return ExactAngle.make(context, rational, coeffs)
+            p, q = _parse_rat(chunk, text)
+            rational = Fraction(p % q, q)
+    # canonical in one step: every name is declared, so only order and zeros remain
+    terms = tuple((name, coeffs[name]) for name in context.ids if coeffs.get(name))
+    return ExactAngle(context, rational or Fraction(0), terms)

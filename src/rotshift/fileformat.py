@@ -44,7 +44,8 @@ __all__ = ["SystemDocument", "parse_system", "parse_system_file", "serialize_sys
 
 _SECTIONS = ("generators", "alphabet", "vertices", "edges")
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
-_EDGE_RE = re.compile(r"^(\S+)\s*->\s*(\S+)\s*:\s*(\S+)$")
+# one edge per line; [^\S\n] keeps a match of the joined [edges] lines inside one line
+_EDGE_RE = re.compile(r"^(\S+)[^\S\n]*->[^\S\n]*(\S+)[^\S\n]*:[^\S\n]*(\S+)$", re.M)
 
 
 @dataclass(frozen=True)
@@ -77,89 +78,86 @@ class SystemDocument:
 
 
 def parse_system(text: str) -> SystemDocument:
-    section = None
-    # names as dict keys: constant-time duplicate checks, declared order kept
+    """Check each section in bulk; a walk over its lines runs only when a
+    check fails, to raise the first defect in file order."""
+    lines = [raw.partition("#")[0].strip() for raw in text.splitlines()]
+    heads = [i for i, line in enumerate(lines) if line[:1] == "[" and line[-1:] == "]"]
+    stray = next((i for i in range(heads[0] if heads else len(lines)) if lines[i]), None)
+    if stray is not None:
+        raise ParseError(f"content before any section: {lines[stray]!r}", stray + 1)
+    # section name -> (index of its first line, its lines); a bad header
+    # ends the sections and is raised after every defect above it
+    sections: dict[str, tuple[int, list[str]]] = {}
+    bad_header = None
+    for i, end in zip(heads, heads[1:] + [len(lines)]):
+        name = lines[i][1:-1].strip().lower()
+        if name not in _SECTIONS:
+            bad_header = ParseError(f"unknown section [{name}]", i + 1)
+            break
+        if not sections.keys().isdisjoint(_SECTIONS[_SECTIONS.index(name) :]):
+            bad_header = ParseError(f"section [{name}] out of order", i + 1)
+            break
+        sections[name] = (i + 1, lines[i + 1 : end])
+
+    # [generators] holds a line or two: one walk both checks and reads it
     gen_names: dict[str, None] = {}
     gen_values: dict[str, float] = {}
-    alphabet: list[str] = []
-    raw_angles: dict[str, str | None] = {}
-    vertices: dict[str, None] = {}
-    edges: list[tuple[str, str, str]] = []
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+    first, body = sections.get("generators", (0, []))
+    for lineno, line in enumerate(body, start=first + 1):
         if not line:
             continue
-        if line.startswith("[") and line.endswith("]"):
-            name = line[1:-1].strip().lower()
-            if name not in _SECTIONS:
-                raise ParseError(f"unknown section [{name}]", lineno)
-            if section is not None and _SECTIONS.index(name) <= _SECTIONS.index(section):
-                raise ParseError(f"section [{name}] out of order", lineno)
-            section = name
+        name, _, value = (p.strip() for p in line.partition("="))
+        if not _NAME_RE.match(name):
+            raise ParseError(f"bad generator name {name!r}", lineno)
+        if name in gen_names:
+            raise ParseError(f"generator {name!r} declared twice", lineno)
+        gen_names[name] = None
+        if value:
+            try:
+                number = float(value)
+            except ValueError:
+                number = nan
+            if not isfinite(number):
+                raise ParseError(f"bad numeric value {value!r} for generator {name!r}", lineno)
+            gen_values[name] = number
+
+    entries = [line.partition("=") for line in sections.get("alphabet", (0, []))[1] if line]
+    alphabet = [name.strip() for name, _, _ in entries]
+    vertices = list(filter(None, sections.get("vertices", (0, []))[1]))
+    for kind, section, names in (("symbol", "alphabet", alphabet), ("vertex", "vertices", vertices)):
+        if all(map(_NAME_RE.match, names)) and len(dict.fromkeys(names)) == len(names):
             continue
-        if section is None:
-            raise ParseError(f"content before any section: {line!r}", lineno)
-        if section == "generators":
-            name, _, value = (p.strip() for p in line.partition("="))
+        first, body = sections[section]
+        seen: set[str] = set()
+        for lineno, name in zip((n for n, line in enumerate(body, start=first + 1) if line), names):
             if not _NAME_RE.match(name):
-                raise ParseError(f"bad generator name {name!r}", lineno)
-            if name in gen_names:
-                raise ParseError(f"generator {name!r} declared twice", lineno)
-            gen_names[name] = None
-            if value:
-                try:
-                    number = float(value)
-                except ValueError:
-                    number = nan
-                if not isfinite(number):
-                    raise ParseError(f"bad numeric value {value!r} for generator {name!r}", lineno)
-                gen_values[name] = number
-        elif section == "alphabet":
-            name, eq, expr = (p.strip() for p in line.partition("="))
-            if not _NAME_RE.match(name):
-                raise ParseError(f"bad symbol name {name!r}", lineno)
-            if name in raw_angles:
-                raise ParseError(f"symbol {name!r} declared twice", lineno)
-            alphabet.append(name)
-            raw_angles[name] = expr if eq else None
-        elif section == "vertices":
-            if not _NAME_RE.match(line):
-                raise ParseError(f"bad vertex name {line!r}", lineno)
-            if line in vertices:
-                raise ParseError(f"vertex {line!r} declared twice", lineno)
-            vertices[line] = None
-        elif section == "edges":
-            m = _EDGE_RE.match(line)
-            if not m:
+                raise ParseError(f"bad {kind} name {name!r}", lineno)
+            if name in seen:
+                raise ParseError(f"{kind} {name!r} declared twice", lineno)
+            seen.add(name)
+
+    first, body = sections.get("edges", (0, []))
+    rows = list(filter(None, body))
+    edges = _EDGE_RE.findall("\n".join(rows))
+    if len(edges) < len(rows):
+        for lineno, line in enumerate(body, start=first + 1):
+            if line and not _EDGE_RE.match(line):
                 raise ParseError(f"bad edge syntax {line!r} (want 'src -> dst : symbol')", lineno)
-            edges.append((m.group(1), m.group(2), m.group(3)))
+    if bad_header is not None:
+        raise bad_header
 
     context = GeneratorContext(tuple(gen_names))
     angles: dict[str, ExactAngle] = {}
-    for symbol in alphabet:
-        expr = raw_angles[symbol]
-        if expr is None or expr == "":
-            angles[symbol] = ExactAngle.zero(context)
-        else:
-            try:
-                angles[symbol] = parse_angle(expr, context)
-            except Exception as exc:
-                raise ParseError(f"bad angle for symbol {symbol!r}: {exc}") from exc
-    if not alphabet:
-        raise ParseError("missing or empty [alphabet] section")
-    if not vertices:
-        raise ParseError("missing or empty [vertices] section")
-    if not edges:
-        raise ParseError("missing or empty [edges] section")
-    return SystemDocument(
-        context=context,
-        alphabet=tuple(alphabet),
-        angles=angles,
-        vertices=tuple(vertices),
-        edges=tuple(edges),
-        generator_values=gen_values,
-    )
+    for symbol, (_, _, expr) in zip(alphabet, entries):
+        expr = expr.strip()
+        try:
+            angles[symbol] = parse_angle(expr, context) if expr else ExactAngle.zero(context)
+        except Exception as exc:
+            raise ParseError(f"bad angle for symbol {symbol!r}: {exc}") from exc
+    for name, found in (("alphabet", alphabet), ("vertices", vertices), ("edges", edges)):
+        if not found:
+            raise ParseError(f"missing or empty [{name}] section")
+    return SystemDocument(context, tuple(alphabet), angles, tuple(vertices), tuple(edges), gen_values)
 
 
 def parse_system_file(path) -> SystemDocument:
@@ -169,28 +167,9 @@ def parse_system_file(path) -> SystemDocument:
 
 def serialize_system(doc: SystemDocument) -> str:
     """Canonical text form; parse(serialize(doc)) == doc."""
-    lines: list[str] = []
-    if doc.context.ids:
-        lines.append("[generators]")
-        for name in doc.context.ids:
-            if name in doc.generator_values:
-                lines.append(f"{name} = {doc.generator_values[name]!r}")
-            else:
-                lines.append(name)
-        lines.append("")
-    lines.append("[alphabet]")
-    for s in doc.alphabet:
-        angle = doc.angles[s]
-        if angle.is_zero():
-            lines.append(s)
-        else:
-            lines.append(f"{s} = {angle}")
-    lines.append("")
-    lines.append("[vertices]")
-    lines.extend(doc.vertices)
-    lines.append("")
-    lines.append("[edges]")
-    for src, dst, symbol in doc.edges:
-        lines.append(f"{src} -> {dst} : {symbol}")
-    lines.append("")
+    values = doc.generator_values
+    gens = [f"{name} = {values[name]!r}" if name in values else name for name in doc.context.ids]
+    lines = ["[generators]", *gens, ""] if gens else []
+    lines += ["[alphabet]", *(s if doc.angles[s].is_zero() else f"{s} = {doc.angles[s]}" for s in doc.alphabet), ""]
+    lines += ["[vertices]", *doc.vertices, "", "[edges]", *(f"{a} -> {b} : {s}" for a, b, s in doc.edges), ""]
     return "\n".join(lines)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from itertools import combinations
-from math import floor, gcd, isfinite
+from math import floor, gcd, inf, isfinite
 from typing import Mapping, Sequence
 
 from .errors import CapExceeded, StepCapExceeded
@@ -27,11 +27,15 @@ __all__ = [
     "matrix_product_admissible",
     "integer_determinant",
     "invariant_factors_via_minors",
+    "MAX_ORBIT_GRID",
     "MAX_ORBIT_STEPS",
     "MAX_WEYL_TERMS",
 ]
 
 MAX_ORBIT_STEPS = 1_000_000
+# fibers times (floor(1/eps) + 1) grid points: at the cap (eps 1e-5 on goldenmean.sds)
+# `oracle orbit --json` took 0.5-0.6 s with --steps 1000, 1.4 s with MAX_ORBIT_STEPS
+MAX_ORBIT_GRID = 200_000
 # levels times angles: at the cap, `oracle weyl --json` finishes within
 # 2 s with 1 angle and with 10
 MAX_WEYL_TERMS = 100_000
@@ -110,6 +114,9 @@ def orbit_density(
         raise ValueError("negative step count")
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie in (0, 1)")
+    grid = graph.vertex_count * (floor(1.0 / epsilon) + 1) if 1.0 / epsilon < inf else inf
+    if grid > MAX_ORBIT_GRID:
+        raise CapExceeded("orbit grid points", grid, MAX_ORBIT_GRID)
     if not isfinite(start_point):
         raise ValueError(f"start point must be finite, got {start_point!r}")
     for s in graph.alphabet:

@@ -10,16 +10,20 @@ routines.
 from __future__ import annotations
 
 import glob
+import importlib.util
 import itertools
 import os
 import random
+import re
 import signal
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from math import isfinite, nan
 
 from rotshift.angles import EMPTY_CONTEXT, ExactAngle, GeneratorContext
-from rotshift.errors import GraphValidationError
+from rotshift.errors import AngleSyntaxError, ContextMismatch, GraphValidationError, ParseError
+from rotshift.fileformat import SystemDocument
 from rotshift.graph import Edge, LabeledGraph, full_shift_graph, validate_graph
 
 GCTX = GeneratorContext(("g",))
@@ -29,6 +33,16 @@ SYSTEMS = os.path.join(os.path.dirname(__file__), "..", "systems")
 def bundled_systems() -> list[str]:
     """Paths of the bundled systems/*.sds files, sorted by name."""
     return sorted(glob.glob(os.path.join(SYSTEMS, "*.sds")))
+
+
+def corpus_texts(workload: str, seed: int = 1) -> list[str]:
+    """The system texts of one bench/corpus.py workload."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_corpus", os.path.join(os.path.dirname(__file__), "..", "bench", "corpus.py")
+    )
+    corpus = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(corpus)
+    return [case.text for case in corpus.build(workload, seed)]
 
 
 def patch_everywhere(monkeypatch, module, name: str, replacement) -> None:
@@ -378,3 +392,146 @@ def closure_irreducibility(graph: LabeledGraph) -> list[str] | None:
         if len(closure) != len(graph.vertices):
             return [v for v in graph.vertices if v in closure]
     return None
+
+
+# ---------------------------------------------------------------------------
+# reference parsers: the line-at-a-time loop and the Fraction(str) angle
+# reader, kept as oracles for the package's parsers
+
+
+_REF_SECTIONS = ("generators", "alphabet", "vertices", "edges")
+_REF_NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+_REF_EDGE_RE = re.compile(r"^(\S+)\s*->\s*(\S+)\s*:\s*(\S+)$")
+_REF_RAT_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+
+
+def _reference_rat(chunk: str, whole: str) -> Fraction:
+    try:
+        return Fraction(chunk)
+    except ZeroDivisionError:
+        raise AngleSyntaxError(f"zero denominator in {chunk!r} (in {whole!r})") from None
+
+
+def reference_parse_angle(text: str, context: GeneratorContext = EMPTY_CONTEXT) -> ExactAngle:
+    """parse_angle read through Fraction(str) and ExactAngle.make."""
+    stripped = text.strip()
+    if not stripped:
+        raise AngleSyntaxError("empty angle expression")
+    chunks = re.findall(r"[+-]?[^+-]+", stripped.replace(" ", "").replace("\t", ""))
+    if not chunks or "".join(chunks) != stripped.replace(" ", "").replace("\t", ""):
+        raise AngleSyntaxError(f"cannot tokenize angle expression {text!r}")
+    rational = Fraction(0)
+    seen_rational = False
+    coeffs: dict[str, Fraction] = {}
+    for chunk in chunks:
+        if "*" in chunk:
+            coef_text, _, ident = chunk.partition("*")
+            if not _REF_RAT_RE.match(coef_text):
+                raise AngleSyntaxError(f"bad coefficient {coef_text!r} in {text!r}")
+            if not _REF_NAME_RE.match(ident):
+                raise AngleSyntaxError(f"bad generator name {ident!r} in {text!r}")
+            if ident not in context.ids:
+                raise ContextMismatch(f"generator {ident!r} not declared (have {context.ids})")
+            coeffs[ident] = coeffs.get(ident, Fraction(0)) + _reference_rat(coef_text, text)
+        else:
+            if seen_rational:
+                raise AngleSyntaxError(f"two rational terms in angle expression {text!r}")
+            if not _REF_RAT_RE.match(chunk):
+                raise AngleSyntaxError(f"bad rational term {chunk!r} in {text!r}")
+            rational = _reference_rat(chunk, text)
+            seen_rational = True
+    return ExactAngle.make(context, rational, coeffs)
+
+
+def reference_parse(text: str) -> SystemDocument:
+    """parse_system one line at a time, raising at the first defect met."""
+    section = None
+    gen_names: dict[str, None] = {}
+    gen_values: dict[str, float] = {}
+    alphabet: list[str] = []
+    raw_angles: dict[str, str | None] = {}
+    vertices: dict[str, None] = {}
+    edges: list[tuple[str, str, str]] = []
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            name = line[1:-1].strip().lower()
+            if name not in _REF_SECTIONS:
+                raise ParseError(f"unknown section [{name}]", lineno)
+            if section is not None and _REF_SECTIONS.index(name) <= _REF_SECTIONS.index(section):
+                raise ParseError(f"section [{name}] out of order", lineno)
+            section = name
+            continue
+        if section is None:
+            raise ParseError(f"content before any section: {line!r}", lineno)
+        if section == "generators":
+            name, _, value = (p.strip() for p in line.partition("="))
+            if not _REF_NAME_RE.match(name):
+                raise ParseError(f"bad generator name {name!r}", lineno)
+            if name in gen_names:
+                raise ParseError(f"generator {name!r} declared twice", lineno)
+            gen_names[name] = None
+            if value:
+                try:
+                    number = float(value)
+                except ValueError:
+                    number = nan
+                if not isfinite(number):
+                    raise ParseError(f"bad numeric value {value!r} for generator {name!r}", lineno)
+                gen_values[name] = number
+        elif section == "alphabet":
+            name, eq, expr = (p.strip() for p in line.partition("="))
+            if not _REF_NAME_RE.match(name):
+                raise ParseError(f"bad symbol name {name!r}", lineno)
+            if name in raw_angles:
+                raise ParseError(f"symbol {name!r} declared twice", lineno)
+            alphabet.append(name)
+            raw_angles[name] = expr if eq else None
+        elif section == "vertices":
+            if not _REF_NAME_RE.match(line):
+                raise ParseError(f"bad vertex name {line!r}", lineno)
+            if line in vertices:
+                raise ParseError(f"vertex {line!r} declared twice", lineno)
+            vertices[line] = None
+        elif section == "edges":
+            m = _REF_EDGE_RE.match(line)
+            if not m:
+                raise ParseError(f"bad edge syntax {line!r} (want 'src -> dst : symbol')", lineno)
+            edges.append((m.group(1), m.group(2), m.group(3)))
+
+    context = GeneratorContext(tuple(gen_names))
+    angles: dict[str, ExactAngle] = {}
+    for symbol in alphabet:
+        expr = raw_angles[symbol]
+        if expr is None or expr == "":
+            angles[symbol] = ExactAngle.zero(context)
+        else:
+            try:
+                angles[symbol] = reference_parse_angle(expr, context)
+            except Exception as exc:
+                raise ParseError(f"bad angle for symbol {symbol!r}: {exc}") from exc
+    if not alphabet:
+        raise ParseError("missing or empty [alphabet] section")
+    if not vertices:
+        raise ParseError("missing or empty [vertices] section")
+    if not edges:
+        raise ParseError("missing or empty [edges] section")
+    return SystemDocument(
+        context=context,
+        alphabet=tuple(alphabet),
+        angles=angles,
+        vertices=tuple(vertices),
+        edges=tuple(edges),
+        generator_values=gen_values,
+    )
+
+
+def outcome(parse, *args):
+    """What a parser returns, or the type, message and line of what it raises."""
+    try:
+        return parse(*args)
+    except Exception as exc:  # compared, not swallowed
+        return (type(exc), str(exc), getattr(exc, "line", None))

@@ -13,6 +13,7 @@ from rotshift.angles import (
     GeneratorContext,
     parse_angle,
 )
+from conftest import outcome, reference_parse_angle
 from rotshift.errors import AngleSyntaxError, ContextMismatch, MissingGeneratorValue
 
 CTX = GeneratorContext(("g", "h"))
@@ -156,6 +157,58 @@ def test_parse_rejects_garbage(text):
 def test_parse_rejects_undeclared_generator():
     with pytest.raises(ContextMismatch):
         parse_angle("1*w", CTX)
+
+
+@st.composite
+def angle_expressions(draw):
+    """Angle text with spaces and tabs and signed rational and generator
+    terms.  Half the draws may also hold zero denominators, undeclared or
+    malformed generator names, stray '*' and other junk terms."""
+    rough = draw(st.booleans())
+    space = st.sampled_from(["", " ", "\t", " \t "])
+    rat = st.builds(
+        "{}{}{}".format,
+        st.sampled_from(["", "+", "-"]),
+        st.integers(0, 40).map(str),
+        st.sampled_from(["", "", *(f"/{q}" for q in range(1, 13)), *(["/0"] if rough else [])]),
+    )
+    names = st.sampled_from(["g", "h", *(["w", "g*h", "", "1"] if rough else [])])
+    kinds = {
+        "rat": rat,
+        "gen": st.builds("{}*{}".format, rat, names),
+        "junk": st.sampled_from(["*", "**g", "1/", "/2", "1.5", "x"]),
+    }
+    term = st.sampled_from(["rat", "gen", "gen", "gen", *(["junk"] if rough else [])]).flatmap(kinds.get)
+    terms = draw(st.lists(term, max_size=4))
+    parts = []
+    for i, t in enumerate(terms):
+        if i and t[:1] not in "+-":
+            t = draw(st.sampled_from(["+", "-", *([""] if rough else [])])) + t
+        parts.append(draw(space) + t + draw(space))
+    return "".join(parts)
+
+
+def same_angle(text):
+    """The int-reading parser gives the angle the Fraction(str) route and
+    ExactAngle.make give, or the same exception type and message."""
+    new, ref = outcome(parse_angle, text, CTX), outcome(reference_parse_angle, text, CTX)
+    assert new == ref
+    assert repr(new) == repr(ref)
+
+
+@settings(max_examples=400, deadline=None)
+@given(angle_expressions())
+def test_parse_angle_matches_fraction_str_reference(text):
+    same_angle(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", " \t ", "0/7", "3/0", "-3/0*g", "+1/2", "- 1/2", "1*g + 1*g", "1*g - 1*g", "2/4*g+-1/2*g",
+     "1/2 + 1/3", "1*w", "1*", "*g", "1 * g", "\t3/4\t- 1/6*h", "-0", "1/2*g*h", "٣/4"],
+)
+def test_parse_angle_matches_reference_on_corners(text):
+    same_angle(text)
 
 
 # -- numeric evaluation --------------------------------------------------------

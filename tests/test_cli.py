@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import wall_clock_limit
 from rotshift import cli
 from rotshift.cli import _indented_json, main
-from rotshift.oracles import MAX_WEYL_TERMS
+from rotshift.oracles import MAX_ORBIT_GRID, MAX_WEYL_TERMS
 
 SYSTEMS = os.path.join(os.path.dirname(__file__), "..", "systems")
 
@@ -182,13 +182,31 @@ TEN_ANGLES = ",".join(f"{k}/10" for k in range(9)) + ",1*g"
             [f"error: weyl terms: requested {MAX_WEYL_TERMS + 1}, cap is {MAX_WEYL_TERMS}"],
         ),
         (["oracle", "orbit", path("goldenmean.sds"), "--steps", "1000", "--eps", "1e-4", "--json"], 2, 0, []),
+        # two fibers of floor(1/1e-5) + 1 = 100_000 grid points: exactly at the cap
+        (["oracle", "orbit", path("goldenmean.sds"), "--steps", "1000", "--eps", "1e-5", "--json"], 2, 0, []),
+        (
+            ["oracle", "orbit", path("goldenmean.sds"), "--steps", "1000", "--eps", "1e-6", "--json"],
+            1,
+            1,
+            [f"error: orbit grid points: requested 2000002, cap is {MAX_ORBIT_GRID}"],
+        ),
     ],
-    ids=["af-core-deep", "bunce-deddens-deep", "weyl-cap-1-angle", "weyl-cap-10-angles", "weyl-past-cap", "orbit-fine-eps"],
+    ids=[
+        "af-core-deep",
+        "bunce-deddens-deep",
+        "weyl-cap-1-angle",
+        "weyl-cap-10-angles",
+        "weyl-past-cap",
+        "orbit-fine-eps",
+        "orbit-grid-cap",
+        "orbit-past-grid-cap",
+    ],
 )
 def test_bounded_corners_finish_within_budget(capsys, argv, budget, code, err):
     """A deep ladder is one map plus its depth, `oracle weyl` stops at
-    its term cap, and the orbit gap scan is one sweep per fiber: each
-    corner finishes within its budget in seconds."""
+    its term cap, and the orbit gap scan is one sweep per fiber that
+    stops at its grid cap: each corner finishes within its budget in
+    seconds."""
     with wall_clock_limit(budget):
         result = run(capsys, *argv)
     assert (result[0], result[2].splitlines()) == (code, err)

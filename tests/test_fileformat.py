@@ -4,7 +4,10 @@ import glob
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import bundled_systems, corpus_texts, outcome, reference_parse, wall_clock_limit
 from rotshift.angles import ExactAngle
 from rotshift.errors import ParseError
 from rotshift.fileformat import parse_system, parse_system_file, serialize_system
@@ -121,3 +124,139 @@ def test_bundled_systems_parse():
             doc.graph()
         again = parse_system(serialize_system(doc))
         assert again == doc
+
+
+def same_outcome(text):
+    """parse_system and the line-at-a-time reference agree on text: equal
+    documents (compared by value and by repr), or the same error type,
+    message and line."""
+    new, ref = outcome(parse_system, text), outcome(reference_parse, text)
+    assert new == ref
+    assert repr(new) == repr(ref)
+
+
+def bundled_texts():
+    texts = []
+    for path in bundled_systems():
+        with open(path, encoding="utf-8") as fh:
+            texts.append(fh.read())
+    return texts
+
+
+BASE_TEXTS = [GOOD, *bundled_texts()]
+
+
+@pytest.mark.parametrize("workload", ["bundled", "lattice", "kgroups"])
+def test_parse_matches_reference_on_corpora(workload):
+    texts = BASE_TEXTS if workload == "bundled" else corpus_texts(workload)
+    assert texts
+    for text in texts:
+        same_outcome(text)
+
+
+# one-line edits that reach every check of the parser
+EXTRA_LINES = [
+    "",
+    "   \t ",
+    "# a comment",
+    "[ Edges ]",
+    "[edges]",
+    "[vertices]",
+    "[ALPHABET]",
+    "[generators]",
+    "[what]",
+    "[]",
+    "[",
+    "[v1]",
+    "v1",
+    "v1 # trailing",
+    "v1 v2",
+    "2bad",
+    "a = 1/2",
+    "a = 1/0",
+    "a = 1*zz",
+    "a =",
+    "g = 0.5",
+    "g = nan",
+    "v1 -> v1 : a",
+    "v1->v2:b",
+    "v1 -> v1 : a # comment",
+    "v1 ->",
+    "v2 : a",
+    "v1 -> -> v1 : a",
+    "v1 - > v1 : a",
+]
+SEPARATORS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@st.composite
+def mutated_texts(draw):
+    lines = draw(st.sampled_from(BASE_TEXTS)).splitlines()
+    for _ in range(draw(st.integers(0, 4))):
+        at = draw(st.integers(0, len(lines)))
+        op = draw(st.sampled_from(["delete", "duplicate", "garble", "insert", "comment", "split-edge"]))
+        if op == "delete" and lines:
+            del lines[min(at, len(lines) - 1)]
+        elif op == "duplicate" and lines:
+            lines.insert(at, lines[min(at, len(lines) - 1)])
+        elif op == "garble" and lines:
+            lines[min(at, len(lines) - 1)] = draw(st.text(alphabet="ab v1:->=[]#*/+- \t0", max_size=12))
+        elif op == "insert":
+            lines.insert(at, draw(st.sampled_from(EXTRA_LINES)))
+        elif op == "comment" and lines:
+            lines[min(at, len(lines) - 1)] += " # note"
+        elif op == "split-edge":
+            lines[at:at] = ["a ->", "b : c"]
+    seps = draw(st.lists(st.sampled_from(SEPARATORS), min_size=len(lines), max_size=len(lines)))
+    return "".join(line + sep for line, sep in zip(lines, seps))
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_texts())
+def test_parse_matches_reference_on_mutations(text):
+    same_outcome(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "v\n[alphabet]\na\n",
+        "[alphabet]\na\n[what]\n[vertices]\nbad name\n",
+        "[alphabet]\na\na\n[what]\n",
+        "[vertices]\nv\n[edges]\nv -> v : a\n[ Edges ]\n",
+        "[alphabet]\na\n[vertices]\nv\n[edges]\nv ->\nv : a\n",
+        "[alphabet]\na\n[vertices]\nv\n[edges]\nv -> v : a\r\nv v : a\r\n",
+        "[alphabet]\na = 1*g\n[vertices]\nv\nw\nv\n",
+        "[generators]\ng = x\n2g\n",
+        "",
+    ],
+)
+def test_first_defect_in_file_order(text):
+    """A defect is reported at its line even when a later section or
+    header is bad too; a file with no defect line fails on what is missing."""
+    same_outcome(text)
+    with pytest.raises(ParseError):
+        parse_system(text)
+
+
+def cap_text(n=1000, k=10):
+    """n vertices and n*k edges v -> v+j mod n labeled s_j, j < k, with
+    comments and blank lines: left-resolving and essential."""
+    lines = ["# parse at the caps", "[alphabet]"]
+    lines += [f"s{j} = {j}/{k}" for j in range(k)]
+    lines += ["", "[vertices]   # one per line"]
+    lines += [f"v{i}" for i in range(n)]
+    lines += ["", "[edges]"]
+    for i in range(n):
+        lines += [f"v{i} -> v{(i + j) % n} : s{j}" for j in range(k)]
+        lines += ["", f"# after v{i}"]
+    return "\n".join(lines) + "\n"
+
+
+def test_parse_at_caps_within_budget():
+    """The caps' worth of vertices and edges parses and validates in well
+    under a second (tens of milliseconds); only super-linear work fails."""
+    text = cap_text()
+    with wall_clock_limit(1.0):
+        graph = parse_system(text).graph()
+    assert (graph.vertex_count, len(graph.edges)) == (1000, 10_000)
