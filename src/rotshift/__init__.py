@@ -25,12 +25,7 @@ from .graph import (  # noqa: F401
     full_shift_graph,
     validate_graph,
 )
-from .subshift import (  # noqa: F401
-    admissible_words,
-    decorated_subshift_equals_base,
-    forward_support,
-    is_admissible,
-)
+from .subshift import admissible_words  # noqa: F401
 from .intlinalg import (  # noqa: F401
     AbelianGroupPresentation,
     IntMatrix,
@@ -57,7 +52,6 @@ from .ktheory import (  # noqa: F401
     KGroups,
     bunce_deddens_data,
     core_dimension_data,
-    fullshift_k_groups,
     graph_k_groups,
 )
 from .oracles import (  # noqa: F401

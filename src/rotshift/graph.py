@@ -136,10 +136,6 @@ class LabeledGraph:
         cyclic = tuple(len(m) > 1 or any(w == m[0] for w, _symbol in out[m[0]]) for m in members)
         return Condensation(tuple(last - c for c in closing), members, cyclic)
 
-    def word_sort_key(self, word: Sequence[str]):
-        si = self.symbol_index
-        return tuple(si[s] for s in word)
-
     def vertex_names(self, indices: Iterable[int]) -> list[str]:
         return [self.vertices[i] for i in sorted(indices)]
 

@@ -122,12 +122,18 @@ def quotient_system(graph: LabeledGraph, subset: Iterable[int]) -> QuotientSyste
 
     Only edges with both endpoints surviving are kept; the surviving
     alphabet collects the labels that still occur.  Requires the subset
-    to be invariant, saturated and proper.  The result is revalidated;
-    by invariance and saturation it always passes (every surviving
-    vertex keeps an outgoing and an incoming edge), but a warning is
-    carried instead of trusting that argument blindly.
+    to hold vertex indices only and to be invariant, saturated and
+    proper.  The result is revalidated; by invariance and saturation it
+    always passes (every surviving vertex keeps an outgoing and an
+    incoming edge), but a warning is carried instead of trusting that
+    argument blindly.
     """
     w = frozenset(subset)
+    outside = sorted(i for i in w if not 0 <= i < graph.vertex_count)
+    if outside:
+        raise NotInvariantSaturated(
+            f"subset names vertex index {outside[0]}, outside 0..{graph.vertex_count - 1}"
+        )
     invariant, saturated = classify_subset(graph, w)
     if not (invariant and saturated):
         raise NotInvariantSaturated(

@@ -15,11 +15,8 @@ that dominate I - A, then the small residual block reduced modulo one
 of its nonzero minors, so coefficients stay bounded.  Because I - A is
 square, the kernel has the rank of the cokernel's free part.  I - A and
 the transpose adjacency of the core ladder are each built in one pass
-over the edge lists.
-
-For the full shift on N symbols this collapses to the cyclic group
-Z/(N-1) in both degrees; fullshift_k_groups computes that directly and
-graph_k_groups on the N-loop graph must agree (asserted).
+over the edge lists.  On the N-loop graph of the full shift
+(graph.full_shift_graph) both groups come out as Z/(N-1).
 
 The gauge-fixed core is a stationary inductive limit of circle
 algebras: every level carries the same group and every step applies the
@@ -35,21 +32,16 @@ Z[1/N], order unit 1) and is the identity in K1 (limit Z).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .graph import LabeledGraph, full_shift_graph
+from .graph import LabeledGraph
 from .intlinalg import AbelianGroupPresentation, IntMatrix, cokernel
 
 __all__ = [
     "KGroups",
     "graph_k_groups",
-    "fullshift_k_groups",
     "StationaryLadder",
     "core_dimension_data",
     "bunce_deddens_data",
-    "scaled_value",
-    "scaled_equal",
-    "scaled_normal_form",
 ]
 
 
@@ -88,27 +80,6 @@ def graph_k_groups(graph: LabeledGraph) -> KGroups:
         k0=group,
         k1=group,
         criterion="K-groups presented by I - A: cokernel plus free kernel in both degrees",
-    )
-
-
-def fullshift_k_groups(n: int) -> KGroups:
-    """K-groups of the decorated full shift on n symbols: Z/(n-1) twice.
-
-    Computed directly from the 1x1 matrix I - A = (1 - n) and checked
-    against the general graph route on the n-loop graph.
-    """
-    if n < 2:
-        raise ValueError("full shift needs at least 2 symbols")
-    torsion = (n - 1,) if n - 1 >= 2 else ()
-    direct = AbelianGroupPresentation(torsion, 0)
-    via_graph = graph_k_groups(full_shift_graph(n))
-    assert via_graph.k0 == direct and via_graph.k1 == direct, (
-        f"full shift K-groups disagree: direct {direct}, graph route {via_graph.k0}"
-    )
-    return KGroups(
-        k0=direct,
-        k1=direct,
-        criterion="full shift on n symbols: both K-groups cyclic of order n - 1",
     )
 
 
@@ -185,32 +156,3 @@ def bunce_deddens_data(n: int, depth: int) -> StationaryLadder:
         k1_limit="Z",
         order_unit=(1,),
     )
-
-
-# ---------------------------------------------------------------------------
-# colimit arithmetic for the scaled integers Z[1/n]
-#
-# An element is written a@m: the integer a sitting at ladder level m.
-# The ladder identifies a@m with (n*a)@(m+1); the limit value is a/n^m.
-
-
-def scaled_value(a: int, m: int, n: int) -> Fraction:
-    """Limit coordinate of the class a@m."""
-    if m < 0:
-        raise ValueError("negative level")
-    return Fraction(a, n**m)
-
-
-def scaled_equal(a: int, m: int, b: int, l: int, n: int) -> bool:
-    """Do a@m and b@l define the same class in the limit?"""
-    return scaled_value(a, m, n) == scaled_value(b, l, n)
-
-
-def scaled_normal_form(a: int, m: int, n: int) -> tuple[int, int]:
-    """Lowest-level representative of a@m (divide out powers of n)."""
-    if m < 0:
-        raise ValueError("negative level")
-    while m > 0 and a % n == 0:
-        a //= n
-        m -= 1
-    return a, m

@@ -2,10 +2,11 @@
 
 Every exact verdict elsewhere in the package has a second, deliberately
 separate route here: floating-point orbit expansion for minimality,
-exponential sums for uniform distribution, raw matrix products for
-admissibility, gcds of minors for the invariant factors.  None of these
-share code with the implementations they check; keeping the two routes
-independent is what gives the cross-validation its teeth.
+exponential sums for uniform distribution, raw matrix products and the
+rotation-decorated walk for admissibility, gcds of minors for the
+invariant factors.  None of these share code with the implementations
+they check; keeping the two routes independent is what gives the
+cross-validation its teeth.
 """
 
 from __future__ import annotations
@@ -16,15 +17,18 @@ from itertools import combinations
 from math import floor, gcd, inf, isfinite
 from typing import Mapping, Sequence
 
+from .angles import EMPTY_CONTEXT, ExactAngle
 from .errors import CapExceeded, StepCapExceeded
 from .graph import LabeledGraph
 from .intlinalg import IntMatrix
+from .subshift import MAX_WORD_LENGTH
 
 __all__ = [
     "OrbitSample",
     "orbit_density",
     "weyl_sums",
     "matrix_product_admissible",
+    "decorated_admissible_words",
     "integer_determinant",
     "invariant_factors_via_minors",
     "MAX_ORBIT_GRID",
@@ -209,6 +213,73 @@ def matrix_product_admissible(graph: LabeledGraph, word: Sequence[str]) -> bool:
         if all(x == 0 for row in prod for x in row):
             return False
     return any(x != 0 for row in prod for x in row)
+
+
+# ---------------------------------------------------------------------------
+# the decorated language
+#
+# Rotation decorations act on the circle fiber over each vertex by
+# automorphisms, so they can never kill a path: the decorated system has
+# the same admissible words as the base graph.  The walk below carries
+# the accumulated angle per vertex, so that the equality with
+# subshift.admissible_words is checked rather than assumed.
+
+
+def decorated_forward(
+    graph: LabeledGraph,
+    state: Mapping[int, ExactAngle],
+    symbol: str,
+    angles: Mapping[str, ExactAngle],
+) -> dict[int, ExactAngle]:
+    """One decorated step: push each fiber through the symbol's edges,
+    rotating the carried function by the symbol's angle.
+
+    Left-resolving makes the result well-defined: a vertex has at most
+    one incoming edge with this label, so no two source fibers collide.
+    """
+    theta = angles[symbol]
+    out: dict[int, ExactAngle] = {}
+    for i, acc in state.items():
+        for j, s in graph.out_edges[i]:
+            if s == symbol:
+                assert j not in out, "left-resolving violated"
+                out[j] = acc + theta
+    return out
+
+
+def decorated_admissible_words(
+    graph: LabeledGraph,
+    angles: Mapping[str, ExactAngle],
+    length: int,
+) -> list[tuple[str, ...]]:
+    """Admissible words of the rotation-decorated system.
+
+    The decorated system acts on circle-valued functions over the
+    vertices; a word survives iff the decorated walk keeps at least one
+    fiber alive.  Rotations are invertible so this is provably the same
+    language as the base graph's; computing it anyway is the point.
+    """
+    if length > MAX_WORD_LENGTH:
+        raise CapExceeded("word length", length, MAX_WORD_LENGTH)
+    missing = [s for s in graph.alphabet if s not in angles]
+    if missing:
+        raise KeyError(f"no angle assigned to symbols {missing}")
+    context = next(iter(angles.values())).context if angles else EMPTY_CONTEXT
+    zero = ExactAngle.zero(context)
+    start = {i: zero for i in range(graph.vertex_count)}
+    words: list[tuple[str, ...]] = []
+
+    def extend(prefix: tuple[str, ...], state: dict[int, ExactAngle]):
+        if len(prefix) == length:
+            words.append(prefix)
+            return
+        for symbol in graph.alphabet:
+            nxt = decorated_forward(graph, state, symbol, angles)
+            if nxt:
+                extend(prefix + (symbol,), nxt)
+
+    extend((), start)
+    return words
 
 
 # ---------------------------------------------------------------------------

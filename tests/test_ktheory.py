@@ -2,34 +2,28 @@
 
 import random
 import time
-from fractions import Fraction
 from math import prod
 
 import pytest
 
 from conftest import build, goldenmean, hamiltonian_graph, random_graph, reducible3, wall_clock_limit
 from rotshift.graph import full_shift_graph
-from rotshift.intlinalg import IntMatrix
+from rotshift.intlinalg import AbelianGroupPresentation, IntMatrix
 from rotshift.ktheory import (
     bunce_deddens_data,
     core_dimension_data,
     displacement_matrix,
-    fullshift_k_groups,
     graph_k_groups,
-    scaled_equal,
-    scaled_normal_form,
-    scaled_value,
 )
 from rotshift.oracles import integer_determinant
 
 
 def test_full_shift_k_groups():
+    # I - A is the 1x1 matrix (1 - n): both groups are Z/(n-1)
     for n in range(2, 7):
-        direct = fullshift_k_groups(n)
-        via_graph = graph_k_groups(full_shift_graph(n))
-        assert direct.k0 == via_graph.k0 == via_graph.k1
-        expected = "0" if n == 2 else f"Z/{n - 1}"
-        assert str(direct.k0) == expected
+        kg = graph_k_groups(full_shift_graph(n))
+        assert kg.k0 == kg.k1 == AbelianGroupPresentation((n - 1,) if n > 2 else (), 0)
+        assert str(kg.k0) == ("0" if n == 2 else f"Z/{n - 1}")
 
 
 def test_goldenmean_k_trivial():
@@ -113,7 +107,7 @@ def test_reducible3_k_groups():
 
 
 def test_to_json():
-    kg = fullshift_k_groups(4)
+    kg = graph_k_groups(full_shift_graph(4))
     j = kg.to_json()
     assert j == {"K0": "Z/3", "K1": "Z/3", "criterion": kg.criterion}
 
@@ -146,23 +140,3 @@ def test_bunce_deddens_ladder():
     j = data.to_json()
     assert j["K0_limit"] == "Z[1/3]" and j["K1_limit"] == "Z"
     assert j["order_unit"] == [1]
-
-
-def test_scaled_integer_arithmetic():
-    # a at level m stands for a / n^m in the limit
-    assert scaled_value(3, 1, 2) == Fraction(3, 2)
-    assert scaled_equal(3, 1, 6, 2, 2)
-    assert not scaled_equal(3, 1, 5, 2, 2)
-    assert scaled_normal_form(6, 2, 2) == (3, 1)
-    assert scaled_normal_form(4, 2, 2) == (1, 0)
-
-
-def test_scaled_identification_random():
-    rng = random.Random(99)
-    for _ in range(200):
-        n = rng.choice([2, 3])
-        a = rng.randint(-50, 50)
-        m = rng.randint(0, 6)
-        # the defining identification: a@m == (n*a)@(m+1)
-        assert scaled_equal(a, m, n * a, m + 1, n)
-        assert scaled_value(a, m, n) == scaled_value(n * a, m + 1, n)

@@ -1,15 +1,18 @@
 """README contract: the Library snippet and the typical command-line
-session print what the README shows.
+session print what the README shows, and the size caps it states are
+the package's constants.
 
 Shown output lines must appear in the real output in the same order;
 a shown `...` stands for lines left out.
 """
 
 import os
+import re
 import shlex
 
 import pytest
 
+from rotshift import graph, ideals, oracles, subshift
 from rotshift.cli import main
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
@@ -82,3 +85,27 @@ def test_session_has_commands():
 def test_typical_session(in_repo_root, capsys, argv, shown):
     assert main(argv) == 0
     assert_shown_in_order(shown, capsys.readouterr().out)
+
+
+# README phrase around each cap value ({} marks the number) -> constant
+CAPS = {
+    "({} vertices,": graph.MAX_VERTICES,
+    ", {} edges;": graph.MAX_EDGES,
+    "; {} vertices and": ideals.MAX_IDEAL_VERTICES,
+    "and {} ideals for `ideals`": ideals.MAX_IDEALS,
+    "word length {} for `words`": subshift.MAX_WORD_LENGTH,
+    "; {} steps and": oracles.MAX_ORBIT_STEPS,
+    "and {} grid points": oracles.MAX_ORBIT_GRID,
+    "; {} terms,": oracles.MAX_WEYL_TERMS,
+}
+
+
+def test_readme_caps_are_the_constants():
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        paragraphs = fh.read().split("\n\n")
+    exit_codes = " ".join(next(p for p in paragraphs if p.startswith("Exit codes:")).split())
+    for phrase, constant in CAPS.items():
+        pattern = re.escape(phrase).replace(r"\{\}", r"(\d{1,3}(?: \d{3})*|\d+)")
+        found = re.findall(pattern, exit_codes)
+        assert len(found) == 1, (phrase, found)
+        assert int(found[0].replace(" ", "")) == constant, phrase
