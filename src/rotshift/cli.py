@@ -54,13 +54,11 @@ def _read_document(path: str) -> tuple[SystemDocument, str]:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-        sys.exit(EXIT_USAGE)
+        raise RotshiftError(f"cannot read {path}: {exc}") from exc
     try:
         return parse_system(text), text
     except ParseError as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
-        sys.exit(EXIT_USAGE)
+        raise RotshiftError(f"{path}: {exc}") from exc
 
 
 def _gen_overrides(pairs: list[str] | None, declared: tuple[str, ...]) -> dict[str, float]:
@@ -68,23 +66,18 @@ def _gen_overrides(pairs: list[str] | None, declared: tuple[str, ...]) -> dict[s
     for pair in pairs or ():
         name, eq, value = pair.partition("=")
         if not eq:
-            print(f"error: --gen wants name=value, got {pair!r}", file=sys.stderr)
-            sys.exit(EXIT_USAGE)
+            raise RotshiftError(f"--gen wants name=value, got {pair!r}")
         name = name.strip()
         if name not in declared:
-            print(
-                f"error: --gen names undeclared generator {name!r} "
-                f"(declared: {', '.join(declared) or 'none'})",
-                file=sys.stderr,
+            raise RotshiftError(
+                f"--gen names undeclared generator {name!r} (declared: {', '.join(declared) or 'none'})"
             )
-            sys.exit(EXIT_USAGE)
         try:
             number = float(value)
         except ValueError:
             number = math.nan
         if not math.isfinite(number):
-            print(f"error: bad numeric value in --gen {pair!r}", file=sys.stderr)
-            sys.exit(EXIT_USAGE)
+            raise RotshiftError(f"bad numeric value in --gen {pair!r}")
         out[name] = number
     return out
 
@@ -179,14 +172,12 @@ def _angles_document(angle_list: str) -> SystemDocument:
     generators in order of first appearance."""
     exprs = [chunk.strip() for chunk in angle_list.split(",")]
     if any(not chunk for chunk in exprs):
-        print("error: empty entry in --angles list", file=sys.stderr)
-        sys.exit(EXIT_USAGE)
+        raise RotshiftError("empty entry in --angles list")
     context = _generator_context(angle_list)
     try:
         angles = {f"s{i+1}": parse_angle(expr, context) for i, expr in enumerate(exprs)}
     except RotshiftError as exc:
-        print(f"error: bad --angles list: {exc}", file=sys.stderr)
-        sys.exit(EXIT_USAGE)
+        raise RotshiftError(f"bad --angles list: {exc}") from exc
     symbols = tuple(sorted(angles, key=lambda s: int(s[1:])))
     return SystemDocument(
         context=context,
@@ -237,8 +228,7 @@ def _cmd_analyze(args) -> int:
         text = serialize_system(doc)
     else:
         if args.file is None:
-            print("error: analyze needs a FILE or --angles", file=sys.stderr)
-            return EXIT_USAGE
+            raise RotshiftError("analyze needs a FILE or --angles")
         doc, text = _read_document(args.file)
     report, ok = analyze_document(doc, source_text=text)
     if not ok:
@@ -279,8 +269,7 @@ def _cmd_ktheory(args) -> int:
     ladder = None
     if args.bunce_deddens is not None:
         if graph.vertex_count != 1 or n < 2:
-            print("error: --bunce-deddens needs a single-vertex full shift", file=sys.stderr)
-            return EXIT_USAGE
+            raise RotshiftError("--bunce-deddens needs a single-vertex full shift")
         ladder = bunce_deddens_data(n, args.bunce_deddens)
     groups = graph_k_groups(graph)
     payload: dict = {"k_theory": groups.to_json()}
@@ -345,8 +334,7 @@ def _cmd_oracle_orbit(args) -> int:
     theta = doc.float_angles(overrides)
     start_vertex = args.start_vertex or graph.vertices[0]
     if start_vertex not in graph.vertex_index:
-        print(f"error: unknown start vertex {start_vertex!r}", file=sys.stderr)
-        return EXIT_USAGE
+        raise RotshiftError(f"unknown start vertex {start_vertex!r}")
     sample = orbit_density(graph, theta, start_vertex, args.start_point, args.steps, args.eps)
     payload = {
         "epsilon": sample.epsilon,
@@ -395,8 +383,7 @@ def _cmd_oracle_weyl(args) -> int:
             for chunk in args.angles.split(",")
         ]
     except RotshiftError as exc:
-        print(f"error: bad --angles list: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise RotshiftError(f"bad --angles list: {exc}") from exc
     table = weyl_sums(theta, args.n, args.lmax)
     payload = {
         "angles": theta,
@@ -474,6 +461,9 @@ def build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit code.  Every error after
+    argument parsing reaches the handler here, which writes its one
+    `error:` line to stderr."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

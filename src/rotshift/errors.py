@@ -1,7 +1,9 @@
 """Shared exception types.
 
-Validation failures carry enough structure that a caller (and the CLI)
-can report a concrete witness instead of a bare message.
+cli.main reports every RotshiftError as one `error:` line.  A graph
+defect is one GraphValidationError: its kind names the defect and its
+witness() is the JSON the reports carry under `validation`.  Every
+size cap raises CapExceeded, which names the cap.
 """
 
 from __future__ import annotations
@@ -21,10 +23,6 @@ class CapExceeded(RotshiftError):
         super().__init__(f"{what}: requested {requested}, cap is {cap}")
 
 
-class StepCapExceeded(CapExceeded):
-    """Orbit expansion asked for more steps than the hard ceiling."""
-
-
 class ContextMismatch(RotshiftError):
     """Exact angles from unrelated generator contexts were combined."""
 
@@ -42,105 +40,23 @@ class AngleSyntaxError(RotshiftError):
 
 
 class GraphValidationError(RotshiftError):
-    """Base class for structural defects of a labeled graph."""
+    """A structural defect of a labeled graph.
 
-    kind = "invalid"
+    kind names the defect; it is the witness's `error` value, which is
+    part of the JSON contract: empty-graph, duplicate-edge,
+    unknown-vertex, unknown-symbol, not-left-resolving, not-essential,
+    unused-symbol.  fields name the witness (a vertex, symbol, edge or
+    direction), JSON-ready.
+    """
+
+    def __init__(self, kind: str, message: str, **fields):
+        self.kind = kind
+        self.fields = fields
+        super().__init__(message)
 
     def witness(self) -> dict:
         """JSON-ready description of the defect."""
-        return {"error": self.kind, "detail": str(self)}
-
-
-class EmptyGraph(GraphValidationError):
-    kind = "empty-graph"
-
-    def __init__(self, message: str = "graph has no vertices"):
-        super().__init__(message)
-
-
-class NotLeftResolving(GraphValidationError):
-    """Two edges with the same label enter the same vertex."""
-
-    kind = "not-left-resolving"
-
-    def __init__(self, vertex: str, symbol: str, edges):
-        self.vertex = vertex
-        self.symbol = symbol
-        self.edges = tuple(edges)
-        srcs = ", ".join(e[0] for e in self.edges)
-        super().__init__(
-            f"vertex {vertex!r} has {len(self.edges)} incoming edges labeled "
-            f"{symbol!r} (from {srcs})"
-        )
-
-    def witness(self) -> dict:
-        return {
-            "error": self.kind,
-            "vertex": self.vertex,
-            "symbol": self.symbol,
-            "edges": [list(e) for e in self.edges],
-        }
-
-
-class NotEssential(GraphValidationError):
-    """Some vertex is missing an incoming or outgoing edge."""
-
-    kind = "not-essential"
-
-    def __init__(self, vertex: str, direction: str):
-        assert direction in ("incoming", "outgoing")
-        self.vertex = vertex
-        self.direction = direction
-        super().__init__(f"vertex {vertex!r} has no {direction} edge")
-
-    def witness(self) -> dict:
-        return {"error": self.kind, "vertex": self.vertex, "direction": self.direction}
-
-
-class UnusedSymbol(GraphValidationError):
-    kind = "unused-symbol"
-
-    def __init__(self, symbol: str):
-        self.symbol = symbol
-        super().__init__(f"alphabet symbol {symbol!r} labels no edge")
-
-    def witness(self) -> dict:
-        return {"error": self.kind, "symbol": self.symbol}
-
-
-class DuplicateEdge(GraphValidationError):
-    kind = "duplicate-edge"
-
-    def __init__(self, edge):
-        self.edge = tuple(edge)
-        super().__init__(f"edge {self.edge} is declared twice")
-
-    def witness(self) -> dict:
-        return {"error": self.kind, "edge": list(self.edge)}
-
-
-class UnknownVertex(GraphValidationError):
-    kind = "unknown-vertex"
-
-    def __init__(self, vertex: str, edge):
-        self.vertex = vertex
-        self.edge = tuple(edge)
-        super().__init__(f"edge {self.edge} refers to undeclared vertex {vertex!r}")
-
-    def witness(self) -> dict:
-        return {"error": self.kind, "vertex": self.vertex, "edge": list(self.edge)}
-
-
-class UnknownSymbol(GraphValidationError):
-    kind = "unknown-symbol"
-
-    def __init__(self, symbol: str, edge):
-        self.symbol = symbol
-        self.edge = tuple(edge)
-        super().__init__(f"edge {self.edge} uses undeclared symbol {symbol!r}")
-
-    def witness(self) -> dict:
-        return {"error": self.kind, "symbol": self.symbol, "edge": list(self.edge)}
+        return {"error": self.kind, **self.fields}
 
 
 class FewerThanTwoAngles(RotshiftError):

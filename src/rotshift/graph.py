@@ -19,16 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import (
-    CapExceeded,
-    DuplicateEdge,
-    EmptyGraph,
-    NotEssential,
-    NotLeftResolving,
-    UnknownSymbol,
-    UnknownVertex,
-    UnusedSymbol,
-)
+from .errors import CapExceeded, GraphValidationError
 
 __all__ = [
     "Condensation",
@@ -147,13 +138,19 @@ def validate_graph(
 ) -> LabeledGraph:
     """Check a raw graph description and freeze it into a LabeledGraph.
 
-    Raises a GraphValidationError subclass naming a concrete witness:
-    EmptyGraph, DuplicateEdge, UnknownVertex / UnknownSymbol,
-    NotLeftResolving (vertex, symbol, offending edge pair),
-    NotEssential (vertex, missing direction), UnusedSymbol.
+    The first defect raises a GraphValidationError whose kind and
+    witness name it.  No vertices is empty-graph (detail).  One walk
+    over the edges names the first edge that is a duplicate-edge (edge)
+    or has an unknown-vertex (vertex, edge) or unknown-symbol (symbol,
+    edge).  Then come not-left-resolving (vertex, symbol, the edges
+    that share both), not-essential (vertex, missing direction) and
+    unused-symbol (symbol), each naming its first witness in declared
+    order.  Past a size cap it raises CapExceeded, and on a repeated
+    vertex or symbol id ValueError.
     """
     if not vertices:
-        raise EmptyGraph()
+        message = "graph has no vertices"
+        raise GraphValidationError("empty-graph", message, detail=message)
     if len(vertices) > MAX_VERTICES:
         raise CapExceeded("vertex count", len(vertices), MAX_VERTICES)
     if len(edges) > MAX_EDGES:
@@ -174,30 +171,41 @@ def validate_graph(
         seen: set[Edge] = set()
         for e in built:
             if e in seen:
-                raise DuplicateEdge(e)
+                raise GraphValidationError("duplicate-edge", f"edge {tuple(e)} is declared twice", edge=list(e))
             seen.add(e)
-            if e.src not in vset:
-                raise UnknownVertex(e.src, e)
-            if e.dst not in vset:
-                raise UnknownVertex(e.dst, e)
+            for v in (e.src, e.dst):
+                if v not in vset:
+                    raise GraphValidationError(
+                        "unknown-vertex", f"edge {tuple(e)} refers to undeclared vertex {v!r}", vertex=v, edge=list(e)
+                    )
             if e.symbol not in sset:
-                raise UnknownSymbol(e.symbol, e)
+                raise GraphValidationError(
+                    "unknown-symbol", f"edge {tuple(e)} uses undeclared symbol {e.symbol!r}", symbol=e.symbol, edge=list(e)
+                )
     if len(set(zip(dsts, symbols))) < len(built):
         incoming: dict[tuple[str, str], list[Edge]] = {}
         for e in built:
             incoming.setdefault((e.dst, e.symbol), []).append(e)
         (v, s), group = next(item for item in incoming.items() if len(item[1]) > 1)
-        raise NotLeftResolving(v, s, group)
+        raise GraphValidationError(
+            "not-left-resolving",
+            f"vertex {v!r} has {len(group)} incoming edges labeled {s!r} (from {', '.join(e.src for e in group)})",
+            vertex=v,
+            symbol=s,
+            edges=[list(e) for e in group],
+        )
     has_out, has_in = set(srcs), set(dsts)
     if len(has_out) < len(vset) or len(has_in) < len(vset):
         for v in vertices:
-            if v not in has_out:
-                raise NotEssential(v, "outgoing")
-            if v not in has_in:
-                raise NotEssential(v, "incoming")
+            for direction, ends in (("outgoing", has_out), ("incoming", has_in)):
+                if v not in ends:
+                    raise GraphValidationError(
+                        "not-essential", f"vertex {v!r} has no {direction} edge", vertex=v, direction=direction
+                    )
     used = set(symbols)
     if len(used) < len(sset):
-        raise UnusedSymbol(next(s for s in alphabet if s not in used))
+        s = next(s for s in alphabet if s not in used)
+        raise GraphValidationError("unused-symbol", f"alphabet symbol {s!r} labels no edge", symbol=s)
 
     return LabeledGraph(vertices=tuple(vertices), alphabet=tuple(alphabet), edges=built)
 

@@ -18,7 +18,7 @@ from math import floor, gcd, inf, isfinite
 from typing import Mapping, Sequence
 
 from .angles import EMPTY_CONTEXT, ExactAngle
-from .errors import CapExceeded, StepCapExceeded
+from .errors import CapExceeded
 from .graph import LabeledGraph
 from .intlinalg import IntMatrix
 from .subshift import MAX_WORD_LENGTH
@@ -113,7 +113,7 @@ def orbit_density(
     the requested number of dequeued states.
     """
     if steps > MAX_ORBIT_STEPS:
-        raise StepCapExceeded("orbit steps", steps, MAX_ORBIT_STEPS)
+        raise CapExceeded("orbit steps", steps, MAX_ORBIT_STEPS)
     if steps < 0:
         raise ValueError("negative step count")
     if not 0 < epsilon < 1:

@@ -23,9 +23,12 @@ from .graph import LabeledGraph
 from .ideals import enumerate_invariant_saturated, hasse_edges
 from .ktheory import graph_k_groups
 from .verdicts import (
-    Analysis,
+    base_verdict,
+    crossed_product_simplicity,
     fullshift_core_simplicity,
     fullshift_uniform_distribution,
+    graph_minimality,
+    pure_infiniteness,
 )
 
 __all__ = ["analyze_document", "input_digest", "validation_report"]
@@ -80,13 +83,12 @@ def analyze_document(
         return report, False
 
     angles = doc.angles
-    verdicts = Analysis(graph, angles)
-    report["condition_I"] = verdicts.condition.to_json()
-    report["irreducible"] = verdicts.irreducible.to_json()
-    report["irrational_cycle"] = verdicts.cycle.to_json()
-    report["g_minimal"] = verdicts.minimal.to_json()
-    report["simple_O"] = verdicts.simple.to_json()
-    report["purely_infinite_O"] = verdicts.purely_infinite.to_json()
+    report["condition_I"] = base_verdict(graph, "condition_I", angles).to_json()
+    report["irreducible"] = base_verdict(graph, "is_irreducible", angles).to_json()
+    report["irrational_cycle"] = base_verdict(graph, "irrational_cycle", angles).to_json()
+    report["g_minimal"] = graph_minimality(graph, angles).to_json()
+    report["simple_O"] = crossed_product_simplicity(graph, angles).to_json()
+    report["purely_infinite_O"] = pure_infiniteness(graph, angles).to_json()
 
     if graph.vertex_count == 1 and len(graph.alphabet) >= 2:
         ordered = [angles[s] for s in graph.alphabet]

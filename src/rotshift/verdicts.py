@@ -37,17 +37,20 @@ Components come from graph.condensation (Tarjan over out_edges, the
 graph's one adjacency list); every other path question is one
 breadth-first search, _bfs_tree, read by _tree_path.
 
-Analysis(graph, angles) holds the six graph verdicts of one analysis
-and makes each base decision at most once.  The composite module-level
-functions read one verdict from the Analysis kept on the graph object,
-so consecutive calls on one graph with equal angles share it; a new
-graph object, or a changed angle assignment, gets a fresh one.
+The three base verdicts of a graph object (condition (I),
+irreducibility, an irrational cycle) are kept on it, next to its
+condensation, by base_verdict: each is decided at most once per graph,
+the cycle once per angle assignment.  The composites (minimality,
+simplicity, pure infiniteness) and report.analyze_document read them
+there, so calls on one graph with equal angles share them, and a
+composite whose first hypothesis fails never decides the later ones.
+A new graph object, or a changed angle assignment, decides afresh.
+Composites copy the base certificates rather than mutating them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from math import gcd, lcm
 from operator import add
 from typing import Container, Mapping, Sequence
@@ -58,7 +61,7 @@ from .graph import Edge, LabeledGraph
 
 __all__ = [
     "VerdictReport",
-    "Analysis",
+    "base_verdict",
     "condition_I",
     "is_irreducible",
     "irrational_cycle",
@@ -357,129 +360,24 @@ def irrational_cycle(graph: LabeledGraph, angles: Mapping[str, ExactAngle]) -> V
 # minimality and the algebra verdicts
 
 
-class Analysis:
-    """Every verdict about one decorated graph, each decided at most once.
-
-    The composite verdicts (minimality, simplicity, pure infiniteness)
-    rest on three base decisions: condition (I), irreducibility and an
-    irrational cycle.  Each is a cached property, computed on first use
-    by the module-level function and then shared, so reading all six
-    verdicts makes each base decision once, and a composite whose first
-    hypothesis fails never computes the later ones.  Composites copy the
-    base certificates rather than mutating them.
-    """
-
-    def __init__(self, graph: LabeledGraph, angles: Mapping[str, ExactAngle]):
-        self.graph = graph
-        self.angles = angles
-
-    @cached_property
-    def condition(self) -> VerdictReport:
-        return condition_I(self.graph)
-
-    @cached_property
-    def irreducible(self) -> VerdictReport:
-        return is_irreducible(self.graph)
-
-    @cached_property
-    def cycle(self) -> VerdictReport:
-        return irrational_cycle(self.graph, self.angles)
-
-    @cached_property
-    def minimal(self) -> VerdictReport:
-        criterion = "minimality of the rotation action over the transition graph"
-        irr = self.irreducible
-        if irr.is_no:
-            return VerdictReport(
-                NO,
-                dict(irr.certificate),
-                criterion,
-                notes=(
-                    "the circle fibers over the forward-closed subset form a "
-                    "proper closed invariant set",
-                ),
-            )
-        cyc = self.cycle
-        if cyc.is_yes:
-            return VerdictReport(YES, dict(cyc.certificate), criterion)
-        certificate = dict(cyc.certificate)
-        certificate["derived"] = True
-        q = certificate["cycle_denominator"]
-        return VerdictReport(
-            NO,
-            certificate,
-            criterion,
-            notes=(
-                "derived case: with all cycle angles rational, any orbit meets "
-                f"each fiber in at most {q} points per reachable coset, so no "
-                "orbit is dense",
-            ),
-        )
-
-    @cached_property
-    def simple(self) -> VerdictReport:
-        criterion = "simplicity equals minimality under condition (I)"
-        if not self.condition.is_yes:
-            return VerdictReport(
-                UNKNOWN,
-                None,
-                criterion,
-                notes=(
-                    "missing hypothesis: condition (I); the uniqueness argument "
-                    "behind the equivalence does not apply",
-                ),
-            )
-        gm = self.minimal
-        notes = (
-            "condition (I) holds; Lebesgue measure on the circle fibers is a "
-            "faithful invariant probability measure",
-        )
-        if gm.is_yes:
-            return VerdictReport(YES, dict(gm.certificate), criterion, notes=notes)
-        return VerdictReport(NO, dict(gm.certificate), criterion, notes=notes + tuple(gm.notes))
-
-    @cached_property
-    def purely_infinite(self) -> VerdictReport:
-        criterion = (
-            "pure infiniteness from condition (I), irreducibility and an irrational cycle"
-        )
-        if not self.condition.is_yes:
-            return VerdictReport(
-                UNKNOWN, None, criterion, notes=("missing hypothesis: condition (I)",)
-            )
-        if not self.irreducible.is_yes:
-            return VerdictReport(
-                UNKNOWN, None, criterion, notes=("missing hypothesis: irreducibility",)
-            )
-        if not self.cycle.is_yes:
-            return VerdictReport(
-                UNKNOWN,
-                None,
-                criterion,
-                notes=(
-                    "missing hypothesis: an irrational cycle; the sufficient "
-                    "test is silent when every cycle angle is rational",
-                ),
-            )
-        return VerdictReport(
-            YES,
-            {
-                "condition_I": self.condition.certificate,
-                "irreducible": True,
-                "cycle": self.cycle.certificate,
-            },
-            criterion,
-        )
-
-
-def _shared_analysis(graph: LabeledGraph, angles: Mapping[str, ExactAngle]) -> Analysis:
-    """The Analysis kept on this graph object, as cached_property values
-    are, built anew whenever the angles differ from its own snapshot."""
-    snapshot = dict(angles)
-    analysis = graph.__dict__.get("_analysis")
-    if analysis is None or analysis.angles != snapshot:
-        analysis = graph.__dict__["_analysis"] = Analysis(graph, snapshot)
-    return analysis
+def base_verdict(graph: LabeledGraph, name: str, angles: Mapping[str, ExactAngle]) -> VerdictReport:
+    """condition_I, is_irreducible or irrational_cycle of graph, as name
+    says, decided once per graph object and kept in its __dict__ next to
+    the cached condensation.  The cycle verdict is kept with a snapshot
+    of the angles and decided anew when angles differ from it; the
+    other two do not read the angles.  A kept report does not refer to
+    the graph, so the graph is freed by reference counting."""
+    snapshot = dict(angles) if name == "irrational_cycle" else None
+    kept = graph.__dict__.get(f"_{name}")
+    if kept is None or kept[0] != snapshot:
+        if name == "condition_I":
+            report = condition_I(graph)
+        elif name == "is_irreducible":
+            report = is_irreducible(graph)
+        else:
+            report = irrational_cycle(graph, snapshot)
+        kept = graph.__dict__[f"_{name}"] = (snapshot, report)
+    return kept[1]
 
 
 def graph_minimality(graph: LabeledGraph, angles: Mapping[str, ExactAngle]) -> VerdictReport:
@@ -496,7 +394,34 @@ def graph_minimality(graph: LabeledGraph, angles: Mapping[str, ExactAngle]) -> V
       denominator per reachable coset).  This case is a derived
       strengthening of the sufficient Yes test and is flagged as such.
     """
-    return _shared_analysis(graph, angles).minimal
+    criterion = "minimality of the rotation action over the transition graph"
+    irr = base_verdict(graph, "is_irreducible", angles)
+    if irr.is_no:
+        return VerdictReport(
+            NO,
+            dict(irr.certificate),
+            criterion,
+            notes=(
+                "the circle fibers over the forward-closed subset form a "
+                "proper closed invariant set",
+            ),
+        )
+    cyc = base_verdict(graph, "irrational_cycle", angles)
+    if cyc.is_yes:
+        return VerdictReport(YES, dict(cyc.certificate), criterion)
+    certificate = dict(cyc.certificate)
+    certificate["derived"] = True
+    q = certificate["cycle_denominator"]
+    return VerdictReport(
+        NO,
+        certificate,
+        criterion,
+        notes=(
+            "derived case: with all cycle angles rational, any orbit meets "
+            f"each fiber in at most {q} points per reachable coset, so no "
+            "orbit is dense",
+        ),
+    )
 
 
 def crossed_product_simplicity(
@@ -511,7 +436,25 @@ def crossed_product_simplicity(
     condition (I) the equivalence is unavailable and the verdict is
     Unknown.
     """
-    return _shared_analysis(graph, angles).simple
+    criterion = "simplicity equals minimality under condition (I)"
+    if not base_verdict(graph, "condition_I", angles).is_yes:
+        return VerdictReport(
+            UNKNOWN,
+            None,
+            criterion,
+            notes=(
+                "missing hypothesis: condition (I); the uniqueness argument "
+                "behind the equivalence does not apply",
+            ),
+        )
+    gm = graph_minimality(graph, angles)
+    notes = (
+        "condition (I) holds; Lebesgue measure on the circle fibers is a "
+        "faithful invariant probability measure",
+    )
+    if gm.is_yes:
+        return VerdictReport(YES, dict(gm.certificate), criterion, notes=notes)
+    return VerdictReport(NO, dict(gm.certificate), criterion, notes=notes + tuple(gm.notes))
 
 
 def pure_infiniteness(graph: LabeledGraph, angles: Mapping[str, ExactAngle]) -> VerdictReport:
@@ -521,7 +464,28 @@ def pure_infiniteness(graph: LabeledGraph, angles: Mapping[str, ExactAngle]) -> 
     algebra to be simple and purely infinite.  The test is one-sided:
     when any hypothesis fails the verdict is Unknown, not No.
     """
-    return _shared_analysis(graph, angles).purely_infinite
+    criterion = "pure infiniteness from condition (I), irreducibility and an irrational cycle"
+    condition = base_verdict(graph, "condition_I", angles)
+    if not condition.is_yes:
+        return VerdictReport(UNKNOWN, None, criterion, notes=("missing hypothesis: condition (I)",))
+    if not base_verdict(graph, "is_irreducible", angles).is_yes:
+        return VerdictReport(UNKNOWN, None, criterion, notes=("missing hypothesis: irreducibility",))
+    cycle = base_verdict(graph, "irrational_cycle", angles)
+    if not cycle.is_yes:
+        return VerdictReport(
+            UNKNOWN,
+            None,
+            criterion,
+            notes=(
+                "missing hypothesis: an irrational cycle; the sufficient "
+                "test is silent when every cycle angle is rational",
+            ),
+        )
+    return VerdictReport(
+        YES,
+        {"condition_I": condition.certificate, "irreducible": True, "cycle": cycle.certificate},
+        criterion,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from conftest import wall_clock_limit
 from rotshift import cli
 from rotshift.cli import _indented_json, main
 from rotshift.oracles import MAX_ORBIT_GRID, MAX_WEYL_TERMS
+from rotshift.subshift import MAX_WORD_SCANS, MAX_WORDS
 
 SYSTEMS = os.path.join(os.path.dirname(__file__), "..", "systems")
 
@@ -41,9 +42,9 @@ def test_validate_failure_exit_2(capsys):
 
 
 def test_missing_file_exit_1(capsys):
-    with pytest.raises(SystemExit) as info:
-        run(capsys, "validate", path("nope.sds"))
-    assert info.value.code == 1
+    code, out, err = run(capsys, "validate", path("nope.sds"))
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [f"error: cannot read {path('nope.sds')}: [Errno 2] No such file or directory: {path('nope.sds')!r}"]
 
 
 def test_words_output(capsys):
@@ -167,6 +168,23 @@ def test_ktheory_bunce_deddens_needs_full_shift(capsys, monkeypatch):
 
 TEN_ANGLES = ",".join(f"{k}/10" for k in range(9)) + ",1*g"
 
+# stands for a 1000-vertex circulant with ten symbols, written per test:
+# symbol k adds a fixed shift to the vertex index, so every word is
+# admissible and every support is the whole vertex set
+CIRCULANT = "circulant-n1000.sds"
+SHIFTS = (1, 7, 31, 97, 211, 389, 503, 641, 769, 887)
+
+
+def write_circulant(file, n=1000):
+    file.write_text(
+        "[alphabet]\n"
+        + "".join(f"s{k}\n" for k in range(len(SHIFTS)))
+        + "[vertices]\n"
+        + "".join(f"v{i}\n" for i in range(n))
+        + "[edges]\n"
+        + "".join(f"v{i} -> v{(i + d) % n} : s{k}\n" for i in range(n) for k, d in enumerate(SHIFTS))
+    )
+
 
 @pytest.mark.parametrize(
     "argv, budget, code, err",
@@ -190,6 +208,19 @@ TEN_ANGLES = ",".join(f"{k}/10" for k in range(9)) + ",1*g"
             1,
             [f"error: orbit grid points: requested 2000002, cap is {MAX_ORBIT_GRID}"],
         ),
+        (
+            ["words", path("fullshift3.sds"), "-k", "12", "--json"],
+            2,
+            1,
+            [f"error: word count: requested at least {MAX_WORDS + 1}, cap is {MAX_WORDS}"],
+        ),
+        # each support scans all 10 000 out-edges
+        (
+            ["words", CIRCULANT, "-k", "6", "--json"],
+            3,
+            1,
+            [f"error: word search out-edges: requested at least {MAX_WORD_SCANS + 10_000}, cap is {MAX_WORD_SCANS}"],
+        ),
     ],
     ids=[
         "af-core-deep",
@@ -200,13 +231,18 @@ TEN_ANGLES = ",".join(f"{k}/10" for k in range(9)) + ",1*g"
         "orbit-fine-eps",
         "orbit-grid-cap",
         "orbit-past-grid-cap",
+        "words-fullshift3-k12",
+        "words-n1000-k6",
     ],
 )
-def test_bounded_corners_finish_within_budget(capsys, argv, budget, code, err):
+def test_bounded_corners_finish_within_budget(capsys, tmp_path, argv, budget, code, err):
     """A deep ladder is one map plus its depth, `oracle weyl` stops at
-    its term cap, and the orbit gap scan is one sweep per fiber that
-    stops at its grid cap: each corner finishes within its budget in
-    seconds."""
+    its term cap, the orbit gap scan is one sweep per fiber that stops
+    at its grid cap, and `words` stops at its word or out-edge cap: each
+    corner finishes within its budget in seconds."""
+    if CIRCULANT in argv:
+        write_circulant(tmp_path / CIRCULANT)
+        argv = [str(tmp_path / CIRCULANT) if a == CIRCULANT else a for a in argv]
     with wall_clock_limit(budget):
         result = run(capsys, *argv)
     assert (result[0], result[2].splitlines()) == (code, err)
@@ -293,12 +329,9 @@ def test_oracle_weyl_symbolic_angles(capsys):
     ids=["no-equals", "orbit-inf", "orbit-nan", "weyl-minus-inf"],
 )
 def test_bad_gen_flag(capsys, argv, message):
-    with pytest.raises(SystemExit) as info:
-        run(capsys, *argv)
-    assert info.value.code == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.splitlines() == [f"error: {message}"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [f"error: {message}"]
 
 
 HUGE = 10**400
@@ -381,14 +414,9 @@ def test_out_of_range_argument_exits_1_with_one_error_line(capsys, tmp_path, arg
     ids=["orbit", "weyl", "weyl-rational", "weyl-float-exponent"],
 )
 def test_gen_with_undeclared_name_exits_1(capsys, argv, name, declared):
-    with pytest.raises(SystemExit) as info:
-        run(capsys, *argv, "--gen", f"{name}=0.25")
-    assert info.value.code == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.splitlines() == [
-        f"error: --gen names undeclared generator {name!r} (declared: {declared})"
-    ]
+    code, out, err = run(capsys, *argv, "--gen", f"{name}=0.25")
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [f"error: --gen names undeclared generator {name!r} (declared: {declared})"]
 
 
 def test_usage_error_exit_1(capsys):

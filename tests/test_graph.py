@@ -3,17 +3,7 @@
 import pytest
 
 from conftest import build, goldenmean
-from rotshift.errors import (
-    CapExceeded,
-    DuplicateEdge,
-    EmptyGraph,
-    GraphValidationError,
-    NotEssential,
-    NotLeftResolving,
-    UnknownSymbol,
-    UnknownVertex,
-    UnusedSymbol,
-)
+from rotshift.errors import CapExceeded, GraphValidationError
 from rotshift.graph import (
     MAX_EDGES,
     MAX_VERTICES,
@@ -26,21 +16,25 @@ from rotshift.graph import (
 
 
 def test_empty_graph_rejected():
-    with pytest.raises(EmptyGraph):
+    with pytest.raises(GraphValidationError) as info:
         validate_graph((), (), ())
+    assert info.value.kind == "empty-graph"
 
 
 def test_duplicate_edge_rejected():
-    with pytest.raises(DuplicateEdge) as info:
+    with pytest.raises(GraphValidationError) as info:
         build(("v1",), (("v1", "v1", "a"), ("v1", "v1", "a")))
+    assert info.value.kind == "duplicate-edge"
     assert info.value.witness()["error"] == "duplicate-edge"
 
 
 def test_unknown_vertex_and_symbol():
-    with pytest.raises(UnknownVertex):
+    with pytest.raises(GraphValidationError) as info:
         validate_graph(("v1",), (("v1", "v9", "a"),), ("a",))
-    with pytest.raises(UnknownSymbol):
+    assert info.value.kind == "unknown-vertex"
+    with pytest.raises(GraphValidationError) as info:
         validate_graph(("v1",), (("v1", "v1", "z"),), ("a",))
+    assert info.value.kind == "unknown-symbol"
 
 
 @pytest.mark.parametrize(
@@ -79,8 +73,72 @@ def test_validation_reports_the_first_of_several_defects(edges, witness):
     assert info.value.witness() == witness
 
 
+KINDS = ("empty-graph", "duplicate-edge", "unknown-vertex", "unknown-symbol", "not-left-resolving", "not-essential", "unused-symbol")
+
+
+@pytest.mark.parametrize(
+    "vertices, edges, alphabet, kind, message, witness",
+    [
+        ((), (), (), "empty-graph", "graph has no vertices", {"error": "empty-graph", "detail": "graph has no vertices"}),
+        (
+            ("v1",),
+            (("v1", "v1", "a"), ("v1", "v1", "a")),
+            ("a",),
+            "duplicate-edge",
+            "edge ('v1', 'v1', 'a') is declared twice",
+            {"error": "duplicate-edge", "edge": ["v1", "v1", "a"]},
+        ),
+        (
+            ("v1",),
+            (("v1", "v9", "a"),),
+            ("a",),
+            "unknown-vertex",
+            "edge ('v1', 'v9', 'a') refers to undeclared vertex 'v9'",
+            {"error": "unknown-vertex", "vertex": "v9", "edge": ["v1", "v9", "a"]},
+        ),
+        (
+            ("v1",),
+            (("v1", "v1", "z"),),
+            ("a",),
+            "unknown-symbol",
+            "edge ('v1', 'v1', 'z') uses undeclared symbol 'z'",
+            {"error": "unknown-symbol", "symbol": "z", "edge": ["v1", "v1", "z"]},
+        ),
+        (
+            ("v1", "v2"),
+            (("v1", "v1", "a"), ("v2", "v1", "a"), ("v1", "v2", "b")),
+            ("a", "b"),
+            "not-left-resolving",
+            "vertex 'v1' has 2 incoming edges labeled 'a' (from v1, v2)",
+            {"error": "not-left-resolving", "vertex": "v1", "symbol": "a", "edges": [["v1", "v1", "a"], ["v2", "v1", "a"]]},
+        ),
+        (
+            ("v1", "v2"),
+            (("v1", "v1", "a"), ("v1", "v2", "b")),
+            ("a", "b"),
+            "not-essential",
+            "vertex 'v2' has no outgoing edge",
+            {"error": "not-essential", "vertex": "v2", "direction": "outgoing"},
+        ),
+        (
+            ("v1",),
+            (("v1", "v1", "a"),),
+            ("a", "b"),
+            "unused-symbol",
+            "alphabet symbol 'b' labels no edge",
+            {"error": "unused-symbol", "symbol": "b"},
+        ),
+    ],
+    ids=KINDS,
+)
+def test_each_defect_kind_pins_its_message_and_witness(vertices, edges, alphabet, kind, message, witness):
+    with pytest.raises(GraphValidationError) as info:
+        validate_graph(vertices, edges, alphabet)
+    assert (info.value.kind, str(info.value), info.value.witness()) == (kind, message, witness)
+
+
 def test_left_resolving_violation_witnessed():
-    with pytest.raises(NotLeftResolving) as info:
+    with pytest.raises(GraphValidationError) as info:
         build(
             ("v1", "v2"),
             (("v1", "v1", "a"), ("v2", "v1", "a"), ("v1", "v2", "b")),
@@ -93,19 +151,22 @@ def test_left_resolving_violation_witnessed():
 
 def test_essential_requires_in_and_out_edges():
     # v2 has no outgoing edge
-    with pytest.raises(NotEssential) as info:
+    with pytest.raises(GraphValidationError) as info:
         build(("v1", "v2"), (("v1", "v1", "a"), ("v1", "v2", "b")))
+    assert info.value.kind == "not-essential"
     assert info.value.witness()["vertex"] == "v2"
     assert info.value.witness()["direction"] == "outgoing"
     # v2 has no incoming edge
-    with pytest.raises(NotEssential) as info:
+    with pytest.raises(GraphValidationError) as info:
         build(("v1", "v2"), (("v1", "v1", "a"), ("v2", "v1", "b")))
+    assert info.value.kind == "not-essential"
     assert info.value.witness()["direction"] == "incoming"
 
 
 def test_unused_symbol_rejected():
-    with pytest.raises(UnusedSymbol):
+    with pytest.raises(GraphValidationError) as info:
         validate_graph(("v1",), (("v1", "v1", "a"),), ("a", "b"))
+    assert info.value.kind == "unused-symbol"
 
 
 def test_caps_enforced():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import build, goldenmean, random_graph
-from rotshift.errors import StepCapExceeded
+from rotshift.errors import CapExceeded
 from rotshift.graph import full_shift_graph
 from rotshift.intlinalg import IntMatrix
 from rotshift.oracles import (
@@ -72,7 +72,7 @@ def test_orbit_respects_graph_structure():
 
 def test_orbit_guards():
     graph = full_shift_graph(2)
-    with pytest.raises(StepCapExceeded):
+    with pytest.raises(CapExceeded, match="orbit steps"):
         orbit_density(graph, {"s1": 0.0, "s2": 0.5}, "v", 0.0, MAX_ORBIT_STEPS + 1, 0.1)
     with pytest.raises(ValueError):
         orbit_density(graph, {"s1": 0.0, "s2": 0.5}, "v", 0.0, 10, 0.0)

@@ -93,7 +93,9 @@ CAPS = {
     ", {} edges;": graph.MAX_EDGES,
     "; {} vertices and": ideals.MAX_IDEAL_VERTICES,
     "and {} ideals for `ideals`": ideals.MAX_IDEALS,
-    "word length {} for `words`": subshift.MAX_WORD_LENGTH,
+    "word length {},": subshift.MAX_WORD_LENGTH,
+    ", {} words and": subshift.MAX_WORDS,
+    "and {} scanned out-edges for `words`": subshift.MAX_WORD_SCANS,
     "; {} steps and": oracles.MAX_ORBIT_STEPS,
     "and {} grid points": oracles.MAX_ORBIT_GRID,
     "; {} terms,": oracles.MAX_WEYL_TERMS,

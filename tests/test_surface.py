@@ -18,9 +18,6 @@ SRC = os.path.join(os.path.dirname(__file__), "..", "src", "rotshift")
 ENTRY_POINTS = {
     "fileformat.parse_system_file": "README Library section",
     "graph.full_shift_graph": "README Library section (`graph` module: full-shift graphs)",
-    "verdicts.graph_minimality": "README Library section",
-    "verdicts.crossed_product_simplicity": "README Library section; read by bench/run.py",
-    "verdicts.pure_infiniteness": "README Library section; read by bench/run.py",
 }
 
 

@@ -40,7 +40,7 @@ from conftest import (
 )
 from rotshift import cli, verdicts
 from rotshift.angles import ExactAngle, GeneratorContext, parse_angle
-from rotshift.errors import FewerThanTwoAngles, UnknownSymbol
+from rotshift.errors import FewerThanTwoAngles
 from rotshift.fileformat import parse_system
 from rotshift.graph import MAX_EDGES, MAX_VERTICES, Edge, LabeledGraph, validate_graph
 from rotshift.report import analyze_document
@@ -648,7 +648,7 @@ def test_pure_infiniteness_names_missing_hypothesis():
     assert any("condition (I)" in n for n in r.notes)
 
 
-# -- one shared analysis per graph object -------------------------------------------
+# -- base verdicts kept on the graph object -------------------------------------
 
 
 def count_base_decisions(monkeypatch):
@@ -706,12 +706,18 @@ def test_reparsed_equal_graph_decides_afresh(monkeypatch):
 
 
 def test_shared_analysis_is_freed_with_its_graph():
+    """The kept verdicts do not refer back to the graph, so reference
+    counting frees it; the cycle collector is not needed."""
     graph, angles = goldenmean()
     assert pure_infiniteness(graph, angles).is_yes
     ref = weakref.ref(graph)
-    del graph
     gc.collect()
-    assert ref() is None
+    gc.disable()
+    try:
+        del graph
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 # -- full shift specials --------------------------------------------------------------
