@@ -2,17 +2,22 @@
 
 Everything runs over Python's unbounded integers; no floating point is
 involved anywhere.  Cokernels and ranks come from invariant_factors,
-which computes only the Smith diagonal, never the unimodular
-transforms, and keeps coefficients bounded.  The independent check is
-oracles.invariant_factors_via_minors (determinantal divisors), which
-shares no code with it.
+which takes a sparse matrix, one map from column to nonzero entry per
+row, computes only the Smith diagonal, never the unimodular
+transforms, and keeps coefficients bounded.  Phase 1 pivots on +-1
+entries, a shortest row first, until none is left; only then does the
+remaining block become dense, so phase 2's cubic work runs on nothing
+that a unit pivot could have removed.  The independent check is
+oracles.invariant_factors_via_minors (determinantal divisors) on the
+dense IntMatrix, which shares no code with it.  IntMatrix also carries
+the connecting maps of the K-theory ladders.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Sequence
+from typing import Mapping, Sequence
 
 __all__ = [
     "IntMatrix",
@@ -56,30 +61,34 @@ class IntMatrix:
         return [list(r) for r in self.entries]
 
 
-def invariant_factors(m: IntMatrix) -> tuple[int, ...]:
-    """The nonzero invariant factors of m, each dividing the next.
+def invariant_factors(rows: Sequence[Mapping[int, int]]) -> tuple[int, ...]:
+    """The nonzero invariant factors of a sparse matrix, each dividing
+    the next.
 
-    Their number is the rank of m.  Only the Smith diagonal is computed,
-    never the unimodular transforms, in two phases that keep every
-    coefficient bounded:
+    Row i of the matrix is rows[i], a map from column index to entry
+    that holds the row's nonzero entries only; an empty map is a zero
+    row.  Their number is the rank.  Only the Smith diagonal is
+    computed, never the unimodular transforms, in two phases that keep
+    every coefficient bounded:
 
-    1. While the remaining block has an entry +-1, pivot on one with
-       few entries in its row and column (little fill-in) and replace
-       the block by its Schur complement.  Each pivot is a factor 1.
-       With unit pivots every entry of the complement is a minor of m,
-       so entries stay within the Hadamard bound.
-    2. The residual block has no entry +-1 left.  Fraction-free
-       elimination gives its rank r and a nonzero r x r minor D.  Each
-       of its r factors divides D, so they survive reduction modulo D:
-       the block is diagonalized by row and column steps with entries
-       kept in [0, D), and each diagonal entry e is read as gcd(e, D).
-       The (rows - r) factors equal to D that this adds are the free
-       part and are dropped.
+    1. While some row holds an entry +-1, pivot on one in a shortest
+       such row, in its column with the fewest entries (little
+       fill-in), and replace the block by its Schur complement.  Each
+       pivot is a factor 1.  With unit pivots every entry of the
+       complement is a minor of the matrix, so entries stay within the
+       Hadamard bound.
+    2. The residual block has no entry +-1 and no zero row or column.
+       Fraction-free elimination gives its rank r and a nonzero r x r
+       minor D.  Each of its r factors divides D, so they survive
+       reduction modulo D: the block is diagonalized by row and column
+       steps with entries kept in [0, D), and each diagonal entry e is
+       read as gcd(e, D).  The (rows - r) factors equal to D that this
+       adds are the free part and are dropped.
 
     Kannan-Bachem, SIAM J. Comput. 8 (1979); Hafner-McCurley, SIAM J.
     Comput. 20 (1991).
     """
-    units, residual = _eliminate_units(m)
+    units, residual = _eliminate_units(rows)
     if not residual:
         return (1,) * units
     rank, det = _rank_and_minor(residual)
@@ -88,63 +97,72 @@ def invariant_factors(m: IntMatrix) -> tuple[int, ...]:
     return (1,) * units + tuple(_divisibility_chain(factors)[:rank])
 
 
-# Phase 1 looks for its pivot in this many of the shortest rows that hold
-# an entry +-1 (a restricted Markowitz search): scanning every row finds
-# pivots of about the same fill-in at several times the cost.
-_SEARCH_ROWS = 3
-
-
-def _eliminate_units(m: IntMatrix) -> tuple[int, list[list[int]]]:
+def _eliminate_units(rows: Sequence[Mapping[int, int]]) -> tuple[int, list[list[int]]]:
     """Phase 1: the number of unit pivots taken and the dense residual,
-    restricted to its nonzero rows and columns."""
-    rows: dict[int, dict[int, int]] = {}
+    restricted to its nonzero rows and columns.
+
+    Live rows wait in buckets keyed by their length.  A row taken from
+    the shortest bucket that holds no +-1 leaves the buckets until an
+    elimination step changes it, so no row is searched twice unchanged.
+    """
+    live = {i: dict(row) for i, row in enumerate(rows) if row}
     cols: dict[int, set[int]] = {}
-    for i, entries in enumerate(m.entries):
-        row = {j: x for j, x in enumerate(entries) if x}
-        if row:
-            rows[i] = row
-            for j in row:
-                cols.setdefault(j, set()).add(i)
+    for i, row in live.items():
+        for j in row:
+            cols.setdefault(j, set()).add(i)
+    # fill-in never adds a column, so no row grows past len(cols)
+    top = len(cols) + 1
+    buckets: list[set[int]] = [set() for _ in range(top)]
+    for i, row in live.items():
+        buckets[len(row)].add(i)
+    shortest = 1
     units = 0
     while True:
-        best = None
-        searched = 0
-        for i in sorted(rows, key=lambda i: len(rows[i])):
-            row = rows[i]
-            fill = len(row) - 1
-            for j, x in row.items():
-                if x == 1 or x == -1:
-                    cost = fill * (len(cols[j]) - 1)
-                    if best is None or cost < best[0]:
-                        best = (cost, i, j)
-            if best is not None:
-                searched += 1
-                if searched == _SEARCH_ROWS or best[0] == 0:
-                    break
-        if best is None:
+        while shortest < top and not buckets[shortest]:
+            shortest += 1
+        if shortest == top:
             break
-        _, p, q = best
-        pivot_row = rows.pop(p)
+        p = buckets[shortest].pop()
+        pivot_row = live[p]
+        q = None
+        for j, x in pivot_row.items():
+            if (x == 1 or x == -1) and (q is None or len(cols[j]) < len(cols[q])):
+                q = j
+        if q is None:
+            continue
+        del live[p]
         sign = pivot_row.pop(q)
         for j in pivot_row:
             cols[j].discard(p)
-        for i in cols.pop(q) - {p}:
-            row = rows[i]
+        pivot_items = tuple(pivot_row.items())
+        members = cols.pop(q)
+        members.discard(p)
+        for i in members:
+            row = live[i]
+            buckets[len(row)].discard(i)
             f = row.pop(q) * sign
-            for j, x in pivot_row.items():
-                y = row.get(j, 0) - f * x
-                if y:
-                    if j not in row:
-                        cols[j].add(i)
-                    row[j] = y
+            for j, x in pivot_items:
+                y = row.get(j)
+                if y is None:
+                    row[j] = -f * x
+                    cols[j].add(i)
                 else:
-                    del row[j]
-                    cols[j].discard(i)
-            if not row:
-                del rows[i]
+                    y -= f * x
+                    if y:
+                        row[j] = y
+                    else:
+                        del row[j]
+                        cols[j].discard(i)
+            length = len(row)
+            if length:
+                buckets[length].add(i)
+                if length < shortest:
+                    shortest = length
+            else:
+                del live[i]
         units += 1
-    live = sorted(j for j, members in cols.items() if members)
-    return units, [[row.get(j, 0) for j in live] for row in rows.values()]
+    used = sorted(j for j, members in cols.items() if members)
+    return units, [[row.get(j, 0) for j in used] for row in live.values()]
 
 
 def _rank_and_minor(a: list[list[int]]) -> tuple[int, int]:
@@ -295,11 +313,12 @@ class AbelianGroupPresentation:
         return " + ".join(parts) if parts else "0"
 
 
-def cokernel(m: IntMatrix) -> AbelianGroupPresentation:
-    """Z^rows / (column space of m), from its invariant factors.
+def cokernel(rows: Sequence[Mapping[int, int]]) -> AbelianGroupPresentation:
+    """Z^len(rows) / (column space), from the invariant factors of the
+    sparse matrix with these rows (see invariant_factors).
 
-    Unimodular row or column scrambles of m leave the result unchanged.
+    Unimodular row or column scrambles leave the result unchanged.
     """
-    factors = invariant_factors(m)
-    return AbelianGroupPresentation(tuple(x for x in factors if x >= 2), m.rows - len(factors))
+    factors = invariant_factors(rows)
+    return AbelianGroupPresentation(tuple(x for x in factors if x >= 2), len(rows) - len(factors))
 

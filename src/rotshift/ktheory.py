@@ -10,13 +10,18 @@ algebra along paths of automorphisms and leave K-theory untouched):
 The kernel summand is free, so the direct sum is well defined without
 choosing a splitting.  Everything reduces to the invariant factors of
 I - A over the integers, computed once per graph by
-intlinalg.invariant_factors: sparse elimination of the +-1 entries
-that dominate I - A, then the small residual block reduced modulo one
-of its nonzero minors, so coefficients stay bounded.  Because I - A is
-square, the kernel has the rank of the cokernel's free part.  I - A and
-the transpose adjacency of the core ladder are each built in one pass
-over the edge lists.  On the N-loop graph of the full shift
-(graph.full_shift_graph) both groups come out as Z/(N-1).
+intlinalg.invariant_factors.  graph_k_groups hands it I - A as sparse
+rows built in one O(n + m) pass over the out-edge lists, never as an
+n x n matrix: row i starts as {i: 1} and loses 1 per out-edge of
+vertex i, so parallel edges add up and a single loop cancels the
+diagonal, whose zero is dropped.  Phase 1 pivots on the +-1 entries
+that dominate I - A, a shortest row first; the residual block it
+leaves has no +-1 and is reduced modulo one of its nonzero minors, so
+coefficients stay bounded.  Because I - A is square, the kernel has
+the rank of the cokernel's free part.  The transpose adjacency of the
+core ladder is built in one pass over the edge lists too.  On the
+N-loop graph of the full shift (graph.full_shift_graph) both groups
+come out as Z/(N-1).
 
 The gauge-fixed core is a stationary inductive limit of circle
 algebras: every level carries the same group and every step applies the
@@ -55,25 +60,22 @@ class KGroups:
         return {"K0": str(self.k0), "K1": str(self.k1), "criterion": self.criterion}
 
 
-def displacement_matrix(graph: LabeledGraph) -> IntMatrix:
-    """I - A for the graph's adjacency matrix A, in one pass over the edges."""
-    n = graph.vertex_count
-    rows = [[0] * n for _ in range(n)]
-    for i, out in enumerate(graph.out_edges):
-        row = rows[i]
-        row[i] = 1
-        for j, _symbol in out:
-            row[j] -= 1
-    return IntMatrix(tuple(map(tuple, rows)))
-
-
 def graph_k_groups(graph: LabeledGraph) -> KGroups:
     """Both K-groups of the decorated graph algebra.
 
     cokernel(I - A) captures the relations among the vertex projections;
     the free kernel summand records the classes that I - A kills.
     """
-    coker = cokernel(displacement_matrix(graph))
+    rows = []
+    for i, out in enumerate(graph.out_edges):
+        row = {i: 1}
+        for j, _symbol in out:
+            row[j] = row.get(j, 0) - 1
+        # entries off the diagonal only fall below 0; one loop cancels the 1
+        if not row[i]:
+            del row[i]
+        rows.append(row)
+    coker = cokernel(rows)
     # I - A is square, so its kernel rank is the cokernel's free rank
     group = coker.direct_sum_free(coker.free_rank)
     return KGroups(

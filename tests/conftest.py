@@ -25,6 +25,7 @@ from rotshift.angles import EMPTY_CONTEXT, ExactAngle, GeneratorContext
 from rotshift.errors import AngleSyntaxError, ContextMismatch, GraphValidationError, ParseError
 from rotshift.fileformat import SystemDocument
 from rotshift.graph import Edge, LabeledGraph, full_shift_graph, validate_graph
+from rotshift.intlinalg import IntMatrix
 
 GCTX = GeneratorContext(("g",))
 SYSTEMS = os.path.join(os.path.dirname(__file__), "..", "systems")
@@ -128,6 +129,33 @@ def two_cycle(angle_ab, angle_ba):
         ("a", "b"),
     )
     return graph, {"a": angle_ab, "b": angle_ba}
+
+
+# ---------------------------------------------------------------------------
+# integer matrices
+
+
+def adjacency(graph: LabeledGraph) -> list[list[int]]:
+    """A[i][j] = number of edges vertex i -> vertex j, from graph.edges."""
+    n, vi = graph.vertex_count, graph.vertex_index
+    rows = [[0] * n for _ in range(n)]
+    for e in graph.edges:
+        rows[vi[e.src]][vi[e.dst]] += 1
+    return rows
+
+
+def identity_minus_adjacency(graph: LabeledGraph) -> IntMatrix:
+    """I - A written out densely, for the oracles."""
+    a = adjacency(graph)
+    n = graph.vertex_count
+    return IntMatrix.from_rows([[(i == j) - a[i][j] for j in range(n)] for i in range(n)])
+
+
+def sparse_rows(matrix) -> list[dict[int, int]]:
+    """A dense matrix (an IntMatrix or a list of rows) as the sparse rows
+    that intlinalg takes: per row, a map from column to nonzero entry."""
+    entries = matrix.entries if isinstance(matrix, IntMatrix) else matrix
+    return [{j: x for j, x in enumerate(row) if x} for row in entries]
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from conftest import (
     brute_count_words,
     enumerate_left_resolving,
     gen,
+    identity_minus_adjacency,
     random_angles,
     random_graph,
     rat,
@@ -26,7 +27,7 @@ from conftest import (
 from rotshift.graph import full_shift_graph
 from rotshift.ideals import enumerate_invariant_saturated, quotient_system
 from rotshift.intlinalg import AbelianGroupPresentation
-from rotshift.ktheory import bunce_deddens_data, displacement_matrix, graph_k_groups
+from rotshift.ktheory import bunce_deddens_data, graph_k_groups
 from rotshift.oracles import (
     decorated_admissible_words,
     invariant_factors_via_minors,
@@ -101,7 +102,7 @@ def test_criterion_2_k_groups_vs_independent_snf_path(capsys):
         for _ in range(50):
             graph = random_graph(rng, max_vertices=6, max_symbols=3)
             n = graph.vertex_count
-            m = displacement_matrix(graph)
+            m = identity_minus_adjacency(graph)
 
             # independent route: invariant factors from minor gcds
             factors = invariant_factors_via_minors(m)

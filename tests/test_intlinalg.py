@@ -1,4 +1,8 @@
-"""Integer matrix routines: invariant factors, cokernels, presentations."""
+"""Integer matrix routines: invariant factors, cokernels, presentations.
+
+invariant_factors and cokernel take sparse rows; the tests hold dense
+matrices for the oracles and convert them with conftest.sparse_rows.
+"""
 
 import random
 from math import prod
@@ -6,10 +10,11 @@ from math import prod
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import wall_clock_limit
+from conftest import sparse_rows, wall_clock_limit
 from rotshift.intlinalg import (
     AbelianGroupPresentation,
     IntMatrix,
+    _eliminate_units,
     cokernel,
     invariant_factors,
 )
@@ -17,14 +22,14 @@ from rotshift.oracles import integer_determinant, invariant_factors_via_minors
 
 
 def test_invariant_factors_examples():
-    assert invariant_factors(IntMatrix.from_rows([[0, 0, 0], [0, 0, 0]])) == ()
-    assert invariant_factors(IntMatrix(())) == ()
-    assert invariant_factors(IntMatrix.identity(4)) == (1, 1, 1, 1)
-    assert invariant_factors(IntMatrix.from_rows([[2, 0], [0, 3]])) == (1, 6)
-    assert invariant_factors(IntMatrix.from_rows([[2, 4], [6, 8]])) == (2, 4)
-    assert invariant_factors(IntMatrix.from_rows([[1, 1], [1, 1]])) == (1,)
-    assert invariant_factors(IntMatrix.from_rows([[0, -1], [-1, 1]])) == (1, 1)
-    assert invariant_factors(IntMatrix.from_rows([[1, 0], [0, 0]])) == (1,)
+    assert invariant_factors([{}, {}]) == ()
+    assert invariant_factors([]) == ()
+    assert invariant_factors(sparse_rows(IntMatrix.identity(4))) == (1, 1, 1, 1)
+    assert invariant_factors(sparse_rows([[2, 0], [0, 3]])) == (1, 6)
+    assert invariant_factors(sparse_rows([[2, 4], [6, 8]])) == (2, 4)
+    assert invariant_factors(sparse_rows([[1, 1], [1, 1]])) == (1,)
+    assert invariant_factors(sparse_rows([[0, -1], [-1, 1]])) == (1, 1)
+    assert invariant_factors(sparse_rows([[1, 0], [0, 0]])) == (1,)
 
 
 @st.composite
@@ -43,7 +48,7 @@ def _small_matrices(draw):
 @settings(max_examples=150, deadline=None)
 @given(_small_matrices())
 def test_invariant_factors_agree_with_minor_gcds(m):
-    assert list(invariant_factors(m)) == invariant_factors_via_minors(m)
+    assert list(invariant_factors(sparse_rows(m))) == invariant_factors_via_minors(m)
 
 
 @settings(max_examples=100, deadline=None)
@@ -53,7 +58,7 @@ def test_invariant_factors_agree_with_smith_on_displacement_matrices(n, data):
     Smith's determinantal divisors (gcds of minors)."""
     adjacency = [[data.draw(st.sampled_from([0, 0, 0, 1, 1, 2])) for _ in range(n)] for _ in range(n)]
     m = IntMatrix.from_rows([[(i == j) - adjacency[i][j] for j in range(n)] for i in range(n)])
-    assert list(invariant_factors(m)) == invariant_factors_via_minors(m)
+    assert list(invariant_factors(sparse_rows(m))) == invariant_factors_via_minors(m)
 
 
 def test_invariant_factors_finish_on_dense_matrices():
@@ -66,7 +71,7 @@ def test_invariant_factors_finish_on_dense_matrices():
         for _ in range(300):
             n = rng.randint(2, 8)
             m = IntMatrix.from_rows([[rng.randint(-30, 30) for _ in range(n)] for _ in range(n)])
-            factors = invariant_factors(m)
+            factors = invariant_factors(sparse_rows(m))
             det = integer_determinant(m)
             if det:
                 assert prod(factors) == abs(det)
@@ -76,17 +81,38 @@ def test_invariant_factors_finish_on_dense_matrices():
                 assert list(factors) == invariant_factors_via_minors(m)
 
 
+@st.composite
+def _sparse_matrices(draw):
+    """Up to 6x6, most entries 0, the rest from -2..3 with +-1 likely."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    entry = st.sampled_from([0, 0, 0, 0, 1, -1, 1, -1, 2, -2, 3])
+    return IntMatrix.from_rows([[draw(entry) for _ in range(cols)] for _ in range(rows)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sparse_matrices())
+def test_unit_elimination_leaves_no_unit_and_keeps_the_rank(m):
+    """Phase 1's postcondition: the residual has no entry +-1 and no zero
+    row or column, and its rank plus the unit pivots is the rank of m."""
+    units, residual = _eliminate_units(sparse_rows(m))
+    assert all(x not in (1, -1) for row in residual for x in row)
+    assert all(any(row) for row in residual)
+    assert all(any(col) for col in zip(*residual))
+    residual_rank = len(invariant_factors_via_minors(IntMatrix.from_rows(residual))) if residual else 0
+    assert units + residual_rank == len(invariant_factors_via_minors(m))
+
+
 def test_cokernel_examples():
     # coker of diag(1,1) on Z^2 is trivial
-    assert cokernel(IntMatrix.from_rows([[0, -1], [-1, 1]])) == AbelianGroupPresentation((), 0)
+    assert cokernel(sparse_rows([[0, -1], [-1, 1]])) == AbelianGroupPresentation((), 0)
     # coker [[2]] = Z/2
-    p = cokernel(IntMatrix.from_rows([[2]]))
+    p = cokernel(sparse_rows([[2]]))
     assert str(p) == "Z/2"
     # coker of the zero 2x2 map is Z^2
-    p = cokernel(IntMatrix.from_rows([[0, 0], [0, 0]]))
+    p = cokernel(sparse_rows([[0, 0], [0, 0]]))
     assert p.free_rank == 2 and not p.torsion
     # mixed: [[2,0],[0,0]] -> Z/2 + Z
-    p = cokernel(IntMatrix.from_rows([[2, 0], [0, 0]]))
+    p = cokernel(sparse_rows([[2, 0], [0, 0]]))
     assert p.torsion == (2,) and p.free_rank == 1
     assert str(p) == "Z + Z/2"
 
@@ -121,7 +147,7 @@ def test_cokernel_unimodular_invariance():
         u = _random_unimodular(rng, n)
         v = _random_unimodular(rng, n)
         scrambled = _product(_product(u, m), v)
-        a, b = cokernel(m), cokernel(scrambled)
+        a, b = cokernel(sparse_rows(m)), cokernel(sparse_rows(scrambled))
         assert a.torsion == b.torsion and a.free_rank == b.free_rank
 
 

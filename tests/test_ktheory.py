@@ -2,20 +2,31 @@
 
 import random
 import time
+import tracemalloc
 from math import prod
 
 import pytest
 
-from conftest import build, goldenmean, hamiltonian_graph, random_graph, reducible3, wall_clock_limit
+from conftest import (
+    adjacency,
+    build,
+    goldenmean,
+    hamiltonian_graph,
+    identity_minus_adjacency,
+    random_graph,
+    reducible3,
+    sparse_rows,
+    wall_clock_limit,
+)
+from rotshift import ktheory
 from rotshift.graph import full_shift_graph
-from rotshift.intlinalg import AbelianGroupPresentation, IntMatrix
+from rotshift.intlinalg import AbelianGroupPresentation, IntMatrix, cokernel
 from rotshift.ktheory import (
     bunce_deddens_data,
     core_dimension_data,
-    displacement_matrix,
     graph_k_groups,
 )
-from rotshift.oracles import integer_determinant
+from rotshift.oracles import integer_determinant, invariant_factors_via_minors
 
 
 def test_full_shift_k_groups():
@@ -52,8 +63,7 @@ def test_torsion_order_is_absolute_determinant():
     checked = 0
     for _ in range(40):
         graph = random_graph(rng)
-        m = displacement_matrix(graph)
-        det = integer_determinant(m)
+        det = integer_determinant(identity_minus_adjacency(graph))
         if det == 0:
             continue
         checked += 1
@@ -74,29 +84,103 @@ def test_k_groups_finish_on_mid_sized_graphs():
         with wall_clock_limit(10.0):
             kg = graph_k_groups(graph)
         assert time.perf_counter() - start < 2.0
-        det = integer_determinant(displacement_matrix(graph))
+        det = integer_determinant(identity_minus_adjacency(graph))
         assert (kg.k0.free_rank == 0) == (det != 0)
         if det:
             assert prod(kg.k0.torsion) == abs(det)
 
 
-def _adjacency(graph):
-    """A[i][j] = number of edges vertex i -> vertex j, from graph.edges."""
-    n, vi = graph.vertex_count, graph.vertex_index
-    rows = [[0] * n for _ in range(n)]
-    for e in graph.edges:
-        rows[vi[e.src]][vi[e.dst]] += 1
-    return rows
+def _k_groups_from_minors(m: IntMatrix) -> AbelianGroupPresentation:
+    """Both K-groups of a graph whose I - A is m, by the minor-gcd oracle."""
+    factors = invariant_factors_via_minors(m)
+    return AbelianGroupPresentation(tuple(x for x in factors if x >= 2), 2 * (m.rows - len(factors)))
 
 
-def test_displacement_matrix_is_identity_minus_adjacency():
+def _rows_handed_to_cokernel(monkeypatch, graph):
+    """The sparse rows that graph_k_groups passes to cokernel, and its result."""
+    handed = []
+
+    def spy(rows):
+        handed.append([dict(row) for row in rows])
+        return cokernel(rows)
+
+    monkeypatch.setattr(ktheory, "cokernel", spy)
+    kg = graph_k_groups(graph)
+    (rows,) = handed
+    return rows, kg
+
+
+def test_sparse_rows_are_identity_minus_adjacency(monkeypatch):
     rng = random.Random(7)
     for _ in range(20):
         graph = random_graph(rng)
-        a = _adjacency(graph)
-        n = graph.vertex_count
-        expected = IntMatrix.from_rows([[(i == j) - a[i][j] for j in range(n)] for i in range(n)])
-        assert displacement_matrix(graph) == expected
+        rows, _ = _rows_handed_to_cokernel(monkeypatch, graph)
+        assert rows == sparse_rows(identity_minus_adjacency(graph))
+
+
+@pytest.mark.parametrize(
+    "graph, i_minus_a",
+    [
+        pytest.param(
+            # v1's single loop cancels its diagonal to 0, which is dropped
+            build(("v1", "v2"), (("v1", "v1", "a"), ("v1", "v2", "b"), ("v2", "v1", "c"))),
+            [[0, -1], [-1, 1]],
+            id="loop-cancels-diagonal",
+        ),
+        pytest.param(
+            # v2's only out-edge is a loop, so its row is empty
+            build(("v1", "v2"), (("v1", "v1", "a"), ("v1", "v2", "b"), ("v2", "v2", "c"))),
+            [[0, -1], [0, 0]],
+            id="only-a-loop-empty-row",
+        ),
+        pytest.param(
+            # two loops on v1 leave -1 on the diagonal
+            build(
+                ("v1", "v2"),
+                (("v1", "v1", "a"), ("v1", "v1", "b"), ("v1", "v2", "c"), ("v2", "v1", "c")),
+            ),
+            [[-1, -1], [-1, 1]],
+            id="two-loops",
+        ),
+        pytest.param(
+            # parallel edges v1 -> v2 with two symbols give -2
+            build(
+                ("v1", "v2"),
+                (("v1", "v2", "a"), ("v1", "v2", "b"), ("v2", "v1", "a"), ("v2", "v2", "c")),
+            ),
+            [[1, -2], [-1, 0]],
+            id="parallel-edges",
+        ),
+        *(pytest.param(full_shift_graph(n), [[1 - n]], id=f"full-shift-{n}") for n in (2, 3, 5)),
+    ],
+)
+def test_sparse_rows_corners_match_minor_gcds(monkeypatch, graph, i_minus_a):
+    """graph_k_groups builds I - A as sparse rows from the out-edge lists.
+    On each corner of that build the rows it hands to cokernel hold
+    exactly the nonzero entries of the dense I - A written out here, and
+    the K-groups agree with that matrix's minor gcds."""
+    m = IntMatrix.from_rows(i_minus_a)
+    assert identity_minus_adjacency(graph) == m
+    rows, kg = _rows_handed_to_cokernel(monkeypatch, graph)
+    assert rows == sparse_rows(m)
+    assert kg.k0 == kg.k1 == _k_groups_from_minors(m)
+
+
+def test_k_groups_of_a_long_cycle_build_no_square_matrix():
+    """On a 1000-vertex single cycle I - A has 2000 nonzero entries; a
+    dense n x n build takes over 16 MB, the sparse rows well under 2."""
+    n = 1000
+    vertices = [f"v{i}" for i in range(n)]
+    graph = build(vertices, [(vertices[i], vertices[(i + 1) % n], "a") for i in range(n)])
+    graph.out_edges  # built and cached before measuring
+    tracemalloc.start()
+    try:
+        kg = graph_k_groups(graph)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(kg.k0) == str(kg.k1) == "Z^2"
+    assert peak < 2_000_000, f"graph_k_groups peaked at {peak} bytes"
 
 
 def test_reducible3_k_groups():
@@ -122,9 +206,9 @@ def test_core_dimension_data_shapes():
     assert data.depth == 3
     assert data.level.free_rank == n and not data.level.torsion
     # the connecting map is the transpose of the adjacency in both degrees
-    adjacency = _adjacency(graph)
-    transpose = [list(col) for col in zip(*adjacency)]
-    assert adjacency != transpose  # asymmetric on purpose
+    a = adjacency(graph)
+    transpose = [list(col) for col in zip(*a)]
+    assert a != transpose  # asymmetric on purpose
     assert data.k0_map.to_lists() == data.k1_map.to_lists() == transpose
     assert data.k0_limit is None and data.k1_limit is None
 
