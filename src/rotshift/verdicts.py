@@ -43,9 +43,12 @@ condensation, by base_verdict: each is decided at most once per graph,
 the cycle once per angle assignment.  The composites (minimality,
 simplicity, pure infiniteness) and report.analyze_document read them
 there, so calls on one graph with equal angles share them, and a
-composite whose first hypothesis fails never decides the later ones.
-A new graph object, or a changed angle assignment, decides afresh.
-Composites copy the base certificates rather than mutating them.
+composite whose first hypothesis fails never decides the later ones;
+of irreducibility the composites read only the decision, which
+_irreducibility keeps there too, so only is_irreducible builds the
+covering walk.  A new graph object, or a changed angle assignment,
+decides afresh.  Composites copy the base certificates rather than
+mutating them.
 """
 
 from __future__ import annotations
@@ -196,12 +199,13 @@ def _bfs_tree(
     return tree
 
 
-def _tree_path(graph: LabeledGraph, tree: dict[int, tuple[int, str] | None], v: int) -> list[Edge]:
-    """The edges from the root of a tree over graph.out_edges to v."""
-    path: list[Edge] = []
+def _tree_path(graph: LabeledGraph, tree: dict[int, tuple[int, str] | None], v: int) -> list[list[str]]:
+    """The [src, dst, symbol] edges from the root of a tree over graph.out_edges to v."""
+    names = graph.vertices
+    path: list[list[str]] = []
     while tree[v] is not None:
         p, symbol = tree[v]
-        path.append(Edge(graph.vertices[p], graph.vertices[v], symbol))
+        path.append([names[p], names[v], symbol])
         v = p
     path.reverse()
     return path
@@ -211,56 +215,71 @@ def _tree_path(graph: LabeledGraph, tree: dict[int, tuple[int, str] | None], v: 
 # irreducibility
 
 
-def is_irreducible(graph: LabeledGraph) -> VerdictReport:
-    """Strong connectivity of the underlying digraph.
-
-    A forward search decides whether vertex 0 reaches every vertex.  If
-    it does, vertex 0's component is the only source of the condensation
-    (id 0), and the graph is strongly connected iff that is the only
-    component.  No-certificate: the forward closure of vertex 0, or else
-    of the first vertex outside component 0; it is a proper nonempty
-    forward-closed subset, so the fibers above it form a closed invariant
-    region.  Yes-certificate: a single closed walk visiting every vertex,
-    joined in index order from shortest paths to each vertex the walk has
-    not yet passed through.  Building it costs one BFS per such vertex,
-    so the certificate is not O(n + m).
-    """
-    criterion = "irreducibility: the transition digraph is strongly connected"
+def _forward_closed(graph: LabeledGraph) -> list[str] | None:
+    """None if graph is strongly connected, else the names of a proper
+    nonempty forward-closed set: the forward closure of vertex 0 if that
+    misses a vertex, else of the first vertex outside component 0 (the
+    condensation's only source, since vertex 0 reaches every vertex)."""
     n = graph.vertex_count
     closure = _bfs_tree(graph.out_edges, 0)
     if len(closure) == n:
         component = graph.condensation.component
-        if any(component):
-            closure = _bfs_tree(graph.out_edges, next(v for v in range(n) if component[v]))
-    if len(closure) < n:
-        return VerdictReport(
-            NO,
-            {"forward_closed": graph.vertex_names(closure)},
-            criterion,
-            notes=("every edge leaving the witness set lands back inside it",),
-        )
-    # build one closed walk covering all vertices
-    walk: list[Edge] = []
+        if not any(component):
+            return None
+        closure = _bfs_tree(graph.out_edges, next(v for v in range(n) if component[v]))
+    return graph.vertex_names(closure)
+
+
+def _irreducibility(graph: LabeledGraph) -> list[str] | None:
+    """_forward_closed(graph), decided once per graph object and kept in
+    its __dict__ next to the condensation."""
+    kept = graph.__dict__
+    if "_forward_closed" not in kept:
+        kept["_forward_closed"] = _forward_closed(graph)
+    return kept["_forward_closed"]
+
+
+def _covering_walk(graph: LabeledGraph) -> list[list[str]]:
+    """One closed walk through every vertex of a strongly connected
+    graph, joined in index order from shortest paths to each vertex the
+    walk has not yet passed through.  Building it costs one BFS per such
+    vertex, so it is not O(n + m)."""
+    walk: list[list[str]] = []
     # vertices passed on the way to an earlier target; a one-edge
     # segment passes none, and targets only increase
     passed: set[str] = set()
     cur = 0
-    for target in range(1, n):
+    for target in range(1, graph.vertex_count):
         if graph.vertices[target] in passed:
             continue
         seg = _tree_path(graph, _bfs_tree(graph.out_edges, cur, goal=target), target)
         walk.extend(seg)
         if len(seg) > 1:
-            passed.update(e.dst for e in seg)
+            passed.update(e[1] for e in seg)
         cur = target
     walk.extend(_tree_path(graph, _bfs_tree(graph.out_edges, cur, goal=0), 0))
     if not walk:
         # single vertex: use any loop (essentiality provides one)
         j, symbol = graph.out_edges[0][0]
-        walk = [Edge(graph.vertices[0], graph.vertices[j], symbol)]
-    return VerdictReport(
-        YES, {"covering_closed_walk": [list(e) for e in walk]}, criterion
-    )
+        walk = [[graph.vertices[0], graph.vertices[j], symbol]]
+    return walk
+
+
+def is_irreducible(graph: LabeledGraph) -> VerdictReport:
+    """Strong connectivity of the underlying digraph, as _irreducibility
+    decides it.  No-certificate: its forward-closed set, over which the
+    fibers form a closed invariant region.  Yes-certificate: the
+    covering closed walk, which only this function builds."""
+    criterion = "irreducibility: the transition digraph is strongly connected"
+    closed = _irreducibility(graph)
+    if closed is not None:
+        return VerdictReport(
+            NO,
+            {"forward_closed": closed},
+            criterion,
+            notes=("every edge leaving the witness set lands back inside it",),
+        )
+    return VerdictReport(YES, {"covering_closed_walk": _covering_walk(graph)}, criterion)
 
 
 # ---------------------------------------------------------------------------
@@ -321,16 +340,16 @@ def irrational_cycle(graph: LabeledGraph, angles: Mapping[str, ExactAngle]) -> V
             # the defect carries a generator: at least one of these two
             # closed walks at the root has an irrational angle
             back = _tree_path(graph, _bfs_tree(graph.out_edges, w, allowed, goal=root), root)
-            walk_a = _tree_path(graph, tree, u) + [e] + back
+            walk_a = _tree_path(graph, tree, u) + [list(e)] + back
             walk_b = _tree_path(graph, tree, w) + back
             for walk in (walk_a, walk_b):
                 # an empty walk sums to [] and is passed over
-                total = [sum(column) for column in zip(*(coords[edge.symbol] for edge in walk))]
+                total = [sum(column) for column in zip(*(coords[edge[2]] for edge in walk))]
                 if any(total[1:]):
                     return VerdictReport(
                         YES,
                         {
-                            "cycle": [list(edge) for edge in walk],
+                            "cycle": walk,
                             "angle": ExactAngle.format_integer_coordinates(context, common, total),
                             "base_vertex": graph.vertices[root],
                         },
@@ -338,14 +357,15 @@ def irrational_cycle(graph: LabeledGraph, angles: Mapping[str, ExactAngle]) -> V
                     )
             raise AssertionError("one of the two closed walks must be irrational")
 
+    # vertices often share a potential: write each distinct one once
+    text = {
+        p: ExactAngle.format_integer_coordinates(context, common, p) for p in set(potentials.values())
+    }
     return VerdictReport(
         NO,
         {
             "cycle_denominator": denominator,
-            "potentials": {
-                graph.vertices[v]: ExactAngle.format_integer_coordinates(context, common, p)
-                for v, p in potentials.items()
-            },
+            "potentials": {graph.vertices[v]: text[p] for v, p in potentials.items()},
             "roots": [graph.vertices[vertices[0]] for vertices in members],
         },
         criterion,
@@ -367,6 +387,8 @@ def base_verdict(graph: LabeledGraph, name: str, angles: Mapping[str, ExactAngle
     of the angles and decided anew when angles differ from it; the
     other two do not read the angles.  A kept report does not refer to
     the graph, so the graph is freed by reference counting."""
+    if name not in ("condition_I", "is_irreducible", "irrational_cycle"):
+        raise ValueError(f"{name!r} is not condition_I, is_irreducible or irrational_cycle")
     snapshot = dict(angles) if name == "irrational_cycle" else None
     kept = graph.__dict__.get(f"_{name}")
     if kept is None or kept[0] != snapshot:
@@ -395,11 +417,11 @@ def graph_minimality(graph: LabeledGraph, angles: Mapping[str, ExactAngle]) -> V
       strengthening of the sufficient Yes test and is flagged as such.
     """
     criterion = "minimality of the rotation action over the transition graph"
-    irr = base_verdict(graph, "is_irreducible", angles)
-    if irr.is_no:
+    closed = _irreducibility(graph)
+    if closed is not None:
         return VerdictReport(
             NO,
-            dict(irr.certificate),
+            {"forward_closed": closed},
             criterion,
             notes=(
                 "the circle fibers over the forward-closed subset form a "
@@ -468,7 +490,7 @@ def pure_infiniteness(graph: LabeledGraph, angles: Mapping[str, ExactAngle]) -> 
     condition = base_verdict(graph, "condition_I", angles)
     if not condition.is_yes:
         return VerdictReport(UNKNOWN, None, criterion, notes=("missing hypothesis: condition (I)",))
-    if not base_verdict(graph, "is_irreducible", angles).is_yes:
+    if _irreducibility(graph) is not None:
         return VerdictReport(UNKNOWN, None, criterion, notes=("missing hypothesis: irreducibility",))
     cycle = base_verdict(graph, "irrational_cycle", angles)
     if not cycle.is_yes:

@@ -652,7 +652,10 @@ def test_pure_infiniteness_names_missing_hypothesis():
 
 
 def count_base_decisions(monkeypatch):
-    calls = {"condition_I": 0, "is_irreducible": 0, "irrational_cycle": 0}
+    """Calls that decide condition (I), irreducibility (the decision the
+    composites read, not the report with its walk) and the cycle, and
+    calls that build the covering walk."""
+    calls = {"condition_I": 0, "_forward_closed": 0, "irrational_cycle": 0, "_covering_walk": 0}
 
     def counting(name):
         original = getattr(verdicts, name)
@@ -674,7 +677,7 @@ def test_composites_on_one_graph_decide_each_base_verdict_once(monkeypatch):
     assert crossed_product_simplicity(graph, angles).is_yes
     assert pure_infiniteness(graph, angles).is_yes
     assert graph_minimality(graph, dict(angles)).is_yes
-    assert calls == {"condition_I": 1, "is_irreducible": 1, "irrational_cycle": 1}
+    assert calls == {"condition_I": 1, "_forward_closed": 1, "irrational_cycle": 1, "_covering_walk": 0}
 
 
 def test_shared_analysis_follows_the_angles():
@@ -702,7 +705,7 @@ def test_reparsed_equal_graph_decides_afresh(monkeypatch):
         graph = doc.graph()
         crossed_product_simplicity(graph, doc.angles)
         pure_infiniteness(graph, doc.angles)
-    assert calls == {"condition_I": 2, "is_irreducible": 2, "irrational_cycle": 2}
+    assert calls == {"condition_I": 2, "_forward_closed": 2, "irrational_cycle": 2, "_covering_walk": 0}
 
 
 def test_shared_analysis_is_freed_with_its_graph():
@@ -718,6 +721,82 @@ def test_shared_analysis_is_freed_with_its_graph():
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_base_verdict_rejects_an_unknown_name():
+    graph, angles = goldenmean()
+    with pytest.raises(ValueError, match="condition_I, is_irreducible or irrational_cycle"):
+        verdicts.base_verdict(graph, "is_irreducibel", angles)
+
+
+def circulant(n, k, symbols=("a", "b")):
+    """v -> v+1 and v -> v+k (mod n), labeled symbols[0] and symbols[1]:
+    left-resolving, and strongly connected through the v -> v+1 cycle."""
+    a, b = symbols
+    edges = [(f"v{v}", f"v{(v + 1) % n}", a) for v in range(n)]
+    edges += [(f"v{v}", f"v{(v + k) % n}", b) for v in range(n)]
+    return build([f"v{v}" for v in range(n)], edges, symbols)
+
+
+def test_composites_on_a_large_irreducible_graph_build_no_covering_walk(monkeypatch):
+    """The covering walk costs one search per vertex; the composites need
+    only the irreducibility decision, one search from vertex 0, and the
+    cycle search's spanning tree of the one component."""
+    graph = circulant(MAX_VERTICES, 7)
+    angles = {"a": rat(1, 4), "b": rat(3, 4)}
+    searches = []
+    original = verdicts._bfs_tree
+
+    def counted(*args, **kwargs):
+        searches.append(args[1])
+        return original(*args, **kwargs)
+
+    patch_everywhere(monkeypatch, verdicts, "_bfs_tree", counted)
+    assert crossed_product_simplicity(graph, angles).is_no
+    assert pure_infiniteness(graph, angles).verdict == UNKNOWN
+    assert len(searches) <= 2
+    r = is_irreducible(graph)
+    assert r.is_yes
+    assert_walk(graph, r.certificate["covering_closed_walk"], covering=True)
+
+
+def assert_edge_lists(walk):
+    assert all(type(e) is list and len(e) == 3 and all(type(x) is str for x in e) for e in walk)
+
+
+def test_shared_potentials_are_written_as_each_vertex_alone():
+    """Even and odd vertices of an even circulant with odd k alternate,
+    so a generator added on edges out of even vertices and taken off on
+    edges out of odd ones cancels on every cycle.  With rational parts
+    1/4 per step, every path from v0 to vi rotates by i/4 + (i mod 2)*g
+    mod 1: 64 vertices share 4 potentials, and each must read as the
+    angle of its own tuple formatted alone."""
+    n, k = 64, 7
+    even, odd = circulant(n, k), circulant(n, k, ("c", "d"))
+    graph = build(
+        even.vertices,
+        [e for e in even.edges if int(e.src[1:]) % 2 == 0]
+        + [e for e in odd.edges if int(e.src[1:]) % 2 == 1],
+        ("a", "b", "c", "d"),
+    )
+    angles = {"a": gen(1, 1, 4), "b": gen(1, k, 4), "c": gen(-1, 1, 4), "d": gen(-1, k, 4)}
+    r = irrational_cycle(graph, angles)
+    assert r.is_no and r.certificate["cycle_denominator"] == 1
+    expected = {}
+    for i in range(n):
+        context, common, coords = ExactAngle.integer_coordinates({"p": gen(i % 2, i, 4)})
+        expected[f"v{i}"] = ExactAngle.format_integer_coordinates(context, common, coords["p"])
+    assert r.certificate["potentials"] == expected
+    assert len(set(expected.values())) == 4
+    # edges stay plain [src, dst, symbol] lists in both walk certificates
+    angles["b"] = rat(k, 4)
+    r = irrational_cycle(graph, angles)
+    assert r.is_yes
+    assert_walk(graph, r.certificate["cycle"])
+    assert_edge_lists(r.certificate["cycle"])
+    r = is_irreducible(graph)
+    assert r.is_yes
+    assert_edge_lists(r.certificate["covering_closed_walk"])
 
 
 # -- full shift specials --------------------------------------------------------------
