@@ -41,8 +41,7 @@ from .verdicts import (  # noqa: F401
     VerdictReport,
     condition_I,
     crossed_product_simplicity,
-    fullshift_core_simplicity,
-    fullshift_uniform_distribution,
+    fullshift_verdicts,
     graph_minimality,
     irrational_cycle,
     is_irreducible,

@@ -14,6 +14,13 @@ the rest of the package possible.
 Angles are immutable.  Arithmetic canonicalizes eagerly: the rational
 part is reduced into [0, 1) and zero coefficients are dropped, so
 structural equality is semantic equality.
+
+The verdicts read the angles only as one integer table,
+ExactAngle.integer_coordinates, whose entries are capped at
+MAX_ANGLE_BITS bits.  The Fraction arithmetic (+, -, is_rational,
+rational_denominator) is the independent route the tests check that
+table against; in the package only the decorated-language oracle
+(oracles.decorated_admissible_words) adds angles.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ from typing import Iterable, Mapping
 
 from .errors import (
     AngleSyntaxError,
+    CapExceeded,
     ContextMismatch,
     MissingGeneratorValue,
 )
@@ -36,11 +44,17 @@ __all__ = [
     "parse_angle",
     "EMPTY_CONTEXT",
     "DEFAULT_GENERATOR_VALUE",
+    "MAX_ANGLE_BITS",
 ]
 
 # (sqrt(5) - 1) / 2, truncated to 15 digits.  Used as the numeric stand-in
 # for a generator whenever no explicit value is supplied.
 DEFAULT_GENERATOR_VALUE = 0.618033988749894
+
+# Bits of L and of every integer_coordinates entry.  The verdicts write
+# sums of at most 2 * MAX_VERTICES entries, far below the ~14 284 bits
+# (4300 digits) that CPython's int-to-str conversion accepts.
+MAX_ANGLE_BITS = 4096
 
 _IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _RAT_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
@@ -120,16 +134,23 @@ class ExactAngle:
         rational part's and coefficient's denominator.  Returns the merged
         context (EMPTY_CONTEXT mixes with any, as in addition), L, and per
         key the int tuple (rational*L, c_1*L, ..., c_k*L) in generator
-        order; sums of tuples are sums of angles, unreduced mod 1."""
+        order; sums of tuples are sums of angles, unreduced mod 1.  Raises
+        CapExceeded once L or an entry has more than MAX_ANGLE_BITS bits."""
         context, common = EMPTY_CONTEXT, 1
         for a in angles.values():
             context = _merge_contexts(context, a.context)
             common = lcm(common, a.rational.denominator, *(c.denominator for _, c in a.coefficients))
+            if common.bit_length() > MAX_ANGLE_BITS:
+                raise CapExceeded("angle coordinate bits", f"at least {common.bit_length()}", MAX_ANGLE_BITS)
         coords = {}
+        bits = 0
         for key, a in angles.items():
             terms = dict(a.coefficients)
             values = (a.rational, *(terms.get(name, 0) for name in context.ids))
-            coords[key] = tuple(x.numerator * (common // x.denominator) for x in values)
+            coords[key] = row = tuple(x.numerator * (common // x.denominator) for x in values)
+            bits = max(bits, *(x.bit_length() for x in row))
+        if bits > MAX_ANGLE_BITS:
+            raise CapExceeded("angle coordinate bits", bits, MAX_ANGLE_BITS)
         return context, common, coords
 
     @staticmethod

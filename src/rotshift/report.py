@@ -25,8 +25,7 @@ from .ktheory import graph_k_groups
 from .verdicts import (
     base_verdict,
     crossed_product_simplicity,
-    fullshift_core_simplicity,
-    fullshift_uniform_distribution,
+    fullshift_verdicts,
     graph_minimality,
     pure_infiniteness,
 )
@@ -91,14 +90,8 @@ def analyze_document(
     report["purely_infinite_O"] = pure_infiniteness(graph, angles).to_json()
 
     if graph.vertex_count == 1 and len(graph.alphabet) >= 2:
-        ordered = [angles[s] for s in graph.alphabet]
-        labels = list(graph.alphabet)
-        report["fullshift"] = {
-            "F_simple": fullshift_core_simplicity(ordered, labels).to_json(),
-            "uniformly_distributed": fullshift_uniform_distribution(
-                ordered, labels
-            ).to_json(),
-        }
+        core, uniform = fullshift_verdicts({s: angles[s] for s in graph.alphabet})
+        report["fullshift"] = {"F_simple": core.to_json(), "uniformly_distributed": uniform.to_json()}
     else:
         reason = (
             "full-shift analysis applies to single-vertex graphs with at "

@@ -30,8 +30,11 @@ Decisions implemented:
 * simplicity / pure infiniteness of the associated algebra, through
   the sufficient criteria that condition (I) supports.
 * full shifts: simplicity of the gauge-fixed core and uniform
-  distribution of the angle sums, decided by the differences from the
-  first angle, which decide every pairwise difference.
+  distribution of the angle sums, one fact decided once by
+  fullshift_verdicts from the differences to the first angle, which
+  decide every pairwise difference.  They are read off the same int
+  tuples as the irrational-cycle search, so no verdict does Fraction
+  arithmetic on ExactAngle.
 
 Components come from graph.condensation (Tarjan over out_edges, the
 graph's one adjacency list); every other path question is one
@@ -55,7 +58,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd, lcm
-from operator import add
+from operator import add, sub
 from typing import Container, Mapping, Sequence
 
 from .angles import ExactAngle
@@ -71,8 +74,7 @@ __all__ = [
     "graph_minimality",
     "crossed_product_simplicity",
     "pure_infiniteness",
-    "fullshift_core_simplicity",
-    "fullshift_uniform_distribution",
+    "fullshift_verdicts",
     "check_angle_assignment",
 ]
 
@@ -514,86 +516,51 @@ def pure_infiniteness(graph: LabeledGraph, angles: Mapping[str, ExactAngle]) -> 
 # full shifts
 
 
-def _fullshift_difference_verdict(
-    angles: Sequence[ExactAngle], labels: Sequence[str] | None, criterion: str, notes_yes, notes_no
-) -> VerdictReport:
-    # a - b = (first - b) - (first - a): the differences from the first
-    # angle give the first irrational pair in lexicographic order and
-    # the lcm of the denominators over all pairs
-    n = len(angles)
-    if n < 2:
-        raise FewerThanTwoAngles(n)
-    if labels is None:
-        labels = [f"s{i + 1}" for i in range(n)]
-    elif len(labels) != n:
-        raise ValueError(f"{len(labels)} labels for {n} angles")
-    first = angles[0]
-    denominator = 1
-    for label, angle in zip(labels[1:], angles[1:]):
-        diff = first - angle
-        if not diff.is_rational():
-            return VerdictReport(
-                YES,
-                {"pair": [labels[0], label], "difference": str(diff)},
-                criterion,
-                notes=notes_yes,
-            )
-        denominator = lcm(denominator, diff.rational_denominator())
-    return VerdictReport(
-        NO,
-        {"common_denominator": denominator},
-        criterion,
-        notes=notes_no(denominator),
-    )
+def fullshift_verdicts(angles: Mapping[str, ExactAngle]) -> tuple[VerdictReport, VerdictReport]:
+    """Core simplicity and uniform distribution of the level sums of the
+    full shift whose symbols (the keys, in order) carry the angles.
 
-
-def fullshift_core_simplicity(
-    angles: Sequence[ExactAngle], labels: Sequence[str] | None = None
-) -> VerdictReport:
-    """Simplicity of the gauge-fixed core of a decorated full shift.
-
-    Decided by the pairwise angle differences: the core is simple iff
-    some difference is irrational, which is also equivalent to uniform
-    distribution of the level sums and to real rank zero.  The core
-    always carries a unique tracial state.
+    The two are one fact: both hold iff some pairwise angle difference
+    is irrational, which also gives the core real rank zero; the core
+    always carries a unique trace.  As a - b = (first - b) - (first - a),
+    one pass over the differences from the first angle's int tuple
+    (ExactAngle.integer_coordinates, denominator L) finds the first
+    irrational pair in lexicographic order, or else the lcm q of all
+    pairwise denominators, each L / gcd(r, L) for rational coordinate r.
     """
-    criterion = "core simplicity: some pairwise angle difference is irrational"
-    return _fullshift_difference_verdict(
-        angles,
-        labels,
-        criterion,
-        notes_yes=(
-            "equivalently: the angle sums are uniformly distributed and the "
-            "core has real rank zero; the core carries a unique trace",
-        ),
-        notes_no=lambda q: (
+    if len(angles) < 2:
+        raise FewerThanTwoAngles(len(angles))
+    context, common, coords = ExactAngle.integer_coordinates(angles)
+    (first, base), *rest = coords.items()
+    q = 1
+    for label, other in rest:
+        difference = tuple(map(sub, base, other))
+        if any(difference[1:]):
+            verdict = YES
+            certificate = {
+                "pair": [first, label],
+                "difference": ExactAngle.format_integer_coordinates(context, common, difference),
+            }
+            notes = (
+                "equivalently: the angle sums are uniformly distributed and the "
+                "core has real rank zero; the core carries a unique trace",
+                "the normalized exponential sums of every nonzero level tend to "
+                "zero; equivalent to core simplicity and real rank zero",
+            )
+            break
+        q = lcm(q, common // gcd(difference[0], common))
+    else:
+        verdict, certificate = NO, {"common_denominator": q}
+        notes = (
             f"all pairwise differences are rational with common denominator {q}; "
             "the core is not simple, not real rank zero, and the sums are not "
             "uniformly distributed; it still carries a unique trace",
-        ),
-    )
-
-
-def fullshift_uniform_distribution(
-    angles: Sequence[ExactAngle], labels: Sequence[str] | None = None
-) -> VerdictReport:
-    """Uniform distribution of the n-fold angle sums with multiplicity.
-
-    Equivalent to core simplicity.  A No verdict reports the exponential
-    sum level at which equidistribution fails outright: at that level
-    the normalized sum has modulus one.
-    """
-    criterion = "uniform distribution of the level sums of the angles"
-    return _fullshift_difference_verdict(
-        angles,
-        labels,
-        criterion,
-        notes_yes=(
-            "the normalized exponential sums of every nonzero level tend to "
-            "zero; equivalent to core simplicity and real rank zero",
-        ),
-        notes_no=lambda q: (
             f"at level {q} every angle multiple coincides mod 1, so the "
             "normalized exponential sum has modulus 1 at every word length",
-        ),
+        )
+    core = "core simplicity: some pairwise angle difference is irrational"
+    uniform = "uniform distribution of the level sums of the angles"
+    return (
+        VerdictReport(verdict, certificate, core, notes=notes[:1]),
+        VerdictReport(verdict, dict(certificate), uniform, notes=notes[1:]),
     )

@@ -40,8 +40,7 @@ from rotshift.fileformat import parse_system_file
 from rotshift.verdicts import (
     condition_I,
     crossed_product_simplicity,
-    fullshift_core_simplicity,
-    fullshift_uniform_distribution,
+    fullshift_verdicts,
     graph_minimality,
     is_irreducible,
     pure_infiniteness,
@@ -163,21 +162,23 @@ def test_criterion_5_fullshift_verdict_matrix(capsys):
 
         half = {"s1": rat(0), "s2": rat(1, 2)}
         assert crossed_product_simplicity(graph, half).is_no
-        f = fullshift_core_simplicity([half["s1"], half["s2"]])
+        f, ud = fullshift_verdicts(half)
         assert f.is_no
-        ud = fullshift_uniform_distribution([half["s1"], half["s2"]])
         assert ud.is_no
         assert ud.certificate["common_denominator"] == 2
 
         irr = {"s1": rat(0), "s2": gen(1)}
         assert crossed_product_simplicity(graph, irr).is_yes
         assert pure_infiniteness(graph, irr).is_yes
-        assert fullshift_core_simplicity([irr["s1"], irr["s2"]]).is_yes
-        assert fullshift_uniform_distribution([irr["s1"], irr["s2"]]).is_yes
+        f, ud = fullshift_verdicts(irr)
+        assert f.is_yes
+        assert ud.is_yes
 
         same = {"s1": gen(1), "s2": gen(1)}
         assert crossed_product_simplicity(graph, same).is_yes
-        assert fullshift_core_simplicity([same["s1"], same["s2"]]).is_no
+        f, ud = fullshift_verdicts(same)
+        assert f.is_no
+        assert ud.is_no
         return "all three columns as prescribed"
 
 

@@ -10,11 +10,12 @@ from rotshift.angles import (
     DEFAULT_GENERATOR_VALUE,
     EMPTY_CONTEXT,
     ExactAngle,
+    MAX_ANGLE_BITS,
     GeneratorContext,
     parse_angle,
 )
 from conftest import outcome, reference_parse_angle
-from rotshift.errors import AngleSyntaxError, ContextMismatch, MissingGeneratorValue
+from rotshift.errors import AngleSyntaxError, CapExceeded, ContextMismatch, MissingGeneratorValue
 
 CTX = GeneratorContext(("g", "h"))
 VALUES = {"g": 0.618033988749894, "h": 0.414213562373095}
@@ -270,6 +271,32 @@ def test_integer_coordinates_write_back_each_angle(chain):
     context, common, coords = ExactAngle.integer_coordinates(angles)
     for key, a in angles.items():
         assert ExactAngle.format_integer_coordinates(context, common, coords[key]) == str(a)
+
+
+AT_CAP = 2**MAX_ANGLE_BITS - 1  # the largest int of MAX_ANGLE_BITS bits
+
+
+@pytest.mark.parametrize(
+    "rational, coefficient, bits",
+    [
+        (Fraction(1, AT_CAP), 0, None),
+        (Fraction(0), Fraction(-AT_CAP), None),
+        (Fraction(1, AT_CAP + 1), 0, f"at least {MAX_ANGLE_BITS + 1}"),
+        (Fraction(0), Fraction(AT_CAP + 1), MAX_ANGLE_BITS + 1),
+        # neither L nor the coefficient passes the cap; their product does
+        (Fraction(1, 2**2048), Fraction(2**2048), MAX_ANGLE_BITS + 1),
+    ],
+    ids=["L-at-cap", "entry-at-cap", "L-past-cap", "entry-past-cap", "product-past-cap"],
+)
+def test_integer_coordinates_cap_the_bits_of_L_and_of_every_entry(rational, coefficient, bits):
+    angles = {"a": ExactAngle.make(CTX, rational, {"g": coefficient}), "b": ExactAngle.zero(CTX)}
+    if bits is None:
+        _, common, coords = ExactAngle.integer_coordinates(angles)
+        assert max(common.bit_length(), *(abs(x).bit_length() for x in coords["a"])) == MAX_ANGLE_BITS
+    else:
+        with pytest.raises(CapExceeded) as info:
+            ExactAngle.integer_coordinates(angles)
+        assert str(info.value) == f"angle coordinate bits: requested {bits}, cap is {MAX_ANGLE_BITS}"
 
 
 def test_str_is_canonical():

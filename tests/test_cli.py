@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import wall_clock_limit
 from rotshift import cli
+from rotshift.angles import MAX_ANGLE_BITS
 from rotshift.cli import _indented_json, main
 from rotshift.oracles import MAX_ORBIT_GRID, MAX_WEYL_TERMS
 from rotshift.subshift import MAX_WORD_SCANS, MAX_WORDS
@@ -360,6 +361,46 @@ def test_analyze_is_exact_where_floats_overflow(capsys, tmp_path, name):
     report = json.loads(out)
     assert report["purely_infinite_O"]["verdict"] == "Yes"
     assert report["irrational_cycle"]["certificate"]["angle"] == f"0 + {OVERFLOW_SYSTEMS[name][1]}*g"
+
+
+# inputs whose every number has at most 4300 digits, while an lcm of
+# denominators or a sum of entries along a cycle has more
+DIGIT_LIMIT_SYSTEMS = {
+    "golden-mean-lcm": (
+        f"[alphabet]\na = 1/{10**3000 + 1}\nb = 1/{10**3000 + 3}\nc = 0\n"
+        "[vertices]\nv1\nv2\n[edges]\nv1 -> v1 : a\nv1 -> v2 : b\nv2 -> v1 : c\n"
+    ),
+    # L = 1: only the entry's own bits pass the cap
+    "cycle-coefficient": (
+        f"[generators]\ng\n[alphabet]\na = {'9' * 4299}*g\n[vertices]\n"
+        + "".join(f"v{i}\n" for i in range(12))
+        + "[edges]\n"
+        + "".join(f"v{i} -> v{(i + 1) % 12} : a\n" for i in range(12))
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, requested",
+    [
+        (["{golden-mean-lcm}"], "at least 9966"),
+        (["{cycle-coefficient}"], "14281"),
+        (["--angles", f"1/{10**3000 + 1},1/{10**3000 + 3}"], "at least 9966"),
+    ],
+    ids=["golden-mean-lcm", "cycle-coefficient", "angles-lcm"],
+)
+def test_past_the_int_string_limit_analyze_exits_1_naming_the_angle_cap(capsys, tmp_path, argv, requested):
+    """MAX_ANGLE_BITS refuses these before a verdict writes an int past
+    CPython's 4300-digit int-to-str limit.  validate runs no verdict and
+    still accepts the files."""
+    if argv[0].startswith("{"):
+        file = tmp_path / "system.sds"
+        file.write_text(DIGIT_LIMIT_SYSTEMS[argv[0][1:-1]])
+        assert run(capsys, "validate", str(file), "--json")[0] == 0
+        argv = [str(file)]
+    code, out, err = run(capsys, "analyze", *argv, "--json")
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [f"error: angle coordinate bits: requested {requested}, cap is {MAX_ANGLE_BITS}"]
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,7 @@ import shlex
 
 import pytest
 
-from rotshift import graph, ideals, oracles, subshift
+from rotshift import angles, graph, ideals, oracles, subshift
 from rotshift.cli import main
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
@@ -99,6 +99,7 @@ CAPS = {
     "; {} steps and": oracles.MAX_ORBIT_STEPS,
     "and {} grid points": oracles.MAX_ORBIT_GRID,
     "; {} terms,": oracles.MAX_WEYL_TERMS,
+    "; {} bits for": angles.MAX_ANGLE_BITS,
 }
 
 

@@ -40,7 +40,7 @@ from conftest import (
 )
 from rotshift import cli, verdicts
 from rotshift.angles import ExactAngle, GeneratorContext, parse_angle
-from rotshift.errors import FewerThanTwoAngles
+from rotshift.errors import ContextMismatch, FewerThanTwoAngles
 from rotshift.fileformat import parse_system
 from rotshift.graph import MAX_EDGES, MAX_VERTICES, Edge, LabeledGraph, validate_graph
 from rotshift.report import analyze_document
@@ -52,8 +52,7 @@ from rotshift.verdicts import (
     check_angle_assignment,
     condition_I,
     crossed_product_simplicity,
-    fullshift_core_simplicity,
-    fullshift_uniform_distribution,
+    fullshift_verdicts,
     graph_minimality,
     irrational_cycle,
     is_irreducible,
@@ -802,15 +801,20 @@ def test_shared_potentials_are_written_as_each_vertex_alone():
 # -- full shift specials --------------------------------------------------------------
 
 
+def decide_fullshift(angles):
+    """fullshift_verdicts over the symbols s1, s2, ... in list order."""
+    return fullshift_verdicts({f"s{i + 1}": a for i, a in enumerate(angles)})
+
+
 def test_fullshift_simplicity_by_differences():
-    r = fullshift_core_simplicity([rat(0), gen(1)])
+    r, _ = decide_fullshift([rat(0), gen(1)])
     assert r.is_yes
     assert r.certificate["pair"] == ["s1", "s2"]
-    r = fullshift_core_simplicity([rat(0), rat(1, 2), rat(1, 3)])
+    r, _ = decide_fullshift([rat(0), rat(1, 2), rat(1, 3)])
     assert r.is_no
     assert r.certificate["common_denominator"] == 6
     # equal irrational angles: differences vanish
-    r = fullshift_core_simplicity([gen(1), gen(1)])
+    r, _ = decide_fullshift([gen(1), gen(1)])
     assert r.is_no
     assert r.certificate["common_denominator"] == 1
 
@@ -824,20 +828,22 @@ def test_fullshift_uniform_distribution_matches_simplicity():
         [rat(1, 3), rat(1, 3), gen(1, 1, 2)],
     ]
     for angles in cases:
-        assert (
-            fullshift_uniform_distribution(angles).verdict
-            == fullshift_core_simplicity(angles).verdict
-        )
+        core, uniform = decide_fullshift(angles)
+        assert uniform.verdict == core.verdict
+        assert uniform.certificate == core.certificate
+        assert uniform.certificate is not core.certificate
+        assert uniform.criterion != core.criterion
 
 
 def test_fullshift_needs_two_angles():
     with pytest.raises(FewerThanTwoAngles):
-        fullshift_core_simplicity([rat(0)])
+        decide_fullshift([rat(0)])
 
 
 def test_fullshift_verdicts_match_all_pairs():
     # the first irrational pair in lexicographic order and the lcm of
-    # the pairwise denominators, found by checking every pair
+    # the pairwise denominators, found by checking every pair with
+    # ExactAngle subtraction; the mapping's keys name the pair
     rng = random.Random(2024)
     for _ in range(300):
         angles = [
@@ -847,8 +853,7 @@ def test_fullshift_verdicts_match_all_pairs():
         labels = [f"x{i}" for i in range(len(angles))]
         pairs = [(i, j) for i in range(len(angles)) for j in range(i + 1, len(angles))]
         irrational = [(i, j) for i, j in pairs if not (angles[i] - angles[j]).is_rational()]
-        for decide in (fullshift_core_simplicity, fullshift_uniform_distribution):
-            r = decide(angles, labels)
+        for r in fullshift_verdicts(dict(zip(labels, angles))):
             if irrational:
                 i, j = irrational[0]
                 assert r.is_yes
@@ -860,12 +865,8 @@ def test_fullshift_verdicts_match_all_pairs():
                 assert r.certificate == {"common_denominator": expected}
 
 
-@pytest.mark.parametrize("labels", [["a"], ["a", "b", "c"]])
-def test_fullshift_labels_must_match_angles(labels):
-    with pytest.raises(ValueError, match="labels for 2 angles"):
-        fullshift_core_simplicity([rat(0), gen(1)], labels=labels)
-
-
-def test_fullshift_custom_labels():
-    r = fullshift_core_simplicity([rat(0), gen(1)], labels=["a", "b"])
-    assert r.certificate["pair"] == ["a", "b"]
+def test_fullshift_mixed_contexts_raise():
+    # the first pair is already irrational: the whole table is still built
+    other = ExactAngle.make(GeneratorContext(("h",)), 0, {"h": 1})
+    with pytest.raises(ContextMismatch):
+        decide_fullshift([gen(1), rat(0), other])
