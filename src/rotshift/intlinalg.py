@@ -9,8 +9,8 @@ entries, a shortest row first, until none is left; only then does the
 remaining block become dense, so phase 2's cubic work runs on nothing
 that a unit pivot could have removed.  The independent check is
 oracles.invariant_factors_via_minors (determinantal divisors) on the
-dense IntMatrix, which shares no code with it.  IntMatrix also carries
-the connecting maps of the K-theory ladders.
+dense IntMatrix, which shares no code with it; IntMatrix is the
+oracles' input and has no other use in the package.
 """
 
 from __future__ import annotations
@@ -42,10 +42,6 @@ class IntMatrix:
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
         return cls(tuple(tuple(int(x) for x in r) for r in rows))
 
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
     @property
     def rows(self) -> int:
         return len(self.entries)
@@ -56,9 +52,6 @@ class IntMatrix:
 
     def __getitem__(self, ij: tuple[int, int]) -> int:
         return self.entries[ij[0]][ij[1]]
-
-    def to_lists(self) -> list[list[int]]:
-        return [list(r) for r in self.entries]
 
 
 def invariant_factors(rows: Sequence[Mapping[int, int]]) -> tuple[int, ...]:

@@ -18,20 +18,19 @@ diagonal, whose zero is dropped.  Phase 1 pivots on the +-1 entries
 that dominate I - A, a shortest row first; the residual block it
 leaves has no +-1 and is reduced modulo one of its nonzero minors, so
 coefficients stay bounded.  Because I - A is square, the kernel has
-the rank of the cokernel's free part.  The transpose adjacency of the
-core ladder is built in one pass over the edge lists too.  On the
-N-loop graph of the full shift (graph.full_shift_graph) both groups
-come out as Z/(N-1).
+the rank of the cokernel's free part.  On the N-loop graph of the full
+shift (graph.full_shift_graph) both groups come out as Z/(N-1).
 
 The gauge-fixed core is a stationary inductive limit of circle
 algebras: every level carries the same group and every step applies the
-same connecting map.  A StationaryLadder therefore holds one level, one
-map per degree and the depth, so its size does not grow with the depth.
-core_dimension_data gives the core's ladder, free of rank N0 with the
-transpose adjacency as the map in both degrees.  For full shifts the
-core's ordered K-theory is the classical scaled-integers invariant:
-bunce_deddens_data gives the ladder that multiplies by N in K0 (limit
-Z[1/N], order unit 1) and is the identity in K1 (limit Z).
+same connecting map.  A StationaryLadder therefore holds one level and
+its maps, each as the sparse [row, column, multiplicity] triples of its
+nonzero entries.  core_dimension_data gives the core's ladder, free of
+rank N0, whose one map in both degrees is the transpose adjacency, read
+off the out-edge lists in O(n + m).  For full shifts the core's ordered
+K-theory is the classical scaled-integers invariant: bunce_deddens_data
+gives the ladder that multiplies by N in K0 (limit Z[1/N], order unit
+1) and is the identity in K1 (limit Z).
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph import LabeledGraph
-from .intlinalg import AbelianGroupPresentation, IntMatrix, cokernel
+from .intlinalg import AbelianGroupPresentation, cokernel
 
 __all__ = [
     "KGroups",
@@ -89,57 +88,54 @@ def graph_k_groups(graph: LabeledGraph) -> KGroups:
 class StationaryLadder:
     """Dimension data of a stationary inductive limit, stored once.
 
-    Levels 0..depth all carry the group `level` in both degrees, and
-    every one of the depth steps applies k0_map in K0 and k1_map in K1
-    (entry [i][j]: multiplicity of level-l block j inside level-(l+1)
-    block i after transposition bookkeeping).  Limit tags are symbolic
-    names for recognized limits, or None when no recognition is
-    attempted.
+    Every level carries the group `level` in both degrees, and every
+    step applies k0_map in K0 and k1_map in K1.  A map is written
+    sparse, as its nonzero entries [row, column, multiplicity] sorted
+    by row, then column.  k1_map is None when the K1 map is k0_map by
+    construction, and the JSON then carries that one `map`.  Limit tags
+    are symbolic names for recognized limits.
     """
 
-    depth: int
     level: AbelianGroupPresentation
-    k0_map: IntMatrix
-    k1_map: IntMatrix
+    k0_map: list[list[int]]
+    k1_map: list[list[int]] | None = None
     k0_limit: str | None = None
     k1_limit: str | None = None
     order_unit: tuple[int, ...] | None = None
 
-    def __post_init__(self):
-        if self.depth < 0:
-            raise ValueError("negative depth")
-
     def to_json(self) -> dict:
+        if self.k1_map is None:
+            return {"level": str(self.level), "map": self.k0_map}
         return {
-            "depth": self.depth,
             "level": str(self.level),
-            "K0_map": self.k0_map.to_lists(),
-            "K1_map": self.k1_map.to_lists(),
+            "K0_map": self.k0_map,
+            "K1_map": self.k1_map,
             "K0_limit": self.k0_limit,
             "K1_limit": self.k1_limit,
             "order_unit": list(self.order_unit) if self.order_unit else None,
         }
 
 
-def core_dimension_data(graph: LabeledGraph, depth: int) -> StationaryLadder:
-    """The core ladder, levels 0..depth.
+def core_dimension_data(graph: LabeledGraph) -> StationaryLadder:
+    """The core ladder.
 
     Every level contributes one circle-algebra block per vertex, so the
     group is free of rank N0 in both degrees; the connecting map is the
     transpose adjacency acting on the vertex blocks, again in both
-    degrees.  No limit recognition is attempted: the ladder is emitted
-    for inspection.
+    degrees.  Its entry [j, i, c] counts the c edges i -> j, read off
+    the out-edge lists in O(n + m).  No limit recognition is attempted:
+    the ladder is emitted for inspection.
     """
-    n = graph.vertex_count
-    rows = [[0] * n for _ in range(n)]
+    rows: list[dict[int, int]] = [{} for _ in range(graph.vertex_count)]
     for i, out in enumerate(graph.out_edges):
         for j, _symbol in out:
-            rows[j][i] += 1
-    trans = IntMatrix(tuple(map(tuple, rows)))
-    return StationaryLadder(depth, AbelianGroupPresentation((), n), trans, trans)
+            rows[j][i] = rows[j].get(i, 0) + 1
+    # sources are visited in increasing order, so each row's columns are sorted
+    trans = [[j, i, c] for j, row in enumerate(rows) for i, c in row.items()]
+    return StationaryLadder(AbelianGroupPresentation((), graph.vertex_count), trans)
 
 
-def bunce_deddens_data(n: int, depth: int) -> StationaryLadder:
+def bunce_deddens_data(n: int) -> StationaryLadder:
     """Ordered K-theory ladder of the full-shift core on n symbols.
 
     K0: Z --xN--> Z --xN--> ... with limit the scaled integers Z[1/n]
@@ -150,10 +146,9 @@ def bunce_deddens_data(n: int, depth: int) -> StationaryLadder:
     if n < 2:
         raise ValueError("full shift needs at least 2 symbols")
     return StationaryLadder(
-        depth,
         AbelianGroupPresentation((), 1),
-        IntMatrix.from_rows([[n]]),
-        IntMatrix.identity(1),
+        [[0, 0, n]],
+        [[0, 0, 1]],
         k0_limit=f"Z[1/{n}]",
         k1_limit="Z",
         order_unit=(1,),

@@ -99,10 +99,6 @@ class VerdictReport:
     def is_yes(self) -> bool:
         return self.verdict == YES
 
-    @property
-    def is_no(self) -> bool:
-        return self.verdict == NO
-
     def to_json(self) -> dict:
         out = {"verdict": self.verdict, "certificate": self.certificate, "criterion": self.criterion}
         if self.notes:

@@ -144,6 +144,10 @@ def adjacency(graph: LabeledGraph) -> list[list[int]]:
     return rows
 
 
+def identity_matrix(n: int) -> IntMatrix:
+    return IntMatrix.from_rows([[int(i == j) for j in range(n)] for i in range(n)])
+
+
 def identity_minus_adjacency(graph: LabeledGraph) -> IntMatrix:
     """I - A written out densely, for the oracles."""
     a = adjacency(graph)

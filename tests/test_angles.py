@@ -11,6 +11,7 @@ from rotshift.angles import (
     EMPTY_CONTEXT,
     ExactAngle,
     MAX_ANGLE_BITS,
+    MAX_GENERATORS,
     GeneratorContext,
     parse_angle,
 )
@@ -111,6 +112,14 @@ def test_context_validation():
         GeneratorContext(("g", "g"))
     with pytest.raises(ValueError):
         GeneratorContext(("2bad",))
+
+
+def test_context_caps_the_generator_count():
+    names = tuple(f"g{k}" for k in range(MAX_GENERATORS + 1))
+    assert GeneratorContext(names[:-1]).ids == names[:-1]
+    with pytest.raises(CapExceeded) as info:
+        GeneratorContext(names)
+    assert str(info.value) == f"generators: requested {MAX_GENERATORS + 1}, cap is {MAX_GENERATORS}"
 
 
 def test_make_rejects_undeclared_generator():

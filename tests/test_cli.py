@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 from conftest import wall_clock_limit
 from rotshift import cli
-from rotshift.angles import MAX_ANGLE_BITS
+from rotshift.angles import MAX_ANGLE_BITS, MAX_GENERATORS
 from rotshift.cli import _indented_json, main
+from rotshift.graph import full_shift_graph
+from rotshift.ktheory import graph_k_groups
 from rotshift.oracles import MAX_ORBIT_GRID, MAX_WEYL_TERMS
 from rotshift.subshift import MAX_WORD_SCANS, MAX_WORDS
 
@@ -140,31 +142,29 @@ def test_ktheory_output(capsys):
 
 
 def test_ktheory_ladders(capsys):
-    code, out, _ = run(
-        capsys, "ktheory", path("fullshift2.sds"), "--af-core", "2", "--bunce-deddens", "3", "--json"
-    )
+    code, out, _ = run(capsys, "ktheory", path("fullshift2.sds"), "--af-core", "--bunce-deddens", "--json")
     assert code == 0
     payload = json.loads(out)
     assert payload["k_theory"]["K0"] == "0"
-    assert payload["af_core"]["K0_map"] == [[2]]
-    assert payload["af_core"]["depth"] == 2
+    assert payload["af_core"] == {"level": "Z", "map": [[0, 0, 2]]}
+    assert payload["bunce_deddens"]["K0_map"] == [[0, 0, 2]]
     assert payload["bunce_deddens"]["K0_limit"] == "Z[1/2]"
+    code, out, _ = run(capsys, "ktheory", path("fullshift2.sds"), "--af-core")
+    assert out.splitlines()[1:] == [
+        "core level: rank 1 in both degrees",
+        "connecting map (both degrees) as [row, column, multiplicity]: [[0, 0, 2]]",
+    ]
 
 
 def test_ktheory_bunce_deddens_needs_full_shift(capsys, monkeypatch):
-    """Argument errors surface before the K-groups run."""
+    """The graph check surfaces before the K-groups run."""
 
     def forbidden(_graph):
         raise AssertionError("graph_k_groups ran before an argument check")
 
     monkeypatch.setattr(cli, "graph_k_groups", forbidden)
-    for argv, message in (
-        (["ktheory", path("goldenmean.sds"), "--bunce-deddens", "2"], "--bunce-deddens needs a single-vertex full shift"),
-        (["ktheory", path("goldenmean.sds"), "--af-core", "-1"], "negative depth"),
-        (["ktheory", path("fullshift2.sds"), "--bunce-deddens", "-1"], "negative depth"),
-    ):
-        code, out, err = run(capsys, *argv)
-        assert (code, out, err) == (1, "", f"error: {message}\n")
+    code, out, err = run(capsys, "ktheory", path("goldenmean.sds"), "--bunce-deddens")
+    assert (code, out, err) == (1, "", "error: --bunce-deddens needs a single-vertex full shift\n")
 
 
 TEN_ANGLES = ",".join(f"{k}/10" for k in range(9)) + ",1*g"
@@ -190,8 +190,8 @@ def write_circulant(file, n=1000):
 @pytest.mark.parametrize(
     "argv, budget, code, err",
     [
-        (["ktheory", path("goldenmean.sds"), "--af-core", "1000000000", "--json"], 1, 0, []),
-        (["ktheory", path("fullshift3.sds"), "--bunce-deddens", "1000000000", "--json"], 1, 0, []),
+        # K-groups stubbed: the circulant's own do not finish in a minute
+        (["ktheory", CIRCULANT, "--af-core", "--json"], 2, 0, []),
         (["oracle", "weyl", "--angles", "0.3", "--n", "5", "--lmax", str(MAX_WEYL_TERMS), "--json"], 2, 0, []),
         (["oracle", "weyl", "--angles", TEN_ANGLES, "--n", "5", "--lmax", str(MAX_WEYL_TERMS // 10), "--json"], 2, 0, []),
         (
@@ -224,8 +224,7 @@ def write_circulant(file, n=1000):
         ),
     ],
     ids=[
-        "af-core-deep",
-        "bunce-deddens-deep",
+        "af-core-n1000",
         "weyl-cap-1-angle",
         "weyl-cap-10-angles",
         "weyl-past-cap",
@@ -236,19 +235,23 @@ def write_circulant(file, n=1000):
         "words-n1000-k6",
     ],
 )
-def test_bounded_corners_finish_within_budget(capsys, tmp_path, argv, budget, code, err):
-    """A deep ladder is one map plus its depth, `oracle weyl` stops at
-    its term cap, the orbit gap scan is one sweep per fiber that stops
-    at its grid cap, and `words` stops at its word or out-edge cap: each
-    corner finishes within its budget in seconds."""
+def test_bounded_corners_finish_within_budget(capsys, monkeypatch, tmp_path, argv, budget, code, err):
+    """The core ladder is one sparse map of O(m) entries, `oracle weyl`
+    stops at its term cap, the orbit gap scan is one sweep per fiber
+    that stops at its grid cap, and `words` stops at its word or
+    out-edge cap: each corner finishes within its budget in seconds."""
     if CIRCULANT in argv:
         write_circulant(tmp_path / CIRCULANT)
         argv = [str(tmp_path / CIRCULANT) if a == CIRCULANT else a for a in argv]
+    if argv[0] == "ktheory":
+        stub = graph_k_groups(full_shift_graph(2))
+        monkeypatch.setattr(cli, "graph_k_groups", lambda _graph: stub)
     with wall_clock_limit(budget):
         result = run(capsys, *argv)
     assert (result[0], result[2].splitlines()) == (code, err)
     if argv[0] == "ktheory":
-        assert len(result[1]) < 1024
+        assert len(result[1]) < 1_000_000
+        assert len(json.loads(result[1])["af_core"]["map"]) == 10_000
 
 
 def test_ideals_output(capsys):
@@ -403,12 +406,45 @@ def test_past_the_int_string_limit_analyze_exits_1_naming_the_angle_cap(capsys, 
     assert err.splitlines() == [f"error: angle coordinate bits: requested {requested}, cap is {MAX_ANGLE_BITS}"]
 
 
+def generator_sum(count):
+    return " + ".join(f"1*g{k}" for k in range(count))
+
+
+@pytest.mark.parametrize("count", [MAX_GENERATORS, MAX_GENERATORS + 1], ids=["at-cap", "past-cap"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "{file}", "--json"],
+        ["analyze", "{file}", "--json"],
+        ["analyze", "--angles", "0,{sum}", "--json"],
+        ["oracle", "weyl", "--angles", "0,{sum}", "--n", "5", "--lmax", "2", "--json"],
+    ],
+    ids=["validate", "analyze", "analyze-angles", "oracle-weyl"],
+)
+def test_generator_cap(capsys, tmp_path, argv, count):
+    """Every route that declares generators refuses more than
+    MAX_GENERATORS of them, naming the cap; at the cap it runs."""
+    file = tmp_path / "generators.sds"
+    file.write_text(
+        "[generators]\n"
+        + "".join(f"g{k}\n" for k in range(count))
+        + f"[alphabet]\na = {generator_sum(count)}\nb\nc\n"
+        + "[vertices]\nv1\nv2\n[edges]\nv1 -> v1 : a\nv1 -> v2 : b\nv2 -> v1 : c\n"
+    )
+    argv = [a.format(file=file, sum=generator_sum(count)) for a in argv]
+    code, out, err = run(capsys, *argv)
+    if count == MAX_GENERATORS:
+        assert (code, err) == (0, "")
+        json.loads(out)
+    else:
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [f"error: generators: requested {count}, cap is {MAX_GENERATORS}"]
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
         (["words", path("goldenmean.sds"), "-k", "-1"], "negative word length"),
-        (["ktheory", path("goldenmean.sds"), "--af-core", "-1"], "negative depth"),
-        (["ktheory", path("fullshift2.sds"), "--bunce-deddens", "-1"], "negative depth"),
         (["oracle", "orbit", path("goldenmean.sds"), "--steps", "-5"], "negative step count"),
         (["oracle", "orbit", path("goldenmean.sds"), "--eps", "2"], "epsilon must lie in (0, 1)"),
         (["oracle", "orbit", path("goldenmean.sds"), "--start-point", "nan"], "start point must be finite, got nan"),
@@ -430,7 +466,7 @@ def test_past_the_int_string_limit_analyze_exits_1_naming_the_angle_cap(capsys, 
         ),
     ],
     ids=[
-        "words", "af-core", "bunce-deddens", "orbit-steps", "orbit-eps", "orbit-start-nan", "orbit-start-inf", "weyl-nan", "weyl-inf",
+        "words", "orbit-steps", "orbit-eps", "orbit-start-nan", "orbit-start-inf", "weyl-nan", "weyl-inf",
         "orbit-huge-coefficient", "orbit-large-product", "weyl-huge-fraction",
     ],
 )
@@ -461,9 +497,13 @@ def test_gen_with_undeclared_name_exits_1(capsys, argv, name, declared):
 
 
 def test_usage_error_exit_1(capsys):
-    with pytest.raises(SystemExit) as info:
-        run(capsys, "words", path("goldenmean.sds"))  # missing -k
-    assert info.value.code == 1
+    for argv in (
+        ["words", path("goldenmean.sds")],  # missing -k
+        ["ktheory", path("goldenmean.sds"), "--af-core", "2"],  # the ladder flags take no depth
+    ):
+        with pytest.raises(SystemExit) as info:
+            run(capsys, *argv)
+        assert info.value.code == 1
 
 
 # Every subcommand that reads a FILE, with the arguments it needs.

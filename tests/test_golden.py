@@ -23,8 +23,8 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 FILE_RUNS = {
     "words": (["words"], ["-k", "3"]),
     "ktheory": (["ktheory"], []),
-    "ktheory-af-core": (["ktheory"], ["--af-core", "2"]),
-    "ktheory-bunce-deddens": (["ktheory"], ["--bunce-deddens", "3"]),
+    "ktheory-af-core": (["ktheory"], ["--af-core"]),
+    "ktheory-bunce-deddens": (["ktheory"], ["--bunce-deddens"]),
     "ideals": (["ideals"], []),
     "oracle-orbit": (["oracle", "orbit"], ["--steps", "2000"]),
 }

@@ -10,7 +10,7 @@ from math import prod
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import sparse_rows, wall_clock_limit
+from conftest import identity_matrix, sparse_rows, wall_clock_limit
 from rotshift.intlinalg import (
     AbelianGroupPresentation,
     IntMatrix,
@@ -24,7 +24,7 @@ from rotshift.oracles import integer_determinant, invariant_factors_via_minors
 def test_invariant_factors_examples():
     assert invariant_factors([{}, {}]) == ()
     assert invariant_factors([]) == ()
-    assert invariant_factors(sparse_rows(IntMatrix.identity(4))) == (1, 1, 1, 1)
+    assert invariant_factors(sparse_rows(identity_matrix(4))) == (1, 1, 1, 1)
     assert invariant_factors(sparse_rows([[2, 0], [0, 3]])) == (1, 6)
     assert invariant_factors(sparse_rows([[2, 4], [6, 8]])) == (2, 4)
     assert invariant_factors(sparse_rows([[1, 1], [1, 1]])) == (1,)
@@ -124,7 +124,7 @@ def _product(a, b):
 
 
 def _random_unimodular(rng, n):
-    m = IntMatrix.identity(n)
+    m = identity_matrix(n)
     rows = [list(r) for r in m.entries]
     for _ in range(6):
         i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
@@ -167,4 +167,5 @@ def test_presentation_operations():
 def test_matrix_helpers():
     m = IntMatrix.from_rows([[1, 2], [3, 4]])
     assert m[(0, 1)] == 2
-    assert m.to_lists() == [[1, 2], [3, 4]]
+    assert m.entries == ((1, 2), (3, 4))
+    assert (m.rows, m.cols) == (2, 2)

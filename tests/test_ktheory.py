@@ -10,6 +10,7 @@ import pytest
 from conftest import (
     adjacency,
     build,
+    bundled_systems,
     goldenmean,
     hamiltonian_graph,
     identity_minus_adjacency,
@@ -19,6 +20,8 @@ from conftest import (
     wall_clock_limit,
 )
 from rotshift import ktheory
+from rotshift.errors import GraphValidationError
+from rotshift.fileformat import parse_system_file
 from rotshift.graph import full_shift_graph
 from rotshift.intlinalg import AbelianGroupPresentation, IntMatrix, cokernel
 from rotshift.ktheory import (
@@ -199,28 +202,58 @@ def test_to_json():
 # -- stationary dimension ladders ------------------------------------------------
 
 
+def transpose_triples(graph):
+    """The nonzero entries of the dense transpose adjacency, as
+    [row, column, multiplicity], row by row."""
+    a = adjacency(graph)
+    n = graph.vertex_count
+    return [[j, i, a[i][j]] for j in range(n) for i in range(n) if a[i][j]]
+
+
 def test_core_dimension_data_shapes():
     graph, _ = reducible3()
-    data = core_dimension_data(graph, 3)
+    data = core_dimension_data(graph)
     n = graph.vertex_count
-    assert data.depth == 3
     assert data.level.free_rank == n and not data.level.torsion
-    # the connecting map is the transpose of the adjacency in both degrees
-    a = adjacency(graph)
-    transpose = [list(col) for col in zip(*a)]
-    assert a != transpose  # asymmetric on purpose
-    assert data.k0_map.to_lists() == data.k1_map.to_lists() == transpose
-    assert data.k0_limit is None and data.k1_limit is None
+    # one map, the transpose of the adjacency, in both degrees
+    assert data.k0_map == transpose_triples(graph) == [[0, 0, 1], [1, 0, 1], [2, 1, 1], [2, 2, 1]]
+    assert data.k1_map is None
+    assert data.to_json() == {"level": "Z^3", "map": data.k0_map}
+
+
+def test_core_map_is_the_sparse_transpose_adjacency():
+    """On the bundled systems and on random graphs, many with parallel
+    edges, the core map lists exactly the nonzero entries of the dense
+    transpose adjacency, sorted by row, then column."""
+    graphs = []
+    for path in bundled_systems():
+        try:
+            graphs.append(parse_system_file(path).graph())
+        except GraphValidationError:
+            continue
+    rng = random.Random(4242)
+    graphs += [random_graph(rng, max_vertices=8, max_symbols=4) for _ in range(300)]
+    parallel = 0
+    for graph in graphs:
+        data = core_dimension_data(graph)
+        assert data.level == AbelianGroupPresentation((), graph.vertex_count)
+        assert data.k0_map == transpose_triples(graph)
+        parallel += any(c > 1 for _, _, c in data.k0_map)
+    assert len(graphs) == 305 and parallel >= 50
 
 
 def test_bunce_deddens_ladder():
-    data = bunce_deddens_data(3, 4)
-    assert data.depth == 4
-    assert data.k0_map.to_lists() == [[3]]
-    assert data.k1_map.to_lists() == [[1]]
+    data = bunce_deddens_data(3)
+    assert data.k0_map == [[0, 0, 3]]
+    assert data.k1_map == [[0, 0, 1]]
     assert data.k0_limit == "Z[1/3]"
     assert data.k1_limit == "Z"
     assert data.order_unit == (1,)
-    j = data.to_json()
-    assert j["K0_limit"] == "Z[1/3]" and j["K1_limit"] == "Z"
-    assert j["order_unit"] == [1]
+    assert data.to_json() == {
+        "level": "Z",
+        "K0_map": [[0, 0, 3]],
+        "K1_map": [[0, 0, 1]],
+        "K0_limit": "Z[1/3]",
+        "K1_limit": "Z",
+        "order_unit": [1],
+    }

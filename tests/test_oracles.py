@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build, goldenmean, random_graph
+from conftest import build, goldenmean, identity_matrix, random_graph
 from rotshift.errors import CapExceeded
 from rotshift.graph import full_shift_graph
 from rotshift.intlinalg import IntMatrix
@@ -185,7 +185,7 @@ def _cofactor_det(rows):
 
 
 def test_integer_determinant_examples():
-    assert integer_determinant(IntMatrix.identity(3)) == 1
+    assert integer_determinant(identity_matrix(3)) == 1
     assert integer_determinant(IntMatrix.from_rows([[2, 0], [0, 3]])) == 6
     assert integer_determinant(IntMatrix.from_rows([[1, 2], [2, 4]])) == 0
     assert integer_determinant(IntMatrix.from_rows([[0, 1], [1, 0]])) == -1
@@ -205,4 +205,4 @@ def test_minors_route_examples():
     m = IntMatrix.from_rows([[2, 4], [6, 8]])
     assert invariant_factors_via_minors(m) == [2, 4]
     assert invariant_factors_via_minors(IntMatrix.from_rows([[0, 0], [0, 0]])) == []
-    assert invariant_factors_via_minors(IntMatrix.identity(2)) == [1, 1]
+    assert invariant_factors_via_minors(identity_matrix(2)) == [1, 1]

@@ -99,6 +99,7 @@ CAPS = {
     "; {} steps and": oracles.MAX_ORBIT_STEPS,
     "and {} grid points": oracles.MAX_ORBIT_GRID,
     "; {} terms,": oracles.MAX_WEYL_TERMS,
+    "; {} declared generators": angles.MAX_GENERATORS,
     "; {} bits for": angles.MAX_ANGLE_BITS,
 }
 

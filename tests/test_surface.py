@@ -1,10 +1,13 @@
 """The package surface: every public top-level function and class in
-src/rotshift either has a caller in the package (the CLI included) or is
-an oracle or a documented entry point.
+src/rotshift, and every public method of a public class, either has a
+caller in the package (the CLI included) or is an oracle or a
+documented entry point.
 
-A reference is any name or attribute in a module body other than the
-definition's own; imports, __all__ strings and the re-exports of
-rotshift/__init__.py do not count.
+A reference is any name or attribute in a module body outside the
+definition of that name; imports, __all__ strings and the re-exports of
+rotshift/__init__.py do not count.  Names are matched without their
+class, so a method counts as called when any attribute of that name is
+read.
 """
 
 import ast
@@ -14,11 +17,40 @@ from rotshift import oracles
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src", "rotshift")
 
-# module.name -> why it stays without a caller in src/
+# module.name or module.Class.method -> why it stays without a caller in src/
 ENTRY_POINTS = {
     "fileformat.parse_system_file": "README Library section",
     "graph.full_shift_graph": "README Library section (`graph` module: full-shift graphs)",
+    "angles.ExactAngle.is_rational": "oracle side: the tests' check on integer_coordinates",
+    "angles.ExactAngle.rational_denominator": "oracle side: the tests' check on integer_coordinates",
 }
+
+
+def public(node) -> bool:
+    return isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+
+
+def definitions(trees):
+    """(module.qualified name, name) of every public top-level function
+    and class, and of every public method of a public class."""
+    for module, tree in trees.items():
+        for node in filter(public, tree.body):
+            yield f"{module}.{node.name}", node.name
+            if isinstance(node, ast.ClassDef):
+                for item in filter(public, node.body):
+                    yield f"{module}.{node.name}.{item.name}", item.name
+
+
+def references(node, enclosing=frozenset()):
+    """Every name and attribute read under node, except those of a
+    definition it sits in."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        enclosing |= {node.name}
+    name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+    if isinstance(node, (ast.Name, ast.Attribute)) and name not in enclosing:
+        yield name
+    for child in ast.iter_child_nodes(node):
+        yield from references(child, enclosing)
 
 
 def uncalled_definitions() -> set[str]:
@@ -27,21 +59,8 @@ def uncalled_definitions() -> set[str]:
         if fname.endswith(".py"):
             with open(os.path.join(SRC, fname), encoding="utf-8") as fh:
                 trees[fname[: -len(".py")]] = ast.parse(fh.read())
-    defined = {
-        (module, node.name)
-        for module, tree in trees.items()
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
-    }
-    referenced = set()
-    for tree in trees.values():
-        for stmt in tree.body:
-            own = getattr(stmt, "name", None)
-            for node in ast.walk(stmt):
-                name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
-                if isinstance(node, (ast.Name, ast.Attribute)) and name != own:
-                    referenced.add(name)
-    return {f"{module}.{name}" for module, name in defined if name not in referenced}
+    referenced = {name for tree in trees.values() for name in references(tree)}
+    return {qualified for qualified, name in definitions(trees) if name not in referenced}
 
 
 def test_every_uncalled_definition_is_an_oracle_or_entry_point():

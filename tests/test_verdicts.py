@@ -83,7 +83,7 @@ def test_definite_verdicts_need_certificates():
     with pytest.raises(AssertionError):
         VerdictReport(YES, None, "whatever")
     r = VerdictReport(UNKNOWN, None, "whatever")
-    assert not r.is_yes and not r.is_no
+    assert not r.is_yes
     j = r.to_json()
     assert j["verdict"] == "Unknown" and j["certificate"] is None
 
@@ -111,7 +111,7 @@ def test_condition_I_goldenmean():
 def test_condition_I_single_loop_fails():
     graph = build(("v",), (("v", "v", "a"),))
     r = condition_I(graph)
-    assert r.is_no
+    assert r.verdict == "No"
     word = r.certificate["unique_word"]["v"]
     assert word == {"prefix": [], "period": ["a"]}
 
@@ -123,7 +123,7 @@ def test_condition_I_mixed_vertices():
         (("v1", "v1", "a"), ("v1", "v2", "b"), ("v2", "v2", "a")),
     )
     r = condition_I(graph)
-    assert r.is_no
+    assert r.verdict == "No"
     assert list(r.certificate["unique_word"]) == ["v2"]
     assert r.certificate["unique_word"]["v2"]["period"] == ["a"]
 
@@ -148,7 +148,7 @@ def test_condition_I_periodic_with_prefix():
         ),
     )
     r = condition_I(graph)
-    assert r.is_no
+    assert r.verdict == "No"
     failures = r.certificate["unique_word"]
     assert set(failures) == {"v1", "v2", "v3"}
     assert failures["v1"] == {"prefix": ["a"], "period": ["b", "c"]}
@@ -198,7 +198,7 @@ def test_condition_I_matches_the_support_walk_from_every_vertex():
         assert json.dumps(r.certificate) == json.dumps(certificate)
         single += sum(len({s for _, s in out}) == 1 for out in graph.out_edges)
         deeper += any(c["depth"] > 0 for c in certificate.get("branching", {}).values())
-        failing += r.is_no
+        failing += r.verdict == "No"
     assert single > 1000 and deeper > 100 and failing > 200
 
 
@@ -222,7 +222,7 @@ def test_irreducible_single_vertex():
 def test_reducible_certificate_is_forward_closed():
     graph, _ = reducible3()
     r = is_irreducible(graph)
-    assert r.is_no
+    assert r.verdict == "No"
     names = r.certificate["forward_closed"]
     assert names == ["v2", "v3"]
     w = {graph.vertex_index[v] for v in names}
@@ -347,7 +347,7 @@ def test_condensation_at_the_size_caps():
         _component, members, cyclic = graph.condensation
         r = irrational_cycle(graph, {"a": rat(1, 3), "b": gen(1)})
     assert len(members) == n and all(cyclic)
-    assert r.is_no and r.certificate["cycle_denominator"] == 3
+    assert r.verdict == "No" and r.certificate["cycle_denominator"] == 3
     assert r.certificate["roots"] == vertices[::-1]
     assert len(parse_system(interleaved_cycle(n)).graph().condensation.members) == 1
 
@@ -428,7 +428,7 @@ def test_composites_on_reducible_graph_skip_the_cycle_search(monkeypatch):
         graph = build(("v1", "v2"), loops + (c_edge,), ("a", "b", "c"))
         assert condition_I(graph).is_yes
         simple = crossed_product_simplicity(graph, angles)
-        assert simple.is_no and "forward_closed" in simple.certificate
+        assert simple.verdict == "No" and "forward_closed" in simple.certificate
         purely = pure_infiniteness(graph, angles)
         assert purely.verdict == UNKNOWN
         assert purely.notes == ("missing hypothesis: irreducibility",)
@@ -454,7 +454,7 @@ def test_two_cycle_with_cancelling_generators():
     # edge angles g and 1/2 - g: every cycle angle is rational
     graph, angles = two_cycle(gen(1), gen(-1, 1, 2))
     r = irrational_cycle(graph, angles)
-    assert r.is_no
+    assert r.verdict == "No"
     assert r.certificate["cycle_denominator"] == 2
 
 
@@ -462,7 +462,7 @@ def test_rational_decoration_has_no_irrational_cycle():
     graph, _ = goldenmean()
     angles = {"a": rat(1, 3), "b": rat(1, 2), "c": rat(0)}
     r = irrational_cycle(graph, angles)
-    assert r.is_no
+    assert r.verdict == "No"
     # cycle aa..: angle k/3; cycle bc: 1/2; denominators 2 and 3 both divide
     assert r.certificate["cycle_denominator"] % 2 == 0
     assert r.certificate["cycle_denominator"] % 3 == 0
@@ -488,7 +488,7 @@ def test_irrational_cycle_ignores_transient_edges():
     angles["d"] = rat(0)
     angles["b"] = gen(1)  # bridge edge, belongs to no cycle
     r = irrational_cycle(graph, angles)
-    assert r.is_no
+    assert r.verdict == "No"
 
 
 def inner_edges(graph):
@@ -543,7 +543,7 @@ def test_irrational_cycle_vs_brute_force():
         brute = any(not cycle_angle(c, angles).is_rational() for c in cycles)
         assert r.is_yes == brute, (graph.edges, {s: str(a) for s, a in angles.items()})
         assert_cycle_certificate(graph, angles, r, inner_edges(graph))
-        if r.is_no:
+        if r.verdict == "No":
             # every simple cycle angle denominator divides the certificate
             q = r.certificate["cycle_denominator"]
             for c in cycles:
@@ -576,12 +576,12 @@ def test_minimality_three_cases():
 
     red_graph, red_angles = reducible3()
     r = graph_minimality(red_graph, red_angles)
-    assert r.is_no
+    assert r.verdict == "No"
     assert "forward_closed" in r.certificate
 
     rat_graph, rat_angles = two_cycle(rat(1, 4), rat(1, 4))
     r = graph_minimality(rat_graph, rat_angles)
-    assert r.is_no
+    assert r.verdict == "No"
     assert r.certificate.get("derived") is True
     assert r.certificate["cycle_denominator"] == 2
 
@@ -591,7 +591,7 @@ def test_minimality_full_shift_cases():
     assert graph_minimality(graph, angles).is_yes
     graph, angles = fullshift([rat(0), rat(1, 2)])
     r = graph_minimality(graph, angles)
-    assert r.is_no and r.certificate.get("derived") is True
+    assert r.verdict == "No" and r.certificate.get("derived") is True
 
 
 # -- simplicity and pure infiniteness ----------------------------------------------
@@ -603,7 +603,7 @@ def test_simplicity_tracks_minimality_under_condition_I():
     assert r.is_yes
     graph, angles = fullshift([rat(0), rat(1, 2)])
     r = crossed_product_simplicity(graph, angles)
-    assert r.is_no
+    assert r.verdict == "No"
 
 
 def test_simplicity_unknown_without_condition_I():
@@ -691,7 +691,7 @@ def test_shared_analysis_follows_the_angles():
     assert pure_infiniteness(graph, rational).is_yes
     rational["b"] = rat(0)
     assert pure_infiniteness(graph, rational).verdict == UNKNOWN
-    assert graph_minimality(graph, rational).is_no
+    assert graph_minimality(graph, rational).verdict == "No"
 
 
 def test_reparsed_equal_graph_decides_afresh(monkeypatch):
@@ -751,7 +751,7 @@ def test_composites_on_a_large_irreducible_graph_build_no_covering_walk(monkeypa
         return original(*args, **kwargs)
 
     patch_everywhere(monkeypatch, verdicts, "_bfs_tree", counted)
-    assert crossed_product_simplicity(graph, angles).is_no
+    assert crossed_product_simplicity(graph, angles).verdict == "No"
     assert pure_infiniteness(graph, angles).verdict == UNKNOWN
     assert len(searches) <= 2
     r = is_irreducible(graph)
@@ -780,7 +780,7 @@ def test_shared_potentials_are_written_as_each_vertex_alone():
     )
     angles = {"a": gen(1, 1, 4), "b": gen(1, k, 4), "c": gen(-1, 1, 4), "d": gen(-1, k, 4)}
     r = irrational_cycle(graph, angles)
-    assert r.is_no and r.certificate["cycle_denominator"] == 1
+    assert r.verdict == "No" and r.certificate["cycle_denominator"] == 1
     expected = {}
     for i in range(n):
         context, common, coords = ExactAngle.integer_coordinates({"p": gen(i % 2, i, 4)})
@@ -811,11 +811,11 @@ def test_fullshift_simplicity_by_differences():
     assert r.is_yes
     assert r.certificate["pair"] == ["s1", "s2"]
     r, _ = decide_fullshift([rat(0), rat(1, 2), rat(1, 3)])
-    assert r.is_no
+    assert r.verdict == "No"
     assert r.certificate["common_denominator"] == 6
     # equal irrational angles: differences vanish
     r, _ = decide_fullshift([gen(1), gen(1)])
-    assert r.is_no
+    assert r.verdict == "No"
     assert r.certificate["common_denominator"] == 1
 
 
@@ -861,7 +861,7 @@ def test_fullshift_verdicts_match_all_pairs():
                 assert r.certificate["difference"] == str(angles[i] - angles[j])
             else:
                 expected = lcm(*((angles[i] - angles[j]).rational_denominator() for i, j in pairs))
-                assert r.is_no
+                assert r.verdict == "No"
                 assert r.certificate == {"common_denominator": expected}
 
 
