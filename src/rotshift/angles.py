@@ -152,13 +152,16 @@ class ExactAngle:
             common = lcm(common, a.rational.denominator, *(c.denominator for _, c in a.coefficients))
             if common.bit_length() > MAX_ANGLE_BITS:
                 raise CapExceeded("angle coordinate bits", f"at least {common.bit_length()}", MAX_ANGLE_BITS)
+        position = {name: i for i, name in enumerate(context.ids, 1)}
+        zeros = [0] * len(context.ids)
         coords = {}
         bits = 0
         for key, a in angles.items():
-            terms = dict(a.coefficients)
-            values = (a.rational, *(terms.get(name, 0) for name in context.ids))
-            coords[key] = row = tuple(x.numerator * (common // x.denominator) for x in values)
-            bits = max(bits, *(x.bit_length() for x in row))
+            row = [a.rational.numerator * (common // a.rational.denominator), *zeros]
+            for name, c in a.coefficients:
+                row[position[name]] = c.numerator * (common // c.denominator)
+            coords[key] = row = tuple(row)
+            bits = max(bits, *map(int.bit_length, row))
         if bits > MAX_ANGLE_BITS:
             raise CapExceeded("angle coordinate bits", bits, MAX_ANGLE_BITS)
         return context, common, coords

@@ -4,7 +4,8 @@ Subcommands:
 
 * validate FILE: check the description and echo the declared orders.
 * words FILE -k N: admissible words of length N, one per line.
-* analyze FILE | --angles LIST: full verdict report.
+* analyze FILE | --angles LIST: full verdict report, of one input or
+  the other; both together are a usage error.
 * ktheory FILE [--af-core] [--bunce-deddens]: K-groups and the
   stationary ladders, each map as sparse [row, column, multiplicity]
   triples.
@@ -27,6 +28,7 @@ import math
 import re
 import sys
 from fractions import Fraction
+from typing import Iterable, Iterator
 
 from . import __version__
 from .angles import DEFAULT_GENERATOR_VALUE, GeneratorContext, parse_angle
@@ -130,7 +132,9 @@ def _indented_json(value, indent: str = "\n") -> str:
     return _scalar(value)
 
 
-def _emit(payload: dict, as_json: bool, text_lines: list[str]) -> None:
+def _emit(payload: dict, as_json: bool, text_lines: Iterable[str]) -> None:
+    """Print payload as JSON, or else the text lines.  Commands whose
+    lines cost time pass them as a generator, which --json never runs."""
     if as_json:
         print(_indented_json(payload))
     else:
@@ -217,25 +221,15 @@ def _cmd_words(args) -> int:
         "length": args.length,
         "alphabet": list(graph.alphabet),
         "count": len(words),
-        "words": [list(w) for w in words],
+        "words": words,  # tuples, which the JSON writer writes as lists
     }
-    lines = [" ".join(w) if w else "(empty word)" for w in words]
-    _emit(payload, args.json, lines)
+    _emit(payload, args.json, (" ".join(w) if w else "(empty word)" for w in words))
     return EXIT_OK
 
 
-def _cmd_analyze(args) -> int:
-    if args.angles is not None:
-        doc = _angles_document(args.angles)
-        text = serialize_system(doc)
-    else:
-        if args.file is None:
-            raise RotshiftError("analyze needs a FILE or --angles")
-        doc, text = _read_document(args.file)
-    report, ok = analyze_document(doc, source_text=text)
-    if not ok:
-        return _emit_invalid(report, args.json)
-    lines = [f"validation: ok ({len(doc.vertices)} vertices, {len(doc.alphabet)} symbols)"]
+def _analyze_lines(doc: SystemDocument, report: dict) -> Iterator[str]:
+    """The text form of an analyze report."""
+    yield f"validation: ok ({len(doc.vertices)} vertices, {len(doc.alphabet)} symbols)"
     for key in (
         "condition_I",
         "irreducible",
@@ -245,18 +239,35 @@ def _cmd_analyze(args) -> int:
         "purely_infinite_O",
     ):
         section = report[key]
-        lines.append(f"{key}: {section['verdict']}  [{section['criterion']}]")
+        yield f"{key}: {section['verdict']}  [{section['criterion']}]"
     fs = report["fullshift"]
-    lines.append(f"fullshift.F_simple: {fs['F_simple']['verdict']}")
-    lines.append(f"fullshift.uniformly_distributed: {fs['uniformly_distributed']['verdict']}")
+    yield f"fullshift.F_simple: {fs['F_simple']['verdict']}"
+    yield f"fullshift.uniformly_distributed: {fs['uniformly_distributed']['verdict']}"
     kt = report["k_theory"]
-    lines.append(f"k_theory: K0 = {kt['K0']}, K1 = {kt['K1']}")
+    yield f"k_theory: K0 = {kt['K0']}, K1 = {kt['K1']}"
     if report["ideals"] is not None:
         pretty = ["{" + ",".join(w) + "}" for w in report["ideals"]["invariant_saturated"]]
-        lines.append(f"ideals: {' '.join(pretty)}")
+        yield f"ideals: {' '.join(pretty)}"
     for w in report["warnings"]:
-        lines.append(f"warning: {w}")
-    _emit(report, args.json, lines)
+        yield f"warning: {w}"
+
+
+def _cmd_analyze(args) -> int:
+    if args.angles is not None:
+        if args.file is not None:
+            raise RotshiftError(
+                f"analyze takes a FILE or --angles, not both (got {args.file!r} and --angles {args.angles!r})"
+            )
+        doc = _angles_document(args.angles)
+        text = serialize_system(doc)
+    else:
+        if args.file is None:
+            raise RotshiftError("analyze needs a FILE or --angles")
+        doc, text = _read_document(args.file)
+    report, ok = analyze_document(doc, source_text=text)
+    if not ok:
+        return _emit_invalid(report, args.json)
+    _emit(report, args.json, _analyze_lines(doc, report))
     return EXIT_OK
 
 
@@ -270,20 +281,25 @@ def _cmd_ktheory(args) -> int:
         raise RotshiftError("--bunce-deddens needs a single-vertex full shift")
     groups = graph_k_groups(graph)
     payload: dict = {"k_theory": groups.to_json()}
-    lines = [f"K0 = K1 = {groups.k0}"]
     if args.af_core:
         core = core_dimension_data(graph)
         payload["af_core"] = core.to_json()
-        lines.append(f"core level: rank {graph.vertex_count} in both degrees")
-        lines.append(f"connecting map (both degrees) as [row, column, multiplicity]: {core.k0_map}")
     if args.bunce_deddens:
         ladder = bunce_deddens_data(n)
         payload["bunce_deddens"] = ladder.to_json()
-        lines.append(
-            f"scaled-integer ladder: K0 = Z --x{n}--> Z (limit {ladder.k0_limit}, "
-            f"order unit 1), K1 = Z --id--> Z (limit {ladder.k1_limit})"
-        )
-    _emit(payload, args.json, lines)
+
+    def lines() -> Iterator[str]:
+        yield f"K0 = K1 = {groups.k0}"
+        if args.af_core:
+            yield f"core level: rank {graph.vertex_count} in both degrees"
+            yield f"connecting map (both degrees) as [row, column, multiplicity]: {core.k0_map}"
+        if args.bunce_deddens:
+            yield (
+                f"scaled-integer ladder: K0 = Z --x{n}--> Z (limit {ladder.k0_limit}, "
+                f"order unit 1), K1 = Z --id--> Z (limit {ladder.k1_limit})"
+            )
+
+    _emit(payload, args.json, lines())
     return EXIT_OK
 
 
@@ -293,11 +309,8 @@ def _cmd_ideals(args) -> int:
         return EXIT_INVALID
     subsets = enumerate_invariant_saturated(graph)
     entries = []
-    lines = []
     for w in subsets:
-        names = graph.vertex_names(w)
-        entry: dict = {"vertices": names}
-        label = "{" + ",".join(names) + "}"
+        entry: dict = {"vertices": graph.vertex_names(w)}
         if 0 < len(w) < graph.vertex_count:
             q = quotient_system(graph, w)
             entry["quotient"] = {
@@ -305,23 +318,22 @@ def _cmd_ideals(args) -> int:
                 "surviving_alphabet": list(q.surviving_alphabet),
                 "warning": q.warning,
             }
-            label += (
-                f"  -> quotient on {{{','.join(q.graph.vertices)}}}"
-                f" with alphabet {{{','.join(q.surviving_alphabet)}}}"
-            )
         entries.append(entry)
-        lines.append(label)
     covers = hasse_edges(subsets)
-    lines.append(
-        "lattice covers: "
-        + (
-            ", ".join(f"{i}<{j}" for i, j in covers)
-            if covers
-            else "(chain of length 1)"
-        )
-    )
-    payload = {"invariant_saturated": entries, "hasse": covers}
-    _emit(payload, args.json, lines)
+
+    def lines() -> Iterator[str]:
+        for entry in entries:
+            label = "{" + ",".join(entry["vertices"]) + "}"
+            if "quotient" in entry:
+                q = entry["quotient"]
+                label += (
+                    f"  -> quotient on {{{','.join(q['vertices'])}}}"
+                    f" with alphabet {{{','.join(q['surviving_alphabet'])}}}"
+                )
+            yield label
+        yield "lattice covers: " + (", ".join(f"{i}<{j}" for i, j in covers) if covers else "(chain of length 1)")
+
+    _emit({"invariant_saturated": entries, "hasse": covers}, args.json, lines())
     return EXIT_OK
 
 

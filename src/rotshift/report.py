@@ -25,7 +25,7 @@ from .ktheory import graph_k_groups
 from .verdicts import (
     base_verdict,
     crossed_product_simplicity,
-    fullshift_verdicts,
+    fullshift_of_graph,
     graph_minimality,
     pure_infiniteness,
 )
@@ -90,7 +90,7 @@ def analyze_document(
     report["purely_infinite_O"] = pure_infiniteness(graph, angles).to_json()
 
     if graph.vertex_count == 1 and len(graph.alphabet) >= 2:
-        core, uniform = fullshift_verdicts({s: angles[s] for s in graph.alphabet})
+        core, uniform = fullshift_of_graph(graph, angles)
         report["fullshift"] = {"F_simple": core.to_json(), "uniformly_distributed": uniform.to_json()}
     else:
         reason = (

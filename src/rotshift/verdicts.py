@@ -10,10 +10,11 @@ sufficient conditions cover.
 Decisions implemented:
 
 * condition (I): every vertex emits at least two distinct one-sided
-  infinite label sequences.  Each vertex is decided by a support walk
-  from depth 0 that stops where two symbols are readable, and failing
-  vertices get their unique eventually periodic label sequence as the
-  certificate.
+  infinite label sequences.  Each vertex is decided by one support
+  walk from depth 0 that stops where two symbols are readable; the
+  frozen supports and the record of those seen are built only after a
+  single-symbol step.  Failing vertices get their unique eventually
+  periodic label sequence as the certificate.
 * irreducibility: the underlying digraph is strongly connected,
   equivalently no proper nonempty vertex subset is forward closed.
   Decided by one forward search and, when that covers every vertex,
@@ -21,9 +22,14 @@ Decisions implemented:
 * irrational cycle: some closed path has an irrational total rotation
   angle.  Decided exactly by spanning-tree potentials per strongly
   connected component; all cycle angles are rational iff every edge
-  defect (edge angle minus potential difference) is rational.  The
-  search adds int tuples over one common denominator, and both
-  certificates write their angles straight from those tuples.
+  defect (edge angle minus potential difference) is rational.  A
+  potential is an int rational coordinate and a tuple of generator
+  coordinates over one common denominator, so each inner edge is
+  tested by one tuple comparison, and the cycle denominator is one gcd
+  over the rational defects.  A strongly connected graph reuses the
+  irreducibility decision's tree from vertex 0, and an acyclic
+  singleton component takes no search.  Both certificates write their
+  angles straight from the int tuples.
 * minimality of the decorated system: dense orbits in the disjoint
   union of circle fibers.  Irreducible + irrational cycle gives Yes;
   a reducible graph or all-rational cycles give No with witnesses.
@@ -33,8 +39,9 @@ Decisions implemented:
   distribution of the angle sums, one fact decided once by
   fullshift_verdicts from the differences to the first angle, which
   decide every pairwise difference.  They are read off the same int
-  tuples as the irrational-cycle search, so no verdict does Fraction
-  arithmetic on ExactAngle.
+  tuples as the irrational-cycle search (for a graph, the very table
+  that search keeps on it: fullshift_of_graph), so no verdict does
+  Fraction arithmetic on ExactAngle.
 
 Components come from graph.condensation (Tarjan over out_edges, the
 graph's one adjacency list); every other path question is one
@@ -49,7 +56,8 @@ there, so calls on one graph with equal angles share them, and a
 composite whose first hypothesis fails never decides the later ones;
 of irreducibility the composites read only the decision, which
 _irreducibility keeps there too, so only is_irreducible builds the
-covering walk.  A new graph object, or a changed angle assignment,
+covering walk.  The angle table is kept there too, so one analysis
+builds it once.  A new graph object, or a changed angle assignment,
 decides afresh.  Composites copy the base certificates rather than
 mutating them.
 """
@@ -75,6 +83,7 @@ __all__ = [
     "crossed_product_simplicity",
     "pure_infiniteness",
     "fullshift_verdicts",
+    "fullshift_of_graph",
     "check_angle_assignment",
 ]
 
@@ -128,7 +137,9 @@ def condition_I(graph: LabeledGraph) -> VerdictReport:
     set of all out-neighbours.  If that goes on forever the walk is
     eventually periodic in the finite lattice of supports, and the
     vertex emits a single infinite sequence: that sequence is the
-    failure certificate.
+    failure certificate.  The frozen supports and the record of those
+    seen are built only once a single-symbol step is taken, so a vertex
+    that branches at depth 0 costs one set of symbols.
     """
     criterion = "condition (I): two distinct infinite label words from every vertex"
     branching: dict[str, dict] = {}
@@ -136,16 +147,10 @@ def condition_I(graph: LabeledGraph) -> VerdictReport:
     si = graph.symbol_index
     out = graph.out_edges
     for start in range(graph.vertex_count):
-        support = frozenset({start})
+        support = (start,)  # a frozenset after the first step
         trail: list[str] = []
-        seen: dict[frozenset[int], int] = {support: 0}
         while True:
-            symbols: set[str] = set()
-            targets: set[int] = set()
-            for v in support:
-                for w, s in out[v]:
-                    symbols.add(s)
-                    targets.add(w)
+            symbols = {s for v in support for _w, s in out[v]}
             if len(symbols) > 1:
                 branching[graph.vertices[start]] = {
                     "depth": len(trail),
@@ -153,8 +158,10 @@ def condition_I(graph: LabeledGraph) -> VerdictReport:
                 }
                 break
             (symbol,) = symbols  # essential graphs always offer a continuation
+            if not trail:
+                seen = {frozenset(support): 0}
             trail.append(symbol)
-            support = frozenset(targets)
+            support = frozenset([w for v in support for w, _s in out[v]])
             if support in seen:
                 cut = seen[support]
                 failures[graph.vertices[start]] = {
@@ -213,27 +220,30 @@ def _tree_path(graph: LabeledGraph, tree: dict[int, tuple[int, str] | None], v: 
 # irreducibility
 
 
-def _forward_closed(graph: LabeledGraph) -> list[str] | None:
-    """None if graph is strongly connected, else the names of a proper
-    nonempty forward-closed set: the forward closure of vertex 0 if that
-    misses a vertex, else of the first vertex outside component 0 (the
-    condensation's only source, since vertex 0 reaches every vertex)."""
+def _forward_closed(graph: LabeledGraph) -> tuple[list[str] | None, dict | None]:
+    """(None, tree) if graph is strongly connected, where tree is the
+    breadth-first tree from vertex 0 over the whole graph; else (names,
+    None) for a proper nonempty forward-closed set: the forward closure
+    of vertex 0 if that misses a vertex, else of the first vertex
+    outside component 0 (the condensation's only source, since vertex 0
+    reaches every vertex)."""
     n = graph.vertex_count
     closure = _bfs_tree(graph.out_edges, 0)
     if len(closure) == n:
         component = graph.condensation.component
         if not any(component):
-            return None
+            return None, closure
         closure = _bfs_tree(graph.out_edges, next(v for v in range(n) if component[v]))
-    return graph.vertex_names(closure)
+    return graph.vertex_names(closure), None
 
 
 def _irreducibility(graph: LabeledGraph) -> list[str] | None:
-    """_forward_closed(graph), decided once per graph object and kept in
-    its __dict__ next to the condensation."""
+    """The witness of _forward_closed(graph), decided once per graph
+    object and kept in its __dict__ next to the condensation; its tree
+    from vertex 0 is kept beside it for the cycle search."""
     kept = graph.__dict__
     if "_forward_closed" not in kept:
-        kept["_forward_closed"] = _forward_closed(graph)
+        kept["_forward_closed"], kept["_forward_tree"] = _forward_closed(graph)
     return kept["_forward_closed"]
 
 
@@ -284,6 +294,17 @@ def is_irreducible(graph: LabeledGraph) -> VerdictReport:
 # irrational cycles
 
 
+def _angle_table(graph: LabeledGraph, angles: Mapping[str, ExactAngle]):
+    """ExactAngle.integer_coordinates(angles), built once per graph object
+    and angle assignment: kept in the graph's __dict__ with a snapshot
+    of the angles, and built anew when angles differ from it."""
+    snapshot = dict(angles)
+    kept = graph.__dict__.get("_angle_table")
+    if kept is None or kept[0] != snapshot:
+        kept = graph.__dict__["_angle_table"] = (snapshot, ExactAngle.integer_coordinates(snapshot))
+    return kept[1]
+
+
 def irrational_cycle(graph: LabeledGraph, angles: Mapping[str, ExactAngle]) -> VerdictReport:
     """Is there a closed path whose total rotation angle is irrational?
 
@@ -295,45 +316,66 @@ def irrational_cycle(graph: LabeledGraph, angles: Mapping[str, ExactAngle]) -> V
     inside a component has an irrational defect.  In that case one of
     two explicit closed walks through that edge's endpoints must be
     irrational (its edges' int tuples summed) and is returned as the
-    certificate.  Otherwise every cycle angle is rational with
-    denominator dividing the reported one.
+    certificate: for the first such edge, in declared order, of the
+    first component, in topological order, that has one.  Otherwise
+    every cycle angle is rational with denominator dividing the
+    reported one.
 
-    Potentials and defects are int tuples over one common denominator L
-    (ExactAngle.integer_coordinates): a defect is rational iff its
-    generator coordinates vanish, with denominator L / gcd(r, L) for its
-    rational coordinate r.  The Yes angle and the No potentials are
-    written from their tuples by ExactAngle.format_integer_coordinates.
+    Angles are the int tuples of _angle_table, over one common
+    denominator L.  A potential is kept as its rational coordinate, an
+    int, and its tuple of generator coordinates: an inner edge u -> w
+    has a rational defect iff the generator tuple of u plus that of its
+    angle equals the one of w, one tuple comparison.  The rational
+    defects r_1, ..., r_k have denominators L / gcd(r_i, L), whose lcm
+    is L / gcd(L, r_1, ..., r_k), one gcd over all of them.  An acyclic
+    singleton component is its own tree, and on a strongly connected
+    graph the tree is the one from vertex 0 that the irreducibility
+    decision keeps.  The Yes angle and the No potentials, in component
+    order and then tree order, are written from their tuples by
+    ExactAngle.format_integer_coordinates.
     """
     criterion = "irrational total rotation along some closed path"
     check_angle_assignment(graph, angles)
-    context, common, coords = ExactAngle.integer_coordinates(angles)
-    comp, members, _cyclic = graph.condensation
+    context, common, coords = _angle_table(graph, angles)
+    comp, members, cyclic = graph.condensation
     vi = graph.vertex_index
     # inner edges of each component, in declared order
-    inner: list[list[tuple[int, int, Edge]]] = [[] for _ in members]
+    inner: list[list[tuple[int, int, str, Edge]]] = [[] for _ in members]
     for e in graph.edges:
         u, w = vi[e.src], vi[e.dst]
         if comp[u] == comp[w]:
-            inner[comp[u]].append((u, w, e))
+            inner[comp[u]].append((u, w, e.symbol, e))
+    rational = {s: row[0] for s, row in coords.items()}
+    generators = {s: row[1:] for s, row in coords.items()}
 
-    zero = (0,) * (len(context.ids) + 1)
-    potentials: dict[int, tuple[int, ...]] = {}
-    denominator = 1
+    n = graph.vertex_count
+    rational_potential = [0] * n
+    generator_potential = [(0,) * len(context.ids)] * n
+    order: list[int] = []  # component order, then tree order
+    defects: list[int] = []
 
-    for vertices, edges in zip(members, inner):
+    for c, (vertices, edges) in enumerate(zip(members, inner)):
         root = vertices[0]
-        allowed = set(vertices)
-        tree = _bfs_tree(graph.out_edges, root, allowed)
-        for v, step in tree.items():
-            potentials[v] = zero if step is None else tuple(
-                map(add, potentials[step[0]], coords[step[1]])
-            )
-        for u, w, e in edges:
-            r, *terms = (
-                pu + a - pw for pu, a, pw in zip(potentials[u], coords[e.symbol], potentials[w])
-            )
-            if not any(terms):
-                denominator = lcm(denominator, common // gcd(r, common))
+        if not cyclic[c]:
+            order.append(root)
+            continue
+        if len(members) == 1:
+            # strongly connected: the tree from vertex 0 that the
+            # irreducibility decision keeps on the graph
+            _irreducibility(graph)
+            tree, allowed = graph.__dict__["_forward_tree"], None
+        else:
+            allowed = set(vertices)
+            tree = _bfs_tree(graph.out_edges, root, allowed)
+        steps = iter(tree.items())
+        next(steps)  # the root, at potential zero
+        for v, (p, s) in steps:
+            rational_potential[v] = rational_potential[p] + rational[s]
+            generator_potential[v] = tuple(map(add, generator_potential[p], generators[s]))
+        order.extend(tree)
+        for u, w, s, e in edges:
+            if tuple(map(add, generator_potential[u], generators[s])) == generator_potential[w]:
+                defects.append(rational_potential[u] + rational[s] - rational_potential[w])
                 continue
             # the defect carries a generator: at least one of these two
             # closed walks at the root has an irrational angle
@@ -355,15 +397,21 @@ def irrational_cycle(graph: LabeledGraph, angles: Mapping[str, ExactAngle]) -> V
                     )
             raise AssertionError("one of the two closed walks must be irrational")
 
-    # vertices often share a potential: write each distinct one once
-    text = {
-        p: ExactAngle.format_integer_coordinates(context, common, p) for p in set(potentials.values())
-    }
+    # vertices often share a potential: write each distinct one once,
+    # hashing each vertex's tuple once (big entries hash in linear time)
+    written: dict[tuple[int, ...], str] = {}
+    potentials: dict[str, str] = {}
+    for v in order:
+        p = (rational_potential[v], *generator_potential[v])
+        text = written.get(p)
+        if text is None:
+            text = written[p] = ExactAngle.format_integer_coordinates(context, common, p)
+        potentials[graph.vertices[v]] = text
     return VerdictReport(
         NO,
         {
-            "cycle_denominator": denominator,
-            "potentials": {graph.vertices[v]: text[p] for v, p in potentials.items()},
+            "cycle_denominator": common // gcd(common, *defects),
+            "potentials": potentials,
             "roots": [graph.vertices[vertices[0]] for vertices in members],
         },
         criterion,
@@ -526,11 +574,30 @@ def fullshift_verdicts(angles: Mapping[str, ExactAngle]) -> tuple[VerdictReport,
     """
     if len(angles) < 2:
         raise FewerThanTwoAngles(len(angles))
-    context, common, coords = ExactAngle.integer_coordinates(angles)
-    (first, base), *rest = coords.items()
+    return _fullshift_decision(ExactAngle.integer_coordinates(angles), tuple(angles))
+
+
+def fullshift_of_graph(graph: LabeledGraph, angles: Mapping[str, ExactAngle]) -> tuple[VerdictReport, VerdictReport]:
+    """fullshift_verdicts over graph's alphabet, in declared order, read
+    from the angle table the cycle search keeps on graph (_angle_table),
+    so one analysis builds that table once.  Its denominator L may be a
+    multiple of the alphabet's own, which changes no written number:
+    each is reduced to lowest terms."""
+    if len(graph.alphabet) < 2:
+        raise FewerThanTwoAngles(len(graph.alphabet))
+    check_angle_assignment(graph, angles)
+    return _fullshift_decision(_angle_table(graph, angles), graph.alphabet)
+
+
+def _fullshift_decision(table, labels: Sequence[str]) -> tuple[VerdictReport, VerdictReport]:
+    """The fullshift_verdicts pair of the labels' rows of an
+    integer_coordinates table (context, L, rows)."""
+    context, common, coords = table
+    first, *rest = labels
+    base = coords[first]
     q = 1
-    for label, other in rest:
-        difference = tuple(map(sub, base, other))
+    for label in rest:
+        difference = tuple(map(sub, base, coords[label]))
         if any(difference[1:]):
             verdict = YES
             certificate = {

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output shapes, determinism."""
 
+import inspect
 import json
 import os
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import wall_clock_limit
 from rotshift import cli
-from rotshift.angles import MAX_ANGLE_BITS, MAX_GENERATORS
+from rotshift.angles import MAX_ANGLE_BITS, MAX_GENERATORS, ExactAngle
 from rotshift.cli import _indented_json, main
 from rotshift.graph import full_shift_graph
 from rotshift.ktheory import graph_k_groups
@@ -133,6 +134,65 @@ def test_analyze_needs_input(capsys):
     code, _, err = run(capsys, "analyze")
     assert code == 1
     assert "FILE or --angles" in err
+
+
+def test_analyze_file_and_angles_together_is_a_usage_error(capsys):
+    """Neither input wins silently: one error line names both."""
+    for mode in ([], ["--json"]):
+        code, out, err = run(capsys, "analyze", path("goldenmean.sds"), "--angles", "0,1/2", *mode)
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [
+            f"error: analyze takes a FILE or --angles, not both (got {path('goldenmean.sds')!r} and --angles '0,1/2')"
+        ]
+
+
+@pytest.mark.parametrize("argv", [[path("fullshift3.sds")], ["--angles", "0,1*g,1/3"]], ids=["file", "angles"])
+def test_full_shift_analyze_builds_one_angle_table(capsys, monkeypatch, argv):
+    """The cycle search and the full-shift decision read one table."""
+    builds = []
+    original = ExactAngle.integer_coordinates
+
+    def counted(angles):
+        builds.append(dict(angles))
+        return original(angles)
+
+    monkeypatch.setattr(ExactAngle, "integer_coordinates", staticmethod(counted))
+    code, out, _ = run(capsys, "analyze", *argv, "--json")
+    assert code == 0
+    assert json.loads(out)["fullshift"]["F_simple"]["verdict"] in ("Yes", "No")
+    assert len(builds) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", path("reducible3.sds")],
+        ["words", path("fullshift3.sds"), "-k", "3"],
+        ["ktheory", path("goldenmean.sds"), "--af-core"],
+        ["ktheory", path("fullshift3.sds"), "--bunce-deddens"],
+        ["ideals", path("reducible3.sds")],
+    ],
+    ids=["analyze", "words", "ktheory-af-core", "ktheory-bunce-deddens", "ideals"],
+)
+def test_json_mode_builds_no_text_line(capsys, monkeypatch, argv):
+    """The text lines reach _emit as a generator, which --json leaves
+    unstarted; in text mode the same generator prints every line."""
+    seen = []
+    original = cli._emit
+
+    def emit(payload, as_json, text_lines):
+        seen.append(inspect.getgeneratorstate(text_lines))
+        original(payload, as_json, text_lines)
+        seen.append(inspect.getgeneratorstate(text_lines))
+
+    monkeypatch.setattr(cli, "_emit", emit)
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0 and json.loads(out)
+    assert seen == [inspect.GEN_CREATED, inspect.GEN_CREATED]
+    seen.clear()
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out
+    assert seen == [inspect.GEN_CREATED, inspect.GEN_CLOSED]
 
 
 def test_ktheory_output(capsys):

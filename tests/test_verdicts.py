@@ -12,6 +12,7 @@ import json
 import os
 import random
 import weakref
+from fractions import Fraction
 from math import lcm
 
 import pytest
@@ -39,7 +40,7 @@ from conftest import (
     wall_clock_limit,
 )
 from rotshift import cli, verdicts
-from rotshift.angles import ExactAngle, GeneratorContext, parse_angle
+from rotshift.angles import MAX_ANGLE_BITS, MAX_GENERATORS, ExactAngle, GeneratorContext, parse_angle
 from rotshift.errors import ContextMismatch, FewerThanTwoAngles
 from rotshift.fileformat import parse_system
 from rotshift.graph import MAX_EDGES, MAX_VERTICES, Edge, LabeledGraph, validate_graph
@@ -181,9 +182,11 @@ def support_walk_condition_I(graph):
 
 
 def test_condition_I_matches_the_support_walk_from_every_vertex():
-    """Depth-0 branching read off the out-edges gives the certificate the
-    support walk gives, keys in vertex order, on graphs where many
-    vertices carry a single out-symbol."""
+    """condition_I, one support walk per vertex that builds its frozen
+    supports only after a single-symbol step, gives the certificate of
+    the reference walk, which records every support from depth 0 on:
+    keys in vertex order, on graphs where many vertices carry a single
+    out-symbol."""
     rng = random.Random(1711)
     graphs = [random_graph(rng, max_vertices=7, max_symbols=rng.choice([2, 3])) for _ in range(150)]
     graphs += [layered_graph(rng, max_vertices=9) for _ in range(150)]
@@ -553,18 +556,111 @@ def test_irrational_cycle_vs_brute_force():
             assert q == lcm(*(cycle_angle(c, angles).rational_denominator() for c in cycles))
 
 
+def every_cap_chain(closing):
+    """One cycle through all MAX_VERTICES vertices: 999 edges labeled a,
+    closed by one labeled b = -closing * a.  The angle a has the rational
+    part 1/D with D = 2**4000 + 1, so the common denominator L = D has
+    4001 bits, and MAX_GENERATORS integer coefficients of alternating
+    sign near 2**84, so its generator coordinates c * L and those of b
+    come within a few bits of MAX_ANGLE_BITS, on both sides of zero.
+    closing = 999 makes every cycle rational: every vertex has its own
+    potential, all written in the No certificate."""
+    context = GeneratorContext(tuple(f"g{k}" for k in range(MAX_GENERATORS)))
+    d = 2**4000 + 1
+    a = ExactAngle.make(context, Fraction(1, d), {name: (-1) ** k * (2**84 + k) for k, name in enumerate(context.ids)})
+    b = ExactAngle.make(context, -closing * a.rational, {name: -closing * c for name, c in a.coefficients})
+    n = MAX_VERTICES
+    edges = [(f"v{i}", f"v{i + 1}", "a") for i in range(n - 1)] + [(f"v{n - 1}", "v0", "b")]
+    return validate_graph([f"v{i}" for i in range(n)], edges, ["a", "b"]), {"a": a, "b": b}
+
+
 def test_irrational_cycle_at_the_size_caps():
     rng = random.Random(1000)
     graph = hamiltonian_graph(rng, MAX_VERTICES, 10, extra_p=0.9)
     assert 8500 <= len(graph.edges) <= MAX_EDGES
     rational = {s: rat(rng.randint(0, 11), rng.choice((1, 2, 3, 4, 6, 12))) for s in graph.alphabet}
     irrational = dict(rational, a7=gen(1, 1, 3))
-    for angles, verdict in ((rational, NO), (irrational, YES)):
+    chain, rational_chain = every_cap_chain(999)
+    _, irrational_chain = every_cap_chain(998)
+    _, common, coords = ExactAngle.integer_coordinates(rational_chain)
+    entries = [x for row in coords.values() for x in row]
+    assert common.bit_length() == 4001
+    assert MAX_ANGLE_BITS - 8 <= max(x.bit_length() for x in entries) <= MAX_ANGLE_BITS
+    assert min(entries) < 0 < max(entries)
+    for graph, angles, verdict in (
+        (graph, rational, NO),
+        (graph, irrational, YES),
+        (chain, rational_chain, NO),
+        (chain, irrational_chain, YES),
+    ):
         with wall_clock_limit(10):
             r = irrational_cycle(graph, angles)
         assert r.verdict == verdict
         # a Hamiltonian cycle makes the graph strongly connected
         assert_cycle_certificate(graph, angles, r, graph.edges)
+
+
+def test_first_irrational_edge_of_a_later_component(monkeypatch):
+    """Components in topological order: the rational 2-cycle {x0, x1},
+    the acyclic singletons t1 and t2, then the 3-vertex component of the
+    y's, declared first.  The irrational bridge x1 -> t1 lies on no
+    cycle.  Of the two irrational edges inside the last component,
+    y2 -> y0 comes first in declared order and y1 -> y0 first in the
+    out-edge lists: the Yes certificate closes the first.  With both
+    made rational, potentials follow component order and then tree
+    order, and only the two cyclic components take a search."""
+    graph = build(
+        ("y0", "y2", "y1", "t2", "t1", "x0", "x1"),
+        (
+            ("x0", "x1", "p"),
+            ("x1", "x0", "q"),
+            ("x1", "t1", "r"),
+            ("t1", "t2", "s"),
+            ("t2", "y0", "u"),
+            ("y0", "y1", "a"),
+            ("y1", "y2", "b"),
+            ("y2", "y0", "c"),
+            ("y1", "y0", "d"),
+        ),
+        ("p", "q", "r", "s", "u", "a", "b", "c", "d"),
+    )
+    angles = {
+        "p": rat(1, 3),
+        "q": rat(1, 6),
+        "r": gen(1),
+        "s": rat(0),
+        "u": rat(1, 5),
+        "a": rat(1, 4),
+        "b": rat(0),
+        "c": gen(1),
+        "d": gen(2, 1, 8),
+    }
+    r = irrational_cycle(graph, angles)
+    assert r.certificate == {
+        "cycle": [["y0", "y1", "a"], ["y1", "y2", "b"], ["y2", "y0", "c"]],
+        "angle": "1/4 + 1*g",
+        "base_vertex": "y0",
+    }
+    assert_cycle_certificate(graph, angles, r, inner_edges(graph))
+
+    rational = dict(angles, c=rat(1, 4), d=rat(1, 8))
+    searches = []
+    original = verdicts._bfs_tree
+
+    def counted(*args, **kwargs):
+        searches.append(graph.vertices[args[1]])
+        return original(*args, **kwargs)
+
+    patch_everywhere(monkeypatch, verdicts, "_bfs_tree", counted)
+    r = irrational_cycle(graph, rational)
+    assert searches == ["x0", "y0"]
+    assert r.certificate == {
+        "cycle_denominator": 8,
+        "potentials": {"x0": "0", "x1": "1/3", "t1": "0", "t2": "0", "y0": "0", "y1": "1/4", "y2": "1/4"},
+        "roots": ["x0", "t1", "t2", "y0"],
+    }
+    assert list(r.certificate["potentials"]) == ["x0", "x1", "t1", "t2", "y0", "y1", "y2"]
+    assert_cycle_certificate(graph, rational, r, inner_edges(graph))
 
 
 # -- minimality ------------------------------------------------------------------
@@ -739,8 +835,9 @@ def circulant(n, k, symbols=("a", "b")):
 
 def test_composites_on_a_large_irreducible_graph_build_no_covering_walk(monkeypatch):
     """The covering walk costs one search per vertex; the composites need
-    only the irreducibility decision, one search from vertex 0, and the
-    cycle search's spanning tree of the one component."""
+    only the irreducibility decision, one search from vertex 0, whose
+    tree the cycle search reads as the spanning tree of the one
+    component."""
     graph = circulant(MAX_VERTICES, 7)
     angles = {"a": rat(1, 4), "b": rat(3, 4)}
     searches = []
@@ -753,7 +850,7 @@ def test_composites_on_a_large_irreducible_graph_build_no_covering_walk(monkeypa
     patch_everywhere(monkeypatch, verdicts, "_bfs_tree", counted)
     assert crossed_product_simplicity(graph, angles).verdict == "No"
     assert pure_infiniteness(graph, angles).verdict == UNKNOWN
-    assert len(searches) <= 2
+    assert searches == [0]
     r = is_irreducible(graph)
     assert r.is_yes
     assert_walk(graph, r.certificate["covering_closed_walk"], covering=True)
