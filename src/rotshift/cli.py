@@ -184,7 +184,7 @@ def _angles_document(angle_list: str) -> SystemDocument:
         angles = {f"s{i+1}": parse_angle(expr, context) for i, expr in enumerate(exprs)}
     except RotshiftError as exc:
         raise RotshiftError(f"bad --angles list: {exc}") from exc
-    symbols = tuple(sorted(angles, key=lambda s: int(s[1:])))
+    symbols = tuple(angles)
     return SystemDocument(
         context=context,
         alphabet=symbols,

@@ -23,10 +23,13 @@ from .graph import LabeledGraph
 from .ideals import enumerate_invariant_saturated, hasse_edges
 from .ktheory import graph_k_groups
 from .verdicts import (
-    base_verdict,
+    condition_I,
     crossed_product_simplicity,
     fullshift_of_graph,
     graph_minimality,
+    irrational_cycle,
+    is_irreducible,
+    kept,
     pure_infiniteness,
 )
 
@@ -82,10 +85,10 @@ def analyze_document(
         return report, False
 
     angles = doc.angles
-    report["condition_I"] = base_verdict(graph, "condition_I", angles).to_json()
-    report["irreducible"] = base_verdict(graph, "is_irreducible", angles).to_json()
-    report["irrational_cycle"] = base_verdict(graph, "irrational_cycle", angles).to_json()
-    report["g_minimal"] = graph_minimality(graph, angles).to_json()
+    report["condition_I"] = kept(graph, condition_I).to_json()
+    report["irreducible"] = kept(graph, is_irreducible).to_json()
+    report["irrational_cycle"] = kept(graph, irrational_cycle, angles).to_json()
+    report["g_minimal"] = kept(graph, graph_minimality, angles).to_json()
     report["simple_O"] = crossed_product_simplicity(graph, angles).to_json()
     report["purely_infinite_O"] = pure_infiniteness(graph, angles).to_json()
 

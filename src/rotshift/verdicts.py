@@ -47,19 +47,18 @@ Components come from graph.condensation (Tarjan over out_edges, the
 graph's one adjacency list); every other path question is one
 breadth-first search, _bfs_tree, read by _tree_path.
 
-The three base verdicts of a graph object (condition (I),
-irreducibility, an irrational cycle) are kept on it, next to its
-condensation, by base_verdict: each is decided at most once per graph,
-the cycle once per angle assignment.  The composites (minimality,
-simplicity, pure infiniteness) and report.analyze_document read them
-there, so calls on one graph with equal angles share them, and a
-composite whose first hypothesis fails never decides the later ones;
-of irreducibility the composites read only the decision, which
-_irreducibility keeps there too, so only is_irreducible builds the
-covering walk.  The angle table is kept there too, so one analysis
-builds it once.  A new graph object, or a changed angle assignment,
-decides afresh.  Composites copy the base certificates rather than
-mutating them.
+Every per-graph fact is read through one keeper, kept(graph, decide,
+*angles), which decides it once per graph object and angle assignment
+and keeps it on the graph, next to its condensation: condition (I),
+the irreducibility decision (_forward_closed, whose tree from vertex 0
+the cycle search reuses), the cycle search, minimality and the angle
+table.  The composites (minimality, simplicity, pure infiniteness) and
+report.analyze_document read them there, so calls on one graph with
+equal angles share them, and a composite whose first hypothesis fails
+never decides the later ones.  Of irreducibility the composites read
+only the decision, so only is_irreducible builds the covering walk.
+A new graph object, or a changed angle assignment, decides afresh.
+Composites copy the kept certificates rather than mutating them.
 """
 
 from __future__ import annotations
@@ -75,7 +74,7 @@ from .graph import Edge, LabeledGraph
 
 __all__ = [
     "VerdictReport",
-    "base_verdict",
+    "kept",
     "condition_I",
     "is_irreducible",
     "irrational_cycle",
@@ -113,6 +112,21 @@ class VerdictReport:
         if self.notes:
             out["notes"] = list(self.notes)
         return out
+
+
+def kept(graph: LabeledGraph, decide, *angles: Mapping[str, ExactAngle]):
+    """decide(graph, *angles), decided once per graph object and angle
+    assignment.  The results live in one dict in the graph's __dict__,
+    keyed by the deciding function, each with a snapshot of the angles,
+    and decide runs again only when the angles differ from it.  No kept
+    fact refers to the graph, so the graph is freed by reference
+    counting."""
+    facts = graph.__dict__.setdefault("_kept", {})
+    fact = facts.get(decide)
+    if fact is None or fact[0] != angles:
+        snapshot = tuple(map(dict, angles))
+        fact = facts[decide] = (snapshot, decide(graph, *snapshot))
+    return fact[1]
 
 
 def check_angle_assignment(graph: LabeledGraph, angles: Mapping[str, ExactAngle]) -> None:
@@ -237,16 +251,6 @@ def _forward_closed(graph: LabeledGraph) -> tuple[list[str] | None, dict | None]
     return graph.vertex_names(closure), None
 
 
-def _irreducibility(graph: LabeledGraph) -> list[str] | None:
-    """The witness of _forward_closed(graph), decided once per graph
-    object and kept in its __dict__ next to the condensation; its tree
-    from vertex 0 is kept beside it for the cycle search."""
-    kept = graph.__dict__
-    if "_forward_closed" not in kept:
-        kept["_forward_closed"], kept["_forward_tree"] = _forward_closed(graph)
-    return kept["_forward_closed"]
-
-
 def _covering_walk(graph: LabeledGraph) -> list[list[str]]:
     """One closed walk through every vertex of a strongly connected
     graph, joined in index order from shortest paths to each vertex the
@@ -274,12 +278,12 @@ def _covering_walk(graph: LabeledGraph) -> list[list[str]]:
 
 
 def is_irreducible(graph: LabeledGraph) -> VerdictReport:
-    """Strong connectivity of the underlying digraph, as _irreducibility
+    """Strong connectivity of the underlying digraph, as _forward_closed
     decides it.  No-certificate: its forward-closed set, over which the
     fibers form a closed invariant region.  Yes-certificate: the
     covering closed walk, which only this function builds."""
     criterion = "irreducibility: the transition digraph is strongly connected"
-    closed = _irreducibility(graph)
+    closed = kept(graph, _forward_closed)[0]
     if closed is not None:
         return VerdictReport(
             NO,
@@ -295,14 +299,8 @@ def is_irreducible(graph: LabeledGraph) -> VerdictReport:
 
 
 def _angle_table(graph: LabeledGraph, angles: Mapping[str, ExactAngle]):
-    """ExactAngle.integer_coordinates(angles), built once per graph object
-    and angle assignment: kept in the graph's __dict__ with a snapshot
-    of the angles, and built anew when angles differ from it."""
-    snapshot = dict(angles)
-    kept = graph.__dict__.get("_angle_table")
-    if kept is None or kept[0] != snapshot:
-        kept = graph.__dict__["_angle_table"] = (snapshot, ExactAngle.integer_coordinates(snapshot))
-    return kept[1]
+    """ExactAngle.integer_coordinates(angles), read through kept."""
+    return ExactAngle.integer_coordinates(angles)
 
 
 def irrational_cycle(graph: LabeledGraph, angles: Mapping[str, ExactAngle]) -> VerdictReport:
@@ -321,7 +319,7 @@ def irrational_cycle(graph: LabeledGraph, angles: Mapping[str, ExactAngle]) -> V
     every cycle angle is rational with denominator dividing the
     reported one.
 
-    Angles are the int tuples of _angle_table, over one common
+    Angles are the int tuples of the kept _angle_table, over one common
     denominator L.  A potential is kept as its rational coordinate, an
     int, and its tuple of generator coordinates: an inner edge u -> w
     has a rational defect iff the generator tuple of u plus that of its
@@ -336,7 +334,7 @@ def irrational_cycle(graph: LabeledGraph, angles: Mapping[str, ExactAngle]) -> V
     """
     criterion = "irrational total rotation along some closed path"
     check_angle_assignment(graph, angles)
-    context, common, coords = _angle_table(graph, angles)
+    context, common, coords = kept(graph, _angle_table, angles)
     comp, members, cyclic = graph.condensation
     vi = graph.vertex_index
     # inner edges of each component, in declared order
@@ -362,8 +360,7 @@ def irrational_cycle(graph: LabeledGraph, angles: Mapping[str, ExactAngle]) -> V
         if len(members) == 1:
             # strongly connected: the tree from vertex 0 that the
             # irreducibility decision keeps on the graph
-            _irreducibility(graph)
-            tree, allowed = graph.__dict__["_forward_tree"], None
+            tree, allowed = kept(graph, _forward_closed)[1], None
         else:
             allowed = set(vertices)
             tree = _bfs_tree(graph.out_edges, root, allowed)
@@ -426,28 +423,6 @@ def irrational_cycle(graph: LabeledGraph, angles: Mapping[str, ExactAngle]) -> V
 # minimality and the algebra verdicts
 
 
-def base_verdict(graph: LabeledGraph, name: str, angles: Mapping[str, ExactAngle]) -> VerdictReport:
-    """condition_I, is_irreducible or irrational_cycle of graph, as name
-    says, decided once per graph object and kept in its __dict__ next to
-    the cached condensation.  The cycle verdict is kept with a snapshot
-    of the angles and decided anew when angles differ from it; the
-    other two do not read the angles.  A kept report does not refer to
-    the graph, so the graph is freed by reference counting."""
-    if name not in ("condition_I", "is_irreducible", "irrational_cycle"):
-        raise ValueError(f"{name!r} is not condition_I, is_irreducible or irrational_cycle")
-    snapshot = dict(angles) if name == "irrational_cycle" else None
-    kept = graph.__dict__.get(f"_{name}")
-    if kept is None or kept[0] != snapshot:
-        if name == "condition_I":
-            report = condition_I(graph)
-        elif name == "is_irreducible":
-            report = is_irreducible(graph)
-        else:
-            report = irrational_cycle(graph, snapshot)
-        kept = graph.__dict__[f"_{name}"] = (snapshot, report)
-    return kept[1]
-
-
 def graph_minimality(graph: LabeledGraph, angles: Mapping[str, ExactAngle]) -> VerdictReport:
     """Minimality of the decorated action on the union of circle fibers.
 
@@ -463,7 +438,7 @@ def graph_minimality(graph: LabeledGraph, angles: Mapping[str, ExactAngle]) -> V
       strengthening of the sufficient Yes test and is flagged as such.
     """
     criterion = "minimality of the rotation action over the transition graph"
-    closed = _irreducibility(graph)
+    closed = kept(graph, _forward_closed)[0]
     if closed is not None:
         return VerdictReport(
             NO,
@@ -474,7 +449,7 @@ def graph_minimality(graph: LabeledGraph, angles: Mapping[str, ExactAngle]) -> V
                 "proper closed invariant set",
             ),
         )
-    cyc = base_verdict(graph, "irrational_cycle", angles)
+    cyc = kept(graph, irrational_cycle, angles)
     if cyc.is_yes:
         return VerdictReport(YES, dict(cyc.certificate), criterion)
     certificate = dict(cyc.certificate)
@@ -505,7 +480,7 @@ def crossed_product_simplicity(
     Unknown.
     """
     criterion = "simplicity equals minimality under condition (I)"
-    if not base_verdict(graph, "condition_I", angles).is_yes:
+    if not kept(graph, condition_I).is_yes:
         return VerdictReport(
             UNKNOWN,
             None,
@@ -515,7 +490,7 @@ def crossed_product_simplicity(
                 "behind the equivalence does not apply",
             ),
         )
-    gm = graph_minimality(graph, angles)
+    gm = kept(graph, graph_minimality, angles)
     notes = (
         "condition (I) holds; Lebesgue measure on the circle fibers is a "
         "faithful invariant probability measure",
@@ -533,12 +508,12 @@ def pure_infiniteness(graph: LabeledGraph, angles: Mapping[str, ExactAngle]) -> 
     when any hypothesis fails the verdict is Unknown, not No.
     """
     criterion = "pure infiniteness from condition (I), irreducibility and an irrational cycle"
-    condition = base_verdict(graph, "condition_I", angles)
+    condition = kept(graph, condition_I)
     if not condition.is_yes:
         return VerdictReport(UNKNOWN, None, criterion, notes=("missing hypothesis: condition (I)",))
-    if _irreducibility(graph) is not None:
+    if kept(graph, _forward_closed)[0] is not None:
         return VerdictReport(UNKNOWN, None, criterion, notes=("missing hypothesis: irreducibility",))
-    cycle = base_verdict(graph, "irrational_cycle", angles)
+    cycle = kept(graph, irrational_cycle, angles)
     if not cycle.is_yes:
         return VerdictReport(
             UNKNOWN,
@@ -579,14 +554,14 @@ def fullshift_verdicts(angles: Mapping[str, ExactAngle]) -> tuple[VerdictReport,
 
 def fullshift_of_graph(graph: LabeledGraph, angles: Mapping[str, ExactAngle]) -> tuple[VerdictReport, VerdictReport]:
     """fullshift_verdicts over graph's alphabet, in declared order, read
-    from the angle table the cycle search keeps on graph (_angle_table),
+    from the angle table the cycle search reads (the kept _angle_table),
     so one analysis builds that table once.  Its denominator L may be a
     multiple of the alphabet's own, which changes no written number:
     each is reduced to lowest terms."""
     if len(graph.alphabet) < 2:
         raise FewerThanTwoAngles(len(graph.alphabet))
     check_angle_assignment(graph, angles)
-    return _fullshift_decision(_angle_table(graph, angles), graph.alphabet)
+    return _fullshift_decision(kept(graph, _angle_table, angles), graph.alphabet)
 
 
 def _fullshift_decision(table, labels: Sequence[str]) -> tuple[VerdictReport, VerdictReport]:

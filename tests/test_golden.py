@@ -1,5 +1,6 @@
 """Golden outputs: every subcommand's `--json` output on the bundled
-systems, byte for byte, and `validate` without any analysis.
+systems, byte for byte, `analyze --json` over the bench corpus sets by
+digest, and `validate` without any analysis.
 
 The files under tests/golden/ pin the output contract: a change to one
 of them is a change to what users receive, not a test fix.  They are
@@ -8,12 +9,13 @@ angles.RUN.json for the runs that take an `--angles` list instead of a
 file.
 """
 
+import hashlib
 import json
 import os
 
 import pytest
 
-from conftest import bundled_systems, patch_everywhere
+from conftest import bundled_systems, corpus_texts, patch_everywhere
 from rotshift import cli, ideals, ktheory, verdicts
 from rotshift.cli import main
 
@@ -147,3 +149,32 @@ def test_validate_runs_no_analysis(monkeypatch, capsys, path):
         patch_everywhere(monkeypatch, module, name, forbidden)
     main(["validate", path, "--json"])
     assert capsys.readouterr().out == golden(path, "validate")
+
+
+# (workload, seed) -> sha256 of the `analyze --json` outputs of that
+# bench/corpus.py set, concatenated in corpus order
+CORPUS_DIGESTS = {
+    ("lattice", 1): "1b536ab0da85491b520cf77c3fb69a9288fd96832ccc820318a7138986f47ac5",
+    ("lattice", 2): "91e218a60e98721fde9af3c9e005687d637440036495f22210ac9483bba1233d",
+    ("lattice", 3): "ad1c585882fc2a7677cc1048363ad85b370ebff111e296b93ac84898f333cde2",
+    ("lattice", 4): "e8e611f18d4aef84f6277ef2a5c0d5370162c4d86028f60742254302fd00399c",
+    ("kgroups", 1): "fe524b570c598dc7c65c770563b9744330e208f406f8e5f802ce60037837531f",
+    ("kgroups", 2): "99a68a44c48ef1a05437ca4d674f55d01cb47328ff2e8691725c6c62ac8c570a",
+    ("kgroups", 3): "b14947dade18eb1dceaa3dd3adecfd20d34f38ee804916acb091435eadf04518",
+    ("kgroups", 4): "abf5fe0d33c7e25600f35697783beca4ec4f37df339f92afc0d16feea96a525a",
+}
+
+
+@pytest.mark.parametrize("workload, seed", list(CORPUS_DIGESTS))
+def test_corpus_analysis_matches_its_digest(capsys, tmp_path, workload, seed):
+    """The 408 corpus inputs pin the whole report, K-groups and ideal
+    lattice included, on graphs of up to 64 vertices."""
+    path = tmp_path / "case.sds"
+    digest = hashlib.sha256()
+    for text in corpus_texts(workload, seed):
+        path.write_text(text, encoding="utf-8")
+        code = main(["analyze", str(path), "--json"])
+        out = capsys.readouterr().out
+        assert code == expected_exit(out)
+        digest.update(out.encode("utf-8"))
+    assert digest.hexdigest() == CORPUS_DIGESTS[workload, seed]

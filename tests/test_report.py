@@ -105,7 +105,8 @@ def test_validation_failure_reports_witness():
     assert "condition_I" not in report
 
 
-BASE_DECISIONS = ("condition_I", "is_irreducible", "irrational_cycle")
+# the three base decisions, and minimality, which simple_O reads too
+BASE_DECISIONS = ("condition_I", "is_irreducible", "irrational_cycle", "graph_minimality")
 
 
 @pytest.mark.parametrize("path", bundled_systems(), ids=os.path.basename)

@@ -53,6 +53,7 @@ from rotshift.verdicts import (
     check_angle_assignment,
     condition_I,
     crossed_product_simplicity,
+    fullshift_of_graph,
     fullshift_verdicts,
     graph_minimality,
     irrational_cycle,
@@ -788,6 +789,14 @@ def test_shared_analysis_follows_the_angles():
     rational["b"] = rat(0)
     assert pure_infiniteness(graph, rational).verdict == UNKNOWN
     assert graph_minimality(graph, rational).verdict == "No"
+    # the kept angle table, which the full-shift decision reads, follows
+    # the same dict mutated in place
+    graph, angles = fullshift([rat(0), rat(1, 2)])
+    assert fullshift_of_graph(graph, angles)[0].certificate == {"common_denominator": 2}
+    angles["s2"] = gen(1)
+    assert fullshift_of_graph(graph, angles)[0].is_yes
+    angles["s2"] = rat(1, 3)
+    assert fullshift_of_graph(graph, angles)[0].certificate == {"common_denominator": 3}
 
 
 def test_reparsed_equal_graph_decides_afresh(monkeypatch):
@@ -808,6 +817,8 @@ def test_shared_analysis_is_freed_with_its_graph():
     counting frees it; the cycle collector is not needed."""
     graph, angles = goldenmean()
     assert pure_infiniteness(graph, angles).is_yes
+    assert verdicts.kept(graph, is_irreducible).is_yes
+    assert fullshift_of_graph(graph, angles)[0].is_yes
     ref = weakref.ref(graph)
     gc.collect()
     gc.disable()
@@ -816,12 +827,6 @@ def test_shared_analysis_is_freed_with_its_graph():
         assert ref() is None
     finally:
         gc.enable()
-
-
-def test_base_verdict_rejects_an_unknown_name():
-    graph, angles = goldenmean()
-    with pytest.raises(ValueError, match="condition_I, is_irreducible or irrational_cycle"):
-        verdicts.base_verdict(graph, "is_irreducibel", angles)
 
 
 def circulant(n, k, symbols=("a", "b")):
