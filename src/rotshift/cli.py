@@ -103,7 +103,11 @@ def _indented_json(value, indent: str = "\n") -> str:
     The stdlib writes indented JSON with pure-Python generators; here
     its C string escaper does the strings and its compact encoder every
     scalar but str and int, so floats, NaN and Infinity come out as
-    json.dumps writes them.
+    json.dumps writes them.  A dict's text is one join of its keys and
+    its children's texts, str and int children written in place.  A
+    dict held under several keys of one dict, as condition (I) entries
+    are, is written once for that dict: its text is the same at each
+    key, all at one indent.
     """
     if isinstance(value, str):
         return _escape(value)
@@ -111,11 +115,27 @@ def _indented_json(value, indent: str = "\n") -> str:
         if not value:
             return "{}"
         inner = indent + "  "
-        items = [
-            f"{_escape(k) if isinstance(k, str) else _json_key(k)}: {_indented_json(v, inner)}"
-            for k, v in value.items()
-        ]
-        return "{" + inner + ("," + inner).join(items) + indent + "}"
+        head = "{" + inner
+        separator = "," + inner
+        parts = []
+        written: dict[int, str] = {}  # id of a dict child -> its text
+        for k, v in value.items():
+            parts.append(head + (_escape(k) if isinstance(k, str) else _json_key(k)) + ": ")
+            head = separator
+            kind = type(v)
+            if kind is str:
+                parts.append(_escape(v))
+            elif kind is int:
+                parts.append(int.__repr__(v))
+            elif kind is dict:
+                text = written.get(id(v))
+                if text is None:
+                    text = written[id(v)] = _indented_json(v, inner)
+                parts.append(text)
+            else:
+                parts.append(_indented_json(v, inner))
+        parts.append(indent + "}")
+        return "".join(parts)
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
@@ -126,7 +146,8 @@ def _indented_json(value, indent: str = "\n") -> str:
                 return "[" + inner + separator.join(map(_escape, value)) + indent + "]"
             except TypeError:  # a later item is no string
                 pass
-        return "[" + inner + separator.join([_indented_json(v, inner) for v in value]) + indent + "]"
+        body = separator.join([int.__repr__(v) if type(v) is int else _indented_json(v, inner) for v in value])
+        return "[" + inner + body + indent + "]"
     if isinstance(value, int) and not isinstance(value, bool):
         return int.__repr__(value)
     return _scalar(value)

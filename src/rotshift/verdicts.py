@@ -58,7 +58,10 @@ equal angles share them, and a composite whose first hypothesis fails
 never decides the later ones.  Of irreducibility the composites read
 only the decision, so only is_irreducible builds the covering walk.
 A new graph object, or a changed angle assignment, decides afresh.
-Composites copy the kept certificates rather than mutating them.
+Certificates are read-only: a kept fact's certificate, or part of it,
+is the same object in the composites built on it, and vertices whose
+condition (I) branching entries are equal share one entry object.
+Composites copy a kept certificate before adding to it.
 """
 
 from __future__ import annotations
@@ -153,11 +156,16 @@ def condition_I(graph: LabeledGraph) -> VerdictReport:
     vertex emits a single infinite sequence: that sequence is the
     failure certificate.  The frozen supports and the record of those
     seen are built only once a single-symbol step is taken, so a vertex
-    that branches at depth 0 costs one set of symbols.
+    that branches at depth 0 costs one set of symbols.  Vertices whose
+    branching entries are equal share one (read-only) entry object,
+    looked up by depth and symbol set, so the alphabet-order sort runs
+    once per distinct set.
     """
     criterion = "condition (I): two distinct infinite label words from every vertex"
     branching: dict[str, dict] = {}
     failures: dict[str, dict] = {}
+    # (depth, symbol set) and (depth, first symbol, second symbol) -> entry
+    entries: dict[tuple, dict] = {}
     si = graph.symbol_index
     out = graph.out_edges
     for start in range(graph.vertex_count):
@@ -166,10 +174,13 @@ def condition_I(graph: LabeledGraph) -> VerdictReport:
         while True:
             symbols = {s for v in support for _w, s in out[v]}
             if len(symbols) > 1:
-                branching[graph.vertices[start]] = {
-                    "depth": len(trail),
-                    "symbols": sorted(symbols, key=si.__getitem__)[:2],
-                }
+                depth = len(trail)
+                key = (depth, frozenset(symbols))
+                entry = entries.get(key)
+                if entry is None:
+                    first = sorted(symbols, key=si.__getitem__)[:2]
+                    entry = entries[key] = entries.setdefault((depth, *first), {"depth": depth, "symbols": first})
+                branching[graph.vertices[start]] = entry
                 break
             (symbol,) = symbols  # essential graphs always offer a continuation
             if not trail:

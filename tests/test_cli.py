@@ -12,7 +12,7 @@ from conftest import wall_clock_limit
 from rotshift import cli
 from rotshift.angles import MAX_ANGLE_BITS, MAX_GENERATORS, ExactAngle
 from rotshift.cli import _indented_json, main
-from rotshift.graph import full_shift_graph
+from rotshift.graph import Edge, full_shift_graph
 from rotshift.ktheory import graph_k_groups
 from rotshift.oracles import MAX_ORBIT_GRID, MAX_WEYL_TERMS
 from rotshift.subshift import MAX_WORD_SCANS, MAX_WORDS
@@ -633,24 +633,52 @@ def test_validation_failure_text_names_the_defect(capsys, command):
 # The --json writer against json.dumps(value, indent=2).  The strings
 # carry what JSON escapes, text beyond ASCII and U+2028; the floats
 # include the extremes and the constants that json.dumps writes as NaN
-# and Infinity.
+# and Infinity.  Bools sit among ints, graph edges and subclasses of
+# dict and list among the containers, and one dict is held under
+# several keys of another and once more a level further down, as
+# condition (I) certificates share their entries.
 json_text = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\u2028\u00e9\u6f22\U0001f600'), st.characters()))
+json_ints = st.integers(-(2**70), 2**70)
 json_scalars = st.one_of(
     st.none(),
     st.booleans(),
-    st.integers(-(2**70), 2**70),
+    json_ints,
     st.floats(),
     st.sampled_from([-0.0, 1e-320, 1e308, float("nan"), float("inf"), float("-inf")]),
     json_text,
 )
-json_keys = st.one_of(json_text, st.none(), st.booleans(), st.integers(-(2**70), 2**70), st.floats())
+json_keys = st.one_of(json_text, st.none(), st.booleans(), json_ints, st.floats())
+
+
+class DictSubclass(dict):
+    pass
+
+
+class ListSubclass(list):
+    pass
+
+
+def holding_twice(drawn):
+    """A dict holding one dict under each of several keys, and again
+    one level further down."""
+    shared, keys = drawn
+    return {**dict.fromkeys(keys, shared), "below": [shared, {"again": shared}]}
+
+
 json_values = st.recursive(
     json_scalars,
     lambda inner: st.one_of(
         st.lists(inner, max_size=4),
         st.lists(inner, max_size=4).map(tuple),
+        st.lists(inner, max_size=4).map(ListSubclass),
         st.lists(json_text, max_size=4),
+        st.lists(st.one_of(json_ints, st.booleans()), max_size=4),
+        st.builds(Edge, json_text, json_text, json_text),
         st.dictionaries(json_keys, inner, max_size=4),
+        st.dictionaries(json_keys, inner, max_size=4).map(DictSubclass),
+        st.tuples(st.dictionaries(json_keys, inner, max_size=3), st.lists(json_text, min_size=2, max_size=4)).map(
+            holding_twice
+        ),
     ),
     max_leaves=30,
 )

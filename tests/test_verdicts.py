@@ -11,6 +11,7 @@ import hashlib
 import json
 import os
 import random
+import tracemalloc
 import weakref
 from fractions import Fraction
 from math import lcm
@@ -21,7 +22,9 @@ from conftest import (
     GCTX,
     SYSTEMS,
     build,
+    bundled_systems,
     closure_irreducibility,
+    corpus_texts,
     cycle_angle,
     enumerate_left_resolving,
     fullshift,
@@ -41,7 +44,7 @@ from conftest import (
 )
 from rotshift import cli, verdicts
 from rotshift.angles import MAX_ANGLE_BITS, MAX_GENERATORS, ExactAngle, GeneratorContext, parse_angle
-from rotshift.errors import ContextMismatch, FewerThanTwoAngles
+from rotshift.errors import ContextMismatch, FewerThanTwoAngles, GraphValidationError
 from rotshift.fileformat import parse_system
 from rotshift.graph import MAX_EDGES, MAX_VERTICES, Edge, LabeledGraph, validate_graph
 from rotshift.report import analyze_document
@@ -204,6 +207,39 @@ def test_condition_I_matches_the_support_walk_from_every_vertex():
         deeper += any(c["depth"] > 0 for c in certificate.get("branching", {}).values())
         failing += r.verdict == "No"
     assert single > 1000 and deeper > 100 and failing > 200
+
+
+@pytest.mark.parametrize("source", ["bundled", "lattice", "kgroups"])
+def test_condition_I_shares_equal_branching_entries(source):
+    """Vertices whose branching entries are equal share one entry
+    object, and unequal entries are distinct objects, so the writer
+    writes each distinct entry once per certificate."""
+    if source == "bundled":
+        texts = []
+        for name in bundled_systems():
+            with open(name, encoding="utf-8") as fh:
+                texts.append(fh.read())
+    else:
+        texts = corpus_texts(source, 1)
+    entries = shared = 0
+    for text in texts:
+        try:
+            graph = parse_system(text).graph()
+        except GraphValidationError:
+            continue
+        certificate = condition_I(graph).certificate
+        if "branching" not in certificate:
+            continue
+        by_value: dict = {}
+        for entry in certificate["branching"].values():
+            assert by_value.setdefault((entry["depth"], *entry["symbols"]), entry) is entry
+        objects = {id(entry) for entry in certificate["branching"].values()}
+        assert len(objects) == len(by_value)
+        entries += len(certificate["branching"])
+        shared += len(certificate["branching"]) - len(objects)
+    assert entries > 0
+    if source != "bundled":  # no bundled system repeats an entry
+        assert shared > entries // 2
 
 
 # -- irreducibility -----------------------------------------------------------
@@ -413,6 +449,25 @@ def test_covering_walk_skips_vertices_already_passed(capsys, tmp_path):
     expected = json.dumps(report, indent=2) + "\n"
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == hashlib.sha256(expected.encode()).hexdigest()
+
+
+def test_json_writer_peak_on_the_largest_report():
+    """Writing the 17 MB report of the interleaved cycle holds the
+    text and the parts it is joined from, not a copy of each nested
+    text per level: its tracemalloc peak stays within 2.5 times the
+    text's length."""
+    text = interleaved_cycle(MAX_VERTICES)
+    report, ok = analyze_document(parse_system(text), text)
+    assert ok
+    with wall_clock_limit(10):
+        tracemalloc.start()
+        try:
+            written = cli._indented_json(report)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert len(written) > 10_000_000
+    assert peak <= 2.5 * len(written)
 
 
 def test_composites_on_reducible_graph_skip_the_cycle_search(monkeypatch):
