@@ -2,7 +2,8 @@
 
 Subcommands:
 
-* validate FILE: check the description and echo the declared orders.
+* validate FILE: check the description, its size caps and angle caps,
+  and echo the declared orders.
 * words FILE -k N: admissible words of length N, one per line.
 * analyze FILE | --angles LIST: full verdict report, of one input or
   the other; both together are a usage error.
@@ -11,6 +12,9 @@ Subcommands:
   triples.
 * ideals FILE: invariant saturated subsets, lattice and quotients.
 * oracle orbit FILE ... / oracle weyl ...: the numeric oracles.
+
+Each subcommand imports its own modules when it runs; validate loads
+only angles, errors, fileformat, graph and report.
 
 `--json` prints exactly json.dumps(payload, indent=2) and a newline.
 
@@ -31,15 +35,11 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from . import __version__
-from .angles import DEFAULT_GENERATOR_VALUE, GeneratorContext, parse_angle
+from .angles import DEFAULT_GENERATOR_VALUE, ExactAngle, GeneratorContext, parse_angle
 from .errors import ParseError, RotshiftError
 from .fileformat import SystemDocument, parse_system, serialize_system
 from .graph import LabeledGraph
-from .ideals import enumerate_invariant_saturated, hasse_edges, quotient_system
-from .ktheory import bunce_deddens_data, core_dimension_data, graph_k_groups
-from .oracles import orbit_density, weyl_sums
 from .report import analyze_document, validation_report
-from .subshift import admissible_words
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -220,9 +220,10 @@ def _angles_document(angle_list: str) -> SystemDocument:
 
 
 def _cmd_validate(args) -> int:
-    _doc, header, graph = _read_graph(args)
+    doc, header, graph = _read_graph(args)
     if graph is None:
         return EXIT_INVALID
+    ExactAngle.integer_coordinates(doc.angles)  # the angle caps analyze applies
     lines = [
         "validation: ok",
         f"vertices: {' '.join(graph.vertices)}",
@@ -234,6 +235,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_words(args) -> int:
+    from .subshift import admissible_words
+
     _doc, _header, graph = _read_graph(args)
     if graph is None:
         return EXIT_INVALID
@@ -293,6 +296,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_ktheory(args) -> int:
+    from .ktheory import bunce_deddens_data, core_dimension_data, graph_k_groups
+
     _doc, _header, graph = _read_graph(args)
     if graph is None:
         return EXIT_INVALID
@@ -325,6 +330,8 @@ def _cmd_ktheory(args) -> int:
 
 
 def _cmd_ideals(args) -> int:
+    from .ideals import enumerate_invariant_saturated, hasse_edges, quotient_system
+
     _doc, _header, graph = _read_graph(args)
     if graph is None:
         return EXIT_INVALID
@@ -337,7 +344,6 @@ def _cmd_ideals(args) -> int:
             entry["quotient"] = {
                 "vertices": list(q.graph.vertices),
                 "surviving_alphabet": list(q.surviving_alphabet),
-                "warning": q.warning,
             }
         entries.append(entry)
     covers = hasse_edges(subsets)
@@ -359,6 +365,8 @@ def _cmd_ideals(args) -> int:
 
 
 def _cmd_oracle_orbit(args) -> int:
+    from .oracles import orbit_density
+
     doc, _header, graph = _read_graph(args)
     if graph is None:
         return EXIT_INVALID
@@ -408,6 +416,8 @@ def _parse_float_or_expr(chunk: str, overrides: dict[str, float]) -> float:
 
 
 def _cmd_oracle_weyl(args) -> int:
+    from .oracles import weyl_sums
+
     overrides = _gen_overrides(args.gen, _generator_context(args.angles).ids)
     try:
         theta = [

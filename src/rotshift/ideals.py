@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import CapExceeded, GraphValidationError, NotInvariantSaturated
+from .errors import CapExceeded, NotInvariantSaturated
 from .graph import LabeledGraph, validate_graph
 
 __all__ = [
@@ -114,7 +114,6 @@ class QuotientSystem:
 
     graph: LabeledGraph
     surviving_alphabet: tuple[str, ...]
-    warning: str | None
 
 
 def quotient_system(graph: LabeledGraph, subset: Iterable[int]) -> QuotientSystem:
@@ -125,8 +124,7 @@ def quotient_system(graph: LabeledGraph, subset: Iterable[int]) -> QuotientSyste
     to hold vertex indices only and to be invariant, saturated and
     proper.  The result is revalidated; by invariance and saturation it
     always passes (every surviving vertex keeps an outgoing and an
-    incoming edge), but a warning is carried instead of trusting that
-    argument blindly.
+    incoming edge), so a failure raises GraphValidationError.
     """
     w = frozenset(subset)
     outside = sorted(i for i in w if not 0 <= i < graph.vertex_count)
@@ -147,11 +145,5 @@ def quotient_system(graph: LabeledGraph, subset: Iterable[int]) -> QuotientSyste
     edges = [e for e in graph.edges if vi[e.src] not in w and vi[e.dst] not in w]
     labels = {e.symbol for e in edges}
     used = [s for s in graph.alphabet if s in labels]
-    warning = None
-    try:
-        q = validate_graph(survivors, edges, used)
-    except GraphValidationError as exc:
-        # fall back to an unvalidated container so the caller can inspect it
-        warning = f"quotient fails validation: {exc}"
-        q = LabeledGraph(tuple(survivors), tuple(used), tuple(edges))
-    return QuotientSystem(graph=q, surviving_alphabet=tuple(used), warning=warning)
+    q = validate_graph(survivors, edges, used)
+    return QuotientSystem(graph=q, surviving_alphabet=tuple(used))

@@ -20,18 +20,6 @@ from . import __version__
 from .errors import CapExceeded, GraphValidationError
 from .fileformat import SystemDocument
 from .graph import LabeledGraph
-from .ideals import enumerate_invariant_saturated, hasse_edges
-from .ktheory import graph_k_groups
-from .verdicts import (
-    condition_I,
-    crossed_product_simplicity,
-    fullshift_of_graph,
-    graph_minimality,
-    irrational_cycle,
-    is_irreducible,
-    kept,
-    pure_infiniteness,
-)
 
 __all__ = ["analyze_document", "input_digest", "validation_report"]
 
@@ -76,8 +64,22 @@ def analyze_document(
     """Build the full report; returns (report, ok).
 
     ok is False when graph validation failed, in which case only the
-    validation section carries content.
+    validation section carries content.  The verdict, K-theory and
+    ideal modules are imported here, so validation alone loads none.
     """
+    from .ideals import enumerate_invariant_saturated, hasse_edges
+    from .ktheory import graph_k_groups
+    from .verdicts import (
+        condition_I,
+        crossed_product_simplicity,
+        fullshift_of_graph,
+        graph_minimality,
+        irrational_cycle,
+        is_irreducible,
+        kept,
+        pure_infiniteness,
+    )
+
     report, graph = validation_report(doc, source_text)
     warnings: list[str] = []
     if graph is None:

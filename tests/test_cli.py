@@ -3,13 +3,16 @@
 import inspect
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import wall_clock_limit
-from rotshift import cli
+import rotshift
+from rotshift import cli, ktheory
 from rotshift.angles import MAX_ANGLE_BITS, MAX_GENERATORS, ExactAngle
 from rotshift.cli import _indented_json, main
 from rotshift.graph import Edge, full_shift_graph
@@ -49,6 +52,34 @@ def test_missing_file_exit_1(capsys):
     code, out, err = run(capsys, "validate", path("nope.sds"))
     assert (code, out) == (1, "")
     assert err.splitlines() == [f"error: cannot read {path('nope.sds')}: [Errno 2] No such file or directory: {path('nope.sds')!r}"]
+
+
+VALIDATE_MODULES = {"angles", "cli", "errors", "fileformat", "graph", "report"}
+
+
+@pytest.mark.parametrize(
+    "command, expected",
+    [
+        ("import rotshift", set()),
+        ("from rotshift.cli import main; main(['validate', SYSTEM, '--json'])", VALIDATE_MODULES),
+        (
+            "from rotshift.cli import main; main(['analyze', SYSTEM, '--json'])",
+            VALIDATE_MODULES | {"ideals", "intlinalg", "ktheory", "verdicts"},
+        ),
+    ],
+    ids=["import", "validate", "analyze"],
+)
+def test_command_loads_only_the_modules_it_runs(command, expected):
+    """In a fresh interpreter, the package itself loads no submodule and
+    each command loads its own modules only: validate no verdict,
+    K-theory or ideal module, analyze never the oracles or words."""
+    script = f"import sys\nSYSTEM = {path('goldenmean.sds')!r}\n{command}\n" + (
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('rotshift.'))))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rotshift.__file__)))
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    loaded = result.stdout.splitlines()[-1].split()
+    assert set(loaded) == {f"rotshift.{name}" for name in expected}
 
 
 def test_words_output(capsys):
@@ -222,7 +253,7 @@ def test_ktheory_bunce_deddens_needs_full_shift(capsys, monkeypatch):
     def forbidden(_graph):
         raise AssertionError("graph_k_groups ran before an argument check")
 
-    monkeypatch.setattr(cli, "graph_k_groups", forbidden)
+    monkeypatch.setattr(ktheory, "graph_k_groups", forbidden)
     code, out, err = run(capsys, "ktheory", path("goldenmean.sds"), "--bunce-deddens")
     assert (code, out, err) == (1, "", "error: --bunce-deddens needs a single-vertex full shift\n")
 
@@ -305,7 +336,7 @@ def test_bounded_corners_finish_within_budget(capsys, monkeypatch, tmp_path, arg
         argv = [str(tmp_path / CIRCULANT) if a == CIRCULANT else a for a in argv]
     if argv[0] == "ktheory":
         stub = graph_k_groups(full_shift_graph(2))
-        monkeypatch.setattr(cli, "graph_k_groups", lambda _graph: stub)
+        monkeypatch.setattr(ktheory, "graph_k_groups", lambda _graph: stub)
     with wall_clock_limit(budget):
         result = run(capsys, *argv)
     assert (result[0], result[2].splitlines()) == (code, err)
@@ -454,16 +485,18 @@ DIGIT_LIMIT_SYSTEMS = {
 )
 def test_past_the_int_string_limit_analyze_exits_1_naming_the_angle_cap(capsys, tmp_path, argv, requested):
     """MAX_ANGLE_BITS refuses these before a verdict writes an int past
-    CPython's 4300-digit int-to-str limit.  validate runs no verdict and
-    still accepts the files."""
+    CPython's 4300-digit int-to-str limit.  validate applies the same
+    cap to a file and refuses it with the same one error line."""
+    commands = ["analyze"]
     if argv[0].startswith("{"):
         file = tmp_path / "system.sds"
         file.write_text(DIGIT_LIMIT_SYSTEMS[argv[0][1:-1]])
-        assert run(capsys, "validate", str(file), "--json")[0] == 0
         argv = [str(file)]
-    code, out, err = run(capsys, "analyze", *argv, "--json")
-    assert (code, out) == (1, "")
-    assert err.splitlines() == [f"error: angle coordinate bits: requested {requested}, cap is {MAX_ANGLE_BITS}"]
+        commands.append("validate")
+    for command in commands:
+        code, out, err = run(capsys, command, *argv, "--json")
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [f"error: angle coordinate bits: requested {requested}, cap is {MAX_ANGLE_BITS}"]
 
 
 def generator_sum(count):

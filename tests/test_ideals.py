@@ -79,7 +79,6 @@ def test_quotient_reducible3():
     q = quotient_system(graph, frozenset({1, 2}))
     assert q.graph.vertices == ("v1",)
     assert q.surviving_alphabet == ("a",)
-    assert q.warning is None
     # quotient language embeds in the original language
     for k in range(6):
         assert set(admissible_words(q.graph, k)) <= set(admissible_words(graph, k))

@@ -4,10 +4,9 @@ caller in the package (the CLI included) or is an oracle or a
 documented entry point.
 
 A reference is any name or attribute in a module body outside the
-definition of that name; imports, __all__ strings and the re-exports of
-rotshift/__init__.py do not count.  Names are matched without their
-class, so a method counts as called when any attribute of that name is
-read.
+definition of that name; imports and __all__ strings do not count.
+Names are matched without their class, so a method counts as called
+when any attribute of that name is read.
 """
 
 import ast
