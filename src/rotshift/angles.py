@@ -26,6 +26,7 @@ table against; in the package only the decorated-language oracle
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, inf, isfinite, lcm
@@ -133,7 +134,7 @@ class ExactAngle:
         return cls(context, Fraction(rational) % 1, ordered)
 
     @classmethod
-    def zero(cls, context: GeneratorContext = EMPTY_CONTEXT) -> "ExactAngle":
+    def zero(cls, context: GeneratorContext) -> "ExactAngle":
         return cls.make(context, 0)
 
     # -- integer coordinates ------------------------------------------
@@ -211,16 +212,14 @@ class ExactAngle:
 
     # -- numeric evaluation -------------------------------------------
 
-    def to_float(self, values: Mapping[str, float] | None = None) -> float:
+    def to_float(self, values: Mapping[str, float]) -> float:
         """Approximate the angle in [0, 1) using numeric generator values.
 
-        Without a mapping every generator stands for
-        DEFAULT_GENERATOR_VALUE.  A mapping that is given must cover
-        every generator the angle uses, else MissingGeneratorValue.  An
-        angle whose value overflows a float raises ValueError.
+        The mapping must cover every generator the angle uses, else
+        MissingGeneratorValue; the callers fill in
+        DEFAULT_GENERATOR_VALUE where no value is given.  An angle whose
+        value overflows a float raises ValueError.
         """
-        if values is None:
-            values = dict.fromkeys(self.context.ids, DEFAULT_GENERATOR_VALUE)
         x = float(self.rational)
         for name, c in self.coefficients:
             if name not in values:
@@ -250,14 +249,20 @@ def _ratio_text(p: int, q: int) -> str:
 
 
 def _parse_rat(chunk: str, whole: str) -> tuple[int, int]:
-    """Numerator and denominator of a chunk that matches _RAT_RE."""
+    """Numerator and denominator of a chunk that matches _RAT_RE.  A
+    numeral past CPython's int-string limit raises CapExceeded."""
     num, _, den = chunk.partition("/")
-    if den and not int(den):
+    try:
+        p, q = int(num), int(den or 1)
+    except ValueError:
+        digits = max(len(num.lstrip("+-")), len(den))
+        raise CapExceeded("angle numeral digits", digits, sys.get_int_max_str_digits()) from None
+    if not q:
         raise AngleSyntaxError(f"zero denominator in {chunk!r} (in {whole!r})")
-    return int(num), int(den or 1)
+    return p, q
 
 
-def parse_angle(text: str, context: GeneratorContext = EMPTY_CONTEXT) -> ExactAngle:
+def parse_angle(text: str, context: GeneratorContext) -> ExactAngle:
     """Parse an angle expression.
 
     Grammar (whitespace-insensitive)::
@@ -267,7 +272,8 @@ def parse_angle(text: str, context: GeneratorContext = EMPTY_CONTEXT) -> ExactAn
                 |  rat? (('+' | '-')? rat '*' ident)+
         rat    :=  int | int '/' posint
 
-    Every identifier must be declared in ``context``.
+    Every identifier must be declared in ``context``.  A numeral past
+    CPython's int-string limit raises CapExceeded.
     """
     stripped = text.strip()
     if not stripped:

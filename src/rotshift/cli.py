@@ -38,7 +38,7 @@ from . import __version__
 from .angles import DEFAULT_GENERATOR_VALUE, ExactAngle, GeneratorContext, parse_angle
 from .errors import ParseError, RotshiftError
 from .fileformat import SystemDocument, parse_system, serialize_system
-from .graph import LabeledGraph
+from .graph import LabeledGraph, full_shift_graph
 from .report import analyze_document, validation_report
 
 EXIT_OK = 0
@@ -57,7 +57,7 @@ def _read_document(path: str) -> tuple[SystemDocument, str]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise RotshiftError(f"cannot read {path}: {exc}") from exc
     try:
         return parse_system(text), text
@@ -178,7 +178,7 @@ def _read_graph(args) -> tuple[SystemDocument, dict, LabeledGraph | None]:
     exit 1.
     """
     doc, text = _read_document(args.file)
-    header, graph = validation_report(doc, source_text=text)
+    header, graph = validation_report(doc, text)
     if graph is None:
         _emit_invalid(header, args.json)
     return doc, header, graph
@@ -202,17 +202,11 @@ def _angles_document(angle_list: str) -> SystemDocument:
         raise RotshiftError("empty entry in --angles list")
     context = _generator_context(angle_list)
     try:
-        angles = {f"s{i+1}": parse_angle(expr, context) for i, expr in enumerate(exprs)}
+        angles = [parse_angle(expr, context) for expr in exprs]
     except RotshiftError as exc:
         raise RotshiftError(f"bad --angles list: {exc}") from exc
-    symbols = tuple(angles)
-    return SystemDocument(
-        context=context,
-        alphabet=symbols,
-        angles=angles,
-        vertices=("v",),
-        edges=tuple(("v", "v", s) for s in symbols),
-    )
+    graph = full_shift_graph(len(angles))
+    return SystemDocument(context, graph.alphabet, dict(zip(graph.alphabet, angles)), graph.vertices, graph.edges)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +282,7 @@ def _cmd_analyze(args) -> int:
         if args.file is None:
             raise RotshiftError("analyze needs a FILE or --angles")
         doc, text = _read_document(args.file)
-    report, ok = analyze_document(doc, source_text=text)
+    report, ok = analyze_document(doc, text)
     if not ok:
         return _emit_invalid(report, args.json)
     _emit(report, args.json, _analyze_lines(doc, report))
@@ -341,10 +335,7 @@ def _cmd_ideals(args) -> int:
         entry: dict = {"vertices": graph.vertex_names(w)}
         if 0 < len(w) < graph.vertex_count:
             q = quotient_system(graph, w)
-            entry["quotient"] = {
-                "vertices": list(q.graph.vertices),
-                "surviving_alphabet": list(q.surviving_alphabet),
-            }
+            entry["quotient"] = {"vertices": list(q.vertices), "surviving_alphabet": list(q.alphabet)}
         entries.append(entry)
     covers = hasse_edges(subsets)
 

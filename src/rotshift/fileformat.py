@@ -37,7 +37,7 @@ from math import isfinite, nan
 from typing import Mapping
 
 from .angles import DEFAULT_GENERATOR_VALUE, ExactAngle, GeneratorContext, parse_angle
-from .errors import ParseError
+from .errors import AngleSyntaxError, ContextMismatch, ParseError
 from .graph import LabeledGraph, validate_graph
 
 __all__ = ["SystemDocument", "parse_system", "parse_system_file", "serialize_system"]
@@ -63,7 +63,7 @@ class SystemDocument:
         """Validate and freeze the graph part (may raise GraphValidationError)."""
         return validate_graph(self.vertices, self.edges, self.alphabet)
 
-    def float_angles(self, overrides: Mapping[str, float] | None = None) -> dict[str, float]:
+    def float_angles(self, overrides: Mapping[str, float]) -> dict[str, float]:
         """Numeric angle per symbol, for the floating-point oracles.
 
         A generator stands for the overriding value, else the file's
@@ -72,7 +72,7 @@ class SystemDocument:
         values = {
             **dict.fromkeys(self.context.ids, DEFAULT_GENERATOR_VALUE),
             **self.generator_values,
-            **(overrides or {}),
+            **overrides,
         }
         return {s: a.to_float(values) for s, a in self.angles.items()}
 
@@ -152,7 +152,7 @@ def parse_system(text: str) -> SystemDocument:
         expr = expr.strip()
         try:
             angles[symbol] = parse_angle(expr, context) if expr else ExactAngle.zero(context)
-        except Exception as exc:
+        except (AngleSyntaxError, ContextMismatch) as exc:
             raise ParseError(f"bad angle for symbol {symbol!r}: {exc}") from exc
     for name, found in (("alphabet", alphabet), ("vertices", vertices), ("edges", edges)):
         if not found:

@@ -8,7 +8,8 @@ symbol actually labels an edge; the constructors of downstream
 structures may then rely on these properties.
 
 Vertices and symbols are referred to by their string ids externally and
-by dense 0-based indices internally.  The declared orders of the vertex
+by dense 0-based indices internally.  An edge is the (src, dst, symbol)
+tuple of ids the caller passed.  The declared orders of the vertex
 list and the alphabet are significant: supports, words and reports are
 all sorted against them.
 """
@@ -23,7 +24,6 @@ from .errors import CapExceeded, GraphValidationError
 
 __all__ = [
     "Condensation",
-    "Edge",
     "LabeledGraph",
     "validate_graph",
     "full_shift_graph",
@@ -31,12 +31,6 @@ __all__ = [
 
 MAX_VERTICES = 1000
 MAX_EDGES = 10_000
-
-
-class Edge(NamedTuple):
-    src: str
-    dst: str
-    symbol: str
 
 
 class Condensation(NamedTuple):
@@ -56,7 +50,7 @@ class LabeledGraph:
 
     vertices: tuple[str, ...]
     alphabet: tuple[str, ...]
-    edges: tuple[Edge, ...]
+    edges: tuple[tuple[str, str, str], ...]
 
     @property
     def vertex_count(self) -> int:
@@ -75,8 +69,8 @@ class LabeledGraph:
         """Per vertex index: tuple of (target index, symbol)."""
         out: list[list[tuple[int, str]]] = [[] for _ in self.vertices]
         vi = self.vertex_index
-        for e in self.edges:
-            out[vi[e.src]].append((vi[e.dst], e.symbol))
+        for src, dst, symbol in self.edges:
+            out[vi[src]].append((vi[dst], symbol))
         return tuple(tuple(lst) for lst in out)
 
     @cached_property
@@ -146,7 +140,7 @@ def validate_graph(
     that share both), not-essential (vertex, missing direction) and
     unused-symbol (symbol), each naming its first witness in declared
     order.  Past a size cap it raises CapExceeded, and on a repeated
-    vertex or symbol id ValueError.
+    vertex or symbol id or an edge that is no triple ValueError.
     """
     if not vertices:
         message = "graph has no vertices"
@@ -165,31 +159,32 @@ def validate_graph(
     # bulk set checks; the edges are walked in order only to name the
     # first defect
     vset, sset = set(vertices), set(alphabet)
-    built = tuple(map(Edge._make, edges))
-    srcs, dsts, symbols = zip(*built) if built else ((), (), ())
+    built = tuple(map(tuple, edges))
+    srcs, dsts, symbols = zip(*built, strict=True) if built else ((), (), ())
     if len(set(built)) < len(built) or not vset.issuperset(srcs + dsts) or not sset.issuperset(symbols):
-        seen: set[Edge] = set()
+        seen: set[tuple[str, str, str]] = set()
         for e in built:
             if e in seen:
-                raise GraphValidationError("duplicate-edge", f"edge {tuple(e)} is declared twice", edge=list(e))
+                raise GraphValidationError("duplicate-edge", f"edge {e} is declared twice", edge=list(e))
             seen.add(e)
-            for v in (e.src, e.dst):
+            src, dst, symbol = e
+            for v in (src, dst):
                 if v not in vset:
                     raise GraphValidationError(
-                        "unknown-vertex", f"edge {tuple(e)} refers to undeclared vertex {v!r}", vertex=v, edge=list(e)
+                        "unknown-vertex", f"edge {e} refers to undeclared vertex {v!r}", vertex=v, edge=list(e)
                     )
-            if e.symbol not in sset:
+            if symbol not in sset:
                 raise GraphValidationError(
-                    "unknown-symbol", f"edge {tuple(e)} uses undeclared symbol {e.symbol!r}", symbol=e.symbol, edge=list(e)
+                    "unknown-symbol", f"edge {e} uses undeclared symbol {symbol!r}", symbol=symbol, edge=list(e)
                 )
     if len(set(zip(dsts, symbols))) < len(built):
-        incoming: dict[tuple[str, str], list[Edge]] = {}
+        incoming: dict[tuple[str, str], list[tuple[str, str, str]]] = {}
         for e in built:
-            incoming.setdefault((e.dst, e.symbol), []).append(e)
+            incoming.setdefault(e[1:], []).append(e)
         (v, s), group = next(item for item in incoming.items() if len(item[1]) > 1)
         raise GraphValidationError(
             "not-left-resolving",
-            f"vertex {v!r} has {len(group)} incoming edges labeled {s!r} (from {', '.join(e.src for e in group)})",
+            f"vertex {v!r} has {len(group)} incoming edges labeled {s!r} (from {', '.join(e[0] for e in group)})",
             vertex=v,
             symbol=s,
             edges=[list(e) for e in group],

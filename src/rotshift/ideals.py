@@ -10,13 +10,12 @@ indexed by vertex subsets W.  The subsets that matter are the
   it).
 
 Invariant saturated subsets form a finite lattice; each proper one
-induces a quotient system on the surviving vertices whose alphabet is
+induces a quotient graph on the surviving vertices whose alphabet is
 the set of symbols still labeling an edge.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import CapExceeded, NotInvariantSaturated
@@ -26,7 +25,6 @@ __all__ = [
     "classify_subset",
     "enumerate_invariant_saturated",
     "hasse_edges",
-    "QuotientSystem",
     "quotient_system",
     "MAX_IDEAL_VERTICES",
     "MAX_IDEALS",
@@ -108,21 +106,14 @@ def hasse_edges(subsets: list[frozenset[int]]) -> list[tuple[int, int]]:
     ]
 
 
-@dataclass(frozen=True)
-class QuotientSystem:
-    """The system induced on the complement of an invariant saturated subset."""
+def quotient_system(graph: LabeledGraph, subset: Iterable[int]) -> LabeledGraph:
+    """The quotient graph: the graph restricted to the vertices outside
+    the subset.
 
-    graph: LabeledGraph
-    surviving_alphabet: tuple[str, ...]
-
-
-def quotient_system(graph: LabeledGraph, subset: Iterable[int]) -> QuotientSystem:
-    """Restrict the graph to the vertices outside the subset.
-
-    Only edges with both endpoints surviving are kept; the surviving
-    alphabet collects the labels that still occur.  Requires the subset
-    to hold vertex indices only and to be invariant, saturated and
-    proper.  The result is revalidated; by invariance and saturation it
+    Only edges with both endpoints surviving are kept; its alphabet,
+    the surviving alphabet, holds the labels that still occur.
+    Requires the subset to hold vertex indices only and to be
+    invariant, saturated and proper.  The result is revalidated; by invariance and saturation it
     always passes (every surviving vertex keeps an outgoing and an
     incoming edge), so a failure raises GraphValidationError.
     """
@@ -142,8 +133,6 @@ def quotient_system(graph: LabeledGraph, subset: Iterable[int]) -> QuotientSyste
         raise NotInvariantSaturated("the full vertex set leaves an empty quotient")
     vi = graph.vertex_index
     survivors = [v for v in graph.vertices if vi[v] not in w]
-    edges = [e for e in graph.edges if vi[e.src] not in w and vi[e.dst] not in w]
-    labels = {e.symbol for e in edges}
-    used = [s for s in graph.alphabet if s in labels]
-    q = validate_graph(survivors, edges, used)
-    return QuotientSystem(graph=q, surviving_alphabet=tuple(used))
+    edges = [e for e in graph.edges if vi[e[0]] not in w and vi[e[1]] not in w]
+    labels = {e[2] for e in edges}
+    return validate_graph(survivors, edges, [s for s in graph.alphabet if s in labels])

@@ -201,8 +201,8 @@ def matrix_product_admissible(graph: LabeledGraph, word: Sequence[str]) -> bool:
     n = graph.vertex_count
     vi = graph.vertex_index
     mats: dict[str, list[list[int]]] = {s: [[0] * n for _ in range(n)] for s in graph.alphabet}
-    for e in graph.edges:
-        mats[e.symbol][vi[e.src]][vi[e.dst]] = 1
+    for src, dst, symbol in graph.edges:
+        mats[symbol][vi[src]][vi[dst]] = 1
     prod = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for s in word:
         m = mats[s]

@@ -32,18 +32,15 @@ def _not_applicable(reason: str) -> dict:
     return {"verdict": "Unknown", "certificate": None, "criterion": reason}
 
 
-def validation_report(
-    doc: SystemDocument, source_text: str | None = None
-) -> tuple[dict, LabeledGraph | None]:
-    """Build the report header: version, input_digest, validation.
+def validation_report(doc: SystemDocument, source_text: str) -> tuple[dict, LabeledGraph | None]:
+    """Build the report header: version, input_digest (the sha256 of
+    source_text, the input as read), validation.
 
     Returns (header, graph).  graph is None when graph validation
     failed; the validation section then carries the defect's witness.
     Size caps raise CapExceeded.
     """
-    report: dict = {"version": __version__}
-    if source_text is not None:
-        report["input_digest"] = input_digest(source_text)
+    report: dict = {"version": __version__, "input_digest": input_digest(source_text)}
     try:
         graph = doc.graph()
     except GraphValidationError as exc:
@@ -58,9 +55,7 @@ def validation_report(
     return report, graph
 
 
-def analyze_document(
-    doc: SystemDocument, source_text: str | None = None
-) -> tuple[dict, bool]:
+def analyze_document(doc: SystemDocument, source_text: str) -> tuple[dict, bool]:
     """Build the full report; returns (report, ok).
 
     ok is False when graph validation failed, in which case only the

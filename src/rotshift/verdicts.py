@@ -73,7 +73,7 @@ from typing import Container, Mapping, Sequence
 
 from .angles import ExactAngle
 from .errors import FewerThanTwoAngles
-from .graph import Edge, LabeledGraph
+from .graph import LabeledGraph
 
 __all__ = [
     "VerdictReport",
@@ -349,11 +349,11 @@ def irrational_cycle(graph: LabeledGraph, angles: Mapping[str, ExactAngle]) -> V
     comp, members, cyclic = graph.condensation
     vi = graph.vertex_index
     # inner edges of each component, in declared order
-    inner: list[list[tuple[int, int, str, Edge]]] = [[] for _ in members]
+    inner: list[list[tuple[int, int, str, tuple[str, str, str]]]] = [[] for _ in members]
     for e in graph.edges:
-        u, w = vi[e.src], vi[e.dst]
+        u, w = vi[e[0]], vi[e[1]]
         if comp[u] == comp[w]:
-            inner[comp[u]].append((u, w, e.symbol, e))
+            inner[comp[u]].append((u, w, e[2], e))
     rational = {s: row[0] for s, row in coords.items()}
     generators = {s: row[1:] for s, row in coords.items()}
 

@@ -24,7 +24,7 @@ from math import isfinite, nan
 from rotshift.angles import EMPTY_CONTEXT, ExactAngle, GeneratorContext
 from rotshift.errors import AngleSyntaxError, ContextMismatch, GraphValidationError, ParseError
 from rotshift.fileformat import SystemDocument
-from rotshift.graph import Edge, LabeledGraph, full_shift_graph, validate_graph
+from rotshift.graph import LabeledGraph, full_shift_graph, validate_graph
 from rotshift.intlinalg import IntMatrix
 
 GCTX = GeneratorContext(("g",))
@@ -140,7 +140,7 @@ def adjacency(graph: LabeledGraph) -> list[list[int]]:
     n, vi = graph.vertex_count, graph.vertex_index
     rows = [[0] * n for _ in range(n)]
     for e in graph.edges:
-        rows[vi[e.src]][vi[e.dst]] += 1
+        rows[vi[e[0]]][vi[e[1]]] += 1
     return rows
 
 
@@ -320,7 +320,7 @@ def brute_count_words(graph: LabeledGraph, start_name: str, length: int, stop_at
     Stops as soon as stop_at words are complete.
     """
     by_source: dict[tuple[str, str], list[str]] = {}
-    for src, dst, sym in ((e.src, e.dst, e.symbol) for e in graph.edges):
+    for src, dst, sym in graph.edges:
         by_source.setdefault((src, sym), []).append(dst)
 
     found = 0
@@ -347,29 +347,29 @@ def brute_admissible(graph: LabeledGraph, word) -> bool:
     """Word admissibility by scanning raw edges, no supports, no matrices."""
     states = set(graph.vertices)
     for sym in word:
-        states = {e.dst for e in graph.edges if e.src in states and e.symbol == sym}
+        states = {e[1] for e in graph.edges if e[0] in states and e[2] == sym}
         if not states:
             return False
     return True
 
 
 def simple_cycles(graph: LabeledGraph):
-    """Every vertex-simple directed cycle, as a list of Edge tuples.
+    """Every vertex-simple directed cycle, as a list of (src, dst, symbol) edges.
 
     Each cycle is produced exactly once, rooted at its smallest vertex
     index.  Parallel edges with different labels give distinct cycles,
     which matters because the decoration depends on labels.
     """
     index = {v: i for i, v in enumerate(graph.vertices)}
-    out_by_vertex: dict[int, list[Edge]] = {i: [] for i in range(len(graph.vertices))}
+    out_by_vertex: dict[int, list[tuple[str, str, str]]] = {i: [] for i in range(len(graph.vertices))}
     for e in graph.edges:
-        out_by_vertex[index[e.src]].append(e)
+        out_by_vertex[index[e[0]]].append(e)
 
     cycles = []
 
-    def extend(root: int, current: int, path: list[Edge], visited: set[int]):
+    def extend(root: int, current: int, path: list[tuple[str, str, str]], visited: set[int]):
         for e in out_by_vertex[current]:
-            t = index[e.dst]
+            t = index[e[1]]
             if t == root:
                 cycles.append(path + [e])
             elif t > root and t not in visited:
@@ -383,7 +383,7 @@ def simple_cycles(graph: LabeledGraph):
 def cycle_angle(cycle, angles):
     total = None
     for e in cycle:
-        total = angles[e.symbol] if total is None else total + angles[e.symbol]
+        total = angles[e[2]] if total is None else total + angles[e[2]]
     return total
 
 
@@ -395,7 +395,7 @@ def brute_force_ideals(graph: LabeledGraph) -> list[frozenset[int]]:
     index = {v: i for i, v in enumerate(graph.vertices)}
     succ: list[set[int]] = [set() for _ in range(n)]
     for e in graph.edges:
-        succ[index[e.src]].add(index[e.dst])
+        succ[index[e[0]]].add(index[e[1]])
     found = []
     for size in range(n + 1):
         for combo in itertools.combinations(range(n), size):
@@ -418,9 +418,9 @@ def closure_irreducibility(graph: LabeledGraph) -> list[str] | None:
         while frontier:
             v = frontier.pop()
             for e in graph.edges:
-                if e.src == v and e.dst not in closure:
-                    closure.add(e.dst)
-                    frontier.append(e.dst)
+                if e[0] == v and e[1] not in closure:
+                    closure.add(e[1])
+                    frontier.append(e[1])
         if len(closure) != len(graph.vertices):
             return [v for v in graph.vertices if v in closure]
     return None

@@ -211,7 +211,7 @@ def test_criterion_7_minimality_oracle_agreement(capsys):
                 continue
             dense_cases += 1
             sample = orbit_density(
-                graph, doc.float_angles(), graph.vertices[0], 0.0, 100_000, 0.05
+                graph, doc.float_angles({}), graph.vertices[0], 0.0, 100_000, 0.05
             )
             assert sample.dense, (name, sample.gap)
             assert all(g < 0.05 for g in sample.gap.values())
@@ -237,8 +237,8 @@ def test_criterion_8_ideal_lattice(capsys):
             ["v1", "v2", "v3"],
         ]
         q = quotient_system(graph, subsets[1])
-        assert q.graph.vertices == ("v1",)
-        assert q.surviving_alphabet == ("a",)
+        assert q.vertices == ("v1",)
+        assert q.alphabet == ("a",)
 
         trivial = 0
         for name, doc in docs.items():

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rotshift.angles import (
-    DEFAULT_GENERATOR_VALUE,
     EMPTY_CONTEXT,
     ExactAngle,
     MAX_ANGLE_BITS,
@@ -233,7 +232,6 @@ def test_to_float_basics():
 
 def test_to_float_defaults_and_missing():
     a = ExactAngle.make(GeneratorContext(("g",)), 0, {"g": Fraction(1)})
-    assert abs(a.to_float() - DEFAULT_GENERATOR_VALUE) < 1e-15
     with pytest.raises(MissingGeneratorValue):
         a.to_float({"h": 0.5})
 

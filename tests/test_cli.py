@@ -15,7 +15,7 @@ import rotshift
 from rotshift import cli, ktheory
 from rotshift.angles import MAX_ANGLE_BITS, MAX_GENERATORS, ExactAngle
 from rotshift.cli import _indented_json, main
-from rotshift.graph import Edge, full_shift_graph
+from rotshift.graph import full_shift_graph
 from rotshift.ktheory import graph_k_groups
 from rotshift.oracles import MAX_ORBIT_GRID, MAX_WEYL_TERMS
 from rotshift.subshift import MAX_WORD_SCANS, MAX_WORDS
@@ -52,6 +52,17 @@ def test_missing_file_exit_1(capsys):
     code, out, err = run(capsys, "validate", path("nope.sds"))
     assert (code, out) == (1, "")
     assert err.splitlines() == [f"error: cannot read {path('nope.sds')}: [Errno 2] No such file or directory: {path('nope.sds')!r}"]
+
+
+@pytest.mark.parametrize("command", ["validate", "analyze"])
+def test_non_utf8_file_exits_1_naming_the_file(capsys, tmp_path, command):
+    file = tmp_path / "latin1.sds"
+    file.write_bytes(b"\xff[alphabet]\na\n")
+    code, out, err = run(capsys, command, str(file))
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [
+        f"error: cannot read {file}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+    ]
 
 
 VALIDATE_MODULES = {"angles", "cli", "errors", "fileformat", "graph", "report"}
@@ -499,6 +510,30 @@ def test_past_the_int_string_limit_analyze_exits_1_naming_the_angle_cap(capsys, 
         assert err.splitlines() == [f"error: angle coordinate bits: requested {requested}, cap is {MAX_ANGLE_BITS}"]
 
 
+LONG_NUMERAL = "1/" + "9" * 5000
+
+
+@pytest.mark.parametrize(
+    "argv, prefix",
+    [
+        (["validate", "{file}"], ""),
+        (["analyze", "{file}"], ""),
+        (["analyze", "--angles", f"0,{LONG_NUMERAL}"], "bad --angles list: "),
+        (["oracle", "weyl", "--angles", f"0,{LONG_NUMERAL}", "--n", "5", "--lmax", "2"], "bad --angles list: "),
+    ],
+    ids=["validate", "analyze", "analyze-angles", "oracle-weyl"],
+)
+def test_angle_numeral_past_the_int_string_limit_exits_1_naming_the_cap(capsys, tmp_path, argv, prefix):
+    """A 5000-digit denominator is past CPython's int-string limit;
+    every route that parses an exact angle names that cap."""
+    file = tmp_path / "numeral.sds"
+    file.write_text(f"[alphabet]\na = {LONG_NUMERAL}\nb\n[vertices]\nv\n[edges]\nv -> v : a\nv -> v : b\n")
+    code, out, err = run(capsys, *(a.format(file=file) for a in argv))
+    assert (code, out) == (1, "")
+    cap = sys.get_int_max_str_digits()
+    assert err.splitlines() == [f"error: {prefix}angle numeral digits: requested 5000, cap is {cap}"]
+
+
 def generator_sum(count):
     return " + ".join(f"1*g{k}" for k in range(count))
 
@@ -706,7 +741,7 @@ json_values = st.recursive(
         st.lists(inner, max_size=4).map(ListSubclass),
         st.lists(json_text, max_size=4),
         st.lists(st.one_of(json_ints, st.booleans()), max_size=4),
-        st.builds(Edge, json_text, json_text, json_text),
+        st.tuples(json_text, json_text, json_text),
         st.dictionaries(json_keys, inner, max_size=4),
         st.dictionaries(json_keys, inner, max_size=4).map(DictSubclass),
         st.tuples(st.dictionaries(json_keys, inner, max_size=3), st.lists(json_text, min_size=2, max_size=4)).map(

@@ -64,7 +64,7 @@ def test_generators_section_optional():
 
 def test_float_angles_with_overrides():
     doc = parse_system(GOOD)
-    theta = doc.float_angles()
+    theta = doc.float_angles({})
     assert abs(theta["a"] - 0.618033988749894) < 1e-15
     assert theta["b"] == 0.0
     theta2 = doc.float_angles({"g": 0.25})

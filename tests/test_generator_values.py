@@ -45,7 +45,7 @@ def test_addition_commutes_across_stand_ins():
 
 
 def test_file_stand_in_feeds_the_oracles(tmp_path, capsys):
-    assert document("g = 0.25").float_angles()["a"] == 0.25
+    assert document("g = 0.25").float_angles({})["a"] == 0.25
     assert document("g = 0.25").float_angles({"g": 0.3})["a"] == 0.3
     with_value = tmp_path / "with_value.sds"
     with_value.write_text(SYSTEM.format(generator="g = 0.25"), encoding="utf-8")

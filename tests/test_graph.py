@@ -169,6 +169,23 @@ def test_unused_symbol_rejected():
     assert info.value.kind == "unused-symbol"
 
 
+@pytest.mark.parametrize(
+    "edges",
+    [(("v1", "v1"),), (("v1", "v1", "a", "x"),), (("v1", "v1", "a"), ("v1", "v1", "b", "x"))],
+    ids=["pair", "quadruple", "quadruple-after-triple"],
+)
+def test_edge_that_is_no_triple_rejected(edges):
+    with pytest.raises(ValueError):
+        validate_graph(("v1",), edges, ("a", "b"))
+
+
+def test_edges_are_the_tuples_passed_in():
+    edges = (("v1", "v1", "a"), ("v1", "v1", "b"))
+    graph = validate_graph(("v1",), edges, ("a", "b"))
+    assert all(kept is given for kept, given in zip(graph.edges, edges, strict=True))
+    assert validate_graph(("v1",), [list(e) for e in edges], ("a", "b")).edges == edges
+
+
 def test_caps_enforced():
     n = MAX_VERTICES + 1
     vertices = tuple(f"v{i}" for i in range(n))

@@ -77,11 +77,11 @@ def test_two_component_graph():
 def test_quotient_reducible3():
     graph, _ = reducible3()
     q = quotient_system(graph, frozenset({1, 2}))
-    assert q.graph.vertices == ("v1",)
-    assert q.surviving_alphabet == ("a",)
+    assert q.vertices == ("v1",)
+    assert q.alphabet == ("a",)
     # quotient language embeds in the original language
     for k in range(6):
-        assert set(admissible_words(q.graph, k)) <= set(admissible_words(graph, k))
+        assert set(admissible_words(q, k)) <= set(admissible_words(graph, k))
 
 
 def test_quotient_rejects_bad_subsets():
@@ -97,8 +97,8 @@ def test_quotient_rejects_bad_subsets():
             quotient_system(graph, [0, 1, 2, bad])
     # the empty subset is allowed and leaves the system untouched
     q = quotient_system(graph, frozenset())
-    assert q.graph.vertices == graph.vertices
-    assert q.surviving_alphabet == graph.alphabet
+    assert q.vertices == graph.vertices
+    assert q.alphabet == graph.alphabet
 
 
 def test_enumeration_cap():
@@ -178,9 +178,9 @@ def _on_no_cycle(graph) -> int:
         while frontier:
             v = frontier.pop()
             for e in graph.edges:
-                if e.src == v and e.dst not in seen:
-                    seen.add(e.dst)
-                    frontier.append(e.dst)
+                if e[0] == v and e[1] not in seen:
+                    seen.add(e[1])
+                    frontier.append(e[1])
         count += start not in seen
     return count
 

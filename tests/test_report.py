@@ -7,7 +7,7 @@ import pytest
 
 from conftest import bundled_systems, patch_everywhere, wall_clock_limit
 from rotshift import verdicts
-from rotshift.fileformat import parse_system, parse_system_file
+from rotshift.fileformat import parse_system
 from rotshift.report import analyze_document, input_digest
 
 SMALL = """\
@@ -122,5 +122,7 @@ def test_analysis_makes_each_base_decision_once(monkeypatch, path):
 
     for name in BASE_DECISIONS:
         patch_everywhere(monkeypatch, verdicts, name, counted(name, getattr(verdicts, name)))
-    _report, ok = analyze_document(parse_system_file(path))
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    _report, ok = analyze_document(parse_system(text), text)
     assert calls == dict.fromkeys(BASE_DECISIONS, 1 if ok else 0)

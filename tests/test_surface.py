@@ -19,7 +19,6 @@ SRC = os.path.join(os.path.dirname(__file__), "..", "src", "rotshift")
 # module.name or module.Class.method -> why it stays without a caller in src/
 ENTRY_POINTS = {
     "fileformat.parse_system_file": "README Library section",
-    "graph.full_shift_graph": "README Library section (`graph` module: full-shift graphs)",
     "verdicts.fullshift_verdicts": "README Library section (`verdicts` module): the full-shift pair of an angle list",
     "angles.ExactAngle.is_rational": "oracle side: the tests' check on integer_coordinates",
     "angles.ExactAngle.rational_denominator": "oracle side: the tests' check on integer_coordinates",

@@ -46,7 +46,7 @@ from rotshift import cli, verdicts
 from rotshift.angles import MAX_ANGLE_BITS, MAX_GENERATORS, ExactAngle, GeneratorContext, parse_angle
 from rotshift.errors import ContextMismatch, FewerThanTwoAngles, GraphValidationError
 from rotshift.fileformat import parse_system
-from rotshift.graph import MAX_EDGES, MAX_VERTICES, Edge, LabeledGraph, validate_graph
+from rotshift.graph import MAX_EDGES, MAX_VERTICES, LabeledGraph, validate_graph
 from rotshift.report import analyze_document
 from rotshift.verdicts import (
     NO,
@@ -67,7 +67,7 @@ from rotshift.verdicts import (
 
 def assert_walk(graph, walk, closed=True, covering=False):
     """A certificate walk must consist of real, consecutive edges."""
-    edge_set = {(e.src, e.dst, e.symbol) for e in graph.edges}
+    edge_set = set(graph.edges)
     walk = [tuple(e) for e in walk]
     assert walk, "empty walk certificate"
     for e in walk:
@@ -268,8 +268,8 @@ def test_reducible_certificate_is_forward_closed():
     w = {graph.vertex_index[v] for v in names}
     assert 0 < len(w) < graph.vertex_count
     for e in graph.edges:
-        if graph.vertex_index[e.src] in w:
-            assert graph.vertex_index[e.dst] in w
+        if graph.vertex_index[e[0]] in w:
+            assert graph.vertex_index[e[1]] in w
 
 
 def test_irreducibility_on_random_graphs_matches_scc():
@@ -293,8 +293,8 @@ def test_irreducibility_on_random_graphs_matches_scc():
             w = {graph.vertex_index[v] for v in names}
             assert 0 < len(w) < graph.vertex_count
             for e in graph.edges:
-                if graph.vertex_index[e.src] in w:
-                    assert graph.vertex_index[e.dst] in w
+                if graph.vertex_index[e[0]] in w:
+                    assert graph.vertex_index[e[1]] in w
     assert reducible > 50
 
 
@@ -308,9 +308,9 @@ def reach_by_search(graph):
         while frontier:
             v = frontier.pop()
             for e in graph.edges:
-                if e.src == v and e.dst not in seen:
-                    seen.add(e.dst)
-                    frontier.append(e.dst)
+                if e[0] == v and e[1] not in seen:
+                    seen.add(e[1])
+                    frontier.append(e[1])
         reach[start] = seen
     return reach
 
@@ -322,7 +322,7 @@ def components_by_recursive_search(graph, reach):
     names, vi = graph.vertices, graph.vertex_index
     succ = [[] for _ in names]
     for e in graph.edges:
-        succ[vi[e.src]].append(vi[e.dst])
+        succ[vi[e[0]]].append(vi[e[1]])
     discovered, finished = [], []
 
     def visit(v):
@@ -364,7 +364,7 @@ def test_condensation_matches_reachability_by_search():
                 mutual = u == w or (w in reach[u] and u in reach[w])
                 assert (component[vi[u]] == component[vi[w]]) == mutual
         for e in graph.edges:
-            assert component[vi[e.src]] <= component[vi[e.dst]]
+            assert component[vi[e[0]]] <= component[vi[e[1]]]
         assert members == tuple(
             tuple(v for v in range(len(names)) if component[v] == c) for c in range(len(members))
         )
@@ -503,9 +503,7 @@ def test_irrational_cycle_goldenmean():
     r = irrational_cycle(graph, angles)
     assert r.is_yes
     assert_walk(graph, r.certificate["cycle"])
-    total = cycle_angle(
-        [type(graph.edges[0])(*e) for e in r.certificate["cycle"]], angles
-    )
+    total = cycle_angle(r.certificate["cycle"], angles)
     assert not total.is_rational()
 
 
@@ -554,7 +552,7 @@ def inner_edges(graph):
     """Edges whose target reaches their source, i.e. edges on some cycle,
     by one search per vertex over the raw edge list."""
     reach = reach_by_search(graph)
-    return [e for e in graph.edges if e.src == e.dst or e.src in reach[e.dst]]
+    return [e for e in graph.edges if e[0] == e[1] or e[0] in reach[e[1]]]
 
 
 def assert_cycle_certificate(graph, angles, r, inner):
@@ -566,7 +564,7 @@ def assert_cycle_certificate(graph, angles, r, inner):
     denominators."""
     if r.is_yes:
         assert_walk(graph, r.certificate["cycle"])
-        total = cycle_angle([Edge(*e) for e in r.certificate["cycle"]], angles)
+        total = cycle_angle(r.certificate["cycle"], angles)
         assert not total.is_rational()
         assert r.certificate["angle"] == str(total)
         return
@@ -577,7 +575,7 @@ def assert_cycle_certificate(graph, angles, r, inner):
     q = r.certificate["cycle_denominator"]
     denominators = 1
     for e in inner:
-        defect = potentials[e.src] + angles[e.symbol] - potentials[e.dst]
+        defect = potentials[e[0]] + angles[e[2]] - potentials[e[1]]
         assert defect.is_rational(), (e, str(defect))
         assert q % defect.rational_denominator() == 0, (e, str(defect), q)
         denominators = lcm(denominators, defect.rational_denominator())
@@ -931,8 +929,8 @@ def test_shared_potentials_are_written_as_each_vertex_alone():
     even, odd = circulant(n, k), circulant(n, k, ("c", "d"))
     graph = build(
         even.vertices,
-        [e for e in even.edges if int(e.src[1:]) % 2 == 0]
-        + [e for e in odd.edges if int(e.src[1:]) % 2 == 1],
+        [e for e in even.edges if int(e[0][1:]) % 2 == 0]
+        + [e for e in odd.edges if int(e[0][1:]) % 2 == 1],
         ("a", "b", "c", "d"),
     )
     angles = {"a": gen(1, 1, 4), "b": gen(1, k, 4), "c": gen(-1, 1, 4), "d": gen(-1, k, 4)}
