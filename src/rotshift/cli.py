@@ -290,7 +290,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_ktheory(args) -> int:
-    from .ktheory import bunce_deddens_data, core_dimension_data, graph_k_groups
+    from .ktheory import bunce_deddens_data, core_dimension_data, graph_k_groups, k_theory_json
 
     _doc, _header, graph = _read_graph(args)
     if graph is None:
@@ -299,24 +299,22 @@ def _cmd_ktheory(args) -> int:
     # checked before the K-groups run, which can take minutes
     if args.bunce_deddens and (graph.vertex_count != 1 or n < 2):
         raise RotshiftError("--bunce-deddens needs a single-vertex full shift")
-    groups = graph_k_groups(graph)
-    payload: dict = {"k_theory": groups.to_json()}
+    payload: dict = {"k_theory": k_theory_json(graph_k_groups(graph))}
     if args.af_core:
-        core = core_dimension_data(graph)
-        payload["af_core"] = core.to_json()
+        payload["af_core"] = core_dimension_data(graph)
     if args.bunce_deddens:
-        ladder = bunce_deddens_data(n)
-        payload["bunce_deddens"] = ladder.to_json()
+        payload["bunce_deddens"] = bunce_deddens_data(n)
 
     def lines() -> Iterator[str]:
-        yield f"K0 = K1 = {groups.k0}"
+        yield f"K0 = K1 = {payload['k_theory']['K0']}"
         if args.af_core:
             yield f"core level: rank {graph.vertex_count} in both degrees"
-            yield f"connecting map (both degrees) as [row, column, multiplicity]: {core.k0_map}"
+            yield f"connecting map (both degrees) as [row, column, multiplicity]: {payload['af_core']['map']}"
         if args.bunce_deddens:
+            ladder = payload["bunce_deddens"]
             yield (
-                f"scaled-integer ladder: K0 = Z --x{n}--> Z (limit {ladder.k0_limit}, "
-                f"order unit 1), K1 = Z --id--> Z (limit {ladder.k1_limit})"
+                f"scaled-integer ladder: K0 = Z --x{n}--> Z (limit {ladder['K0_limit']}, "
+                f"order unit 1), K1 = Z --id--> Z (limit {ladder['K1_limit']})"
             )
 
     _emit(payload, args.json, lines())
@@ -349,7 +347,7 @@ def _cmd_ideals(args) -> int:
                     f" with alphabet {{{','.join(q['surviving_alphabet'])}}}"
                 )
             yield label
-        yield "lattice covers: " + (", ".join(f"{i}<{j}" for i, j in covers) if covers else "(chain of length 1)")
+        yield "lattice covers: " + ", ".join(f"{i}<{j}" for i, j in covers)
 
     _emit({"invariant_saturated": entries, "hasse": covers}, args.json, lines())
     return EXIT_OK

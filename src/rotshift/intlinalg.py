@@ -1,15 +1,15 @@
 """Exact integer linear algebra: invariant factors and abelian groups.
 
 Everything runs over Python's unbounded integers; no floating point is
-involved anywhere.  Cokernels and ranks come from invariant_factors,
-which takes a sparse matrix, one map from column to nonzero entry per
-row, computes only the Smith diagonal, never the unimodular
-transforms, and keeps coefficients bounded.  Phase 1 pivots on +-1
-entries, a shortest row first, until none is left; only then does the
-remaining block become dense, so phase 2's cubic work runs on nothing
-that a unit pivot could have removed.  The independent check is
-oracles.invariant_factors_via_minors (determinantal divisors) on the
-dense IntMatrix, which shares no code with it; IntMatrix is the
+involved anywhere.  Ranks and quotient groups come from
+invariant_factors, which takes a sparse matrix, one map from column to
+nonzero entry per row, computes only the Smith diagonal, never the
+unimodular transforms, and keeps coefficients bounded.  Phase 1 pivots
+on +-1 entries, a shortest row first, until none is left; only then
+does the remaining block become dense, so phase 2's cubic work runs on
+nothing that a unit pivot could have removed.  The independent check
+is oracles.invariant_factors_via_minors (determinantal divisors) on
+the dense IntMatrix, which shares no code with it; IntMatrix is the
 oracles' input and has no other use in the package.
 """
 
@@ -23,7 +23,6 @@ __all__ = [
     "IntMatrix",
     "invariant_factors",
     "AbelianGroupPresentation",
-    "cokernel",
 ]
 
 
@@ -293,9 +292,6 @@ class AbelianGroupPresentation:
         if self.free_rank < 0:
             raise ValueError("negative free rank")
 
-    def direct_sum_free(self, extra_rank: int) -> "AbelianGroupPresentation":
-        return AbelianGroupPresentation(self.torsion, self.free_rank + extra_rank)
-
     def __str__(self) -> str:
         parts = []
         if self.free_rank == 1:
@@ -304,14 +300,3 @@ class AbelianGroupPresentation:
             parts.append(f"Z^{self.free_rank}")
         parts.extend(f"Z/{x}" for x in self.torsion)
         return " + ".join(parts) if parts else "0"
-
-
-def cokernel(rows: Sequence[Mapping[int, int]]) -> AbelianGroupPresentation:
-    """Z^len(rows) / (column space), from the invariant factors of the
-    sparse matrix with these rows (see invariant_factors).
-
-    Unimodular row or column scrambles leave the result unchanged.
-    """
-    factors = invariant_factors(rows)
-    return AbelianGroupPresentation(tuple(x for x in factors if x >= 2), len(rows) - len(factors))
-

@@ -63,7 +63,7 @@ def analyze_document(doc: SystemDocument, source_text: str) -> tuple[dict, bool]
     ideal modules are imported here, so validation alone loads none.
     """
     from .ideals import enumerate_invariant_saturated, hasse_edges
-    from .ktheory import graph_k_groups
+    from .ktheory import graph_k_groups, k_theory_json
     from .verdicts import (
         condition_I,
         crossed_product_simplicity,
@@ -102,7 +102,7 @@ def analyze_document(doc: SystemDocument, source_text: str) -> tuple[dict, bool]
             "uniformly_distributed": _not_applicable(reason),
         }
 
-    report["k_theory"] = graph_k_groups(graph).to_json()
+    report["k_theory"] = k_theory_json(graph_k_groups(graph))
 
     try:
         subsets = enumerate_invariant_saturated(graph)

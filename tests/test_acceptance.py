@@ -27,7 +27,7 @@ from conftest import (
 from rotshift.graph import full_shift_graph
 from rotshift.ideals import enumerate_invariant_saturated, quotient_system
 from rotshift.intlinalg import AbelianGroupPresentation
-from rotshift.ktheory import bunce_deddens_data, graph_k_groups
+from rotshift.ktheory import bunce_deddens_data, graph_k_groups, k_theory_json
 from rotshift.oracles import (
     decorated_admissible_words,
     invariant_factors_via_minors,
@@ -85,9 +85,9 @@ def test_criterion_1_loop_k_formula(capsys):
         start = time.monotonic()
         for n in range(2, 7):
             kg = graph_k_groups(full_shift_graph(n))
-            cyclic = AbelianGroupPresentation((n - 1,) if n > 2 else (), 0)
-            assert kg.k0 == kg.k1 == cyclic
-            assert str(kg.k0) == ("0" if n == 2 else f"Z/{n - 1}")
+            assert kg == AbelianGroupPresentation((n - 1,) if n > 2 else (), 0)
+            section = k_theory_json(kg)
+            assert section["K0"] == section["K1"] == ("0" if n == 2 else f"Z/{n - 1}")
         elapsed = time.monotonic() - start
         assert elapsed < 1.0
         return f"N=2..6, {elapsed:.3f}s"
@@ -110,9 +110,8 @@ def test_criterion_2_k_groups_vs_independent_snf_path(capsys):
             free = (n - rank) * 2  # cokernel free part plus kernel
 
             kg = graph_k_groups(graph)
-            for group in (kg.k0, kg.k1):
-                if group.torsion != torsion or group.free_rank != free:
-                    mismatches += 1
+            if kg.torsion != torsion or kg.free_rank != free:
+                mismatches += 1
         assert mismatches == 0
         return "50 graphs, 0 mismatches"
 
@@ -260,12 +259,12 @@ def test_criterion_9_bunce_deddens_arithmetic(capsys):
         rng = random.Random(99991)
         for n in (2, 3):
             data = bunce_deddens_data(n)
-            assert data.k0_map == [[0, 0, n]]
-            assert data.k1_map == [[0, 0, 1]]
-            assert data.k0_limit == f"Z[1/{n}]"
-            assert data.k1_limit == "Z"
-            assert data.order_unit == (1,)
-            multiplier = data.k0_map[0][2]  # N, from the entry (0, 0, N)
+            assert data["K0_map"] == [[0, 0, n]]
+            assert data["K1_map"] == [[0, 0, 1]]
+            assert data["K0_limit"] == f"Z[1/{n}]"
+            assert data["K1_limit"] == "Z"
+            assert data["order_unit"] == [1]
+            multiplier = data["K0_map"][0][2]  # N, from the entry (0, 0, N)
             # a at level m stands for a / n^m in Z[1/n]; one step of the
             # ladder's K0 map must carry it to a class of the same value
             for _ in range(1000):

@@ -65,6 +65,15 @@ def test_non_utf8_file_exits_1_naming_the_file(capsys, tmp_path, command):
     ]
 
 
+@pytest.mark.parametrize("command", ["validate", "analyze"])
+def test_parse_error_exits_1_naming_the_file_and_line(capsys, tmp_path, command):
+    file = tmp_path / "bad-edge.sds"
+    file.write_text("[alphabet]\na\n\n[vertices]\nv\n[edges]\nv v : a\n")
+    code, out, err = run(capsys, command, str(file))
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [f"error: {file}: line 7: bad edge syntax 'v v : a' (want 'src -> dst : symbol')"]
+
+
 VALIDATE_MODULES = {"angles", "cli", "errors", "fileformat", "graph", "report"}
 
 
@@ -256,6 +265,11 @@ def test_ktheory_ladders(capsys):
         "core level: rank 1 in both degrees",
         "connecting map (both degrees) as [row, column, multiplicity]: [[0, 0, 2]]",
     ]
+    code, out, _ = run(capsys, "ktheory", path("fullshift2.sds"), "--bunce-deddens")
+    assert out.splitlines() == [
+        "K0 = K1 = 0",
+        "scaled-integer ladder: K0 = Z --x2--> Z (limit Z[1/2], order unit 1), K1 = Z --id--> Z (limit Z)",
+    ]
 
 
 def test_ktheory_bunce_deddens_needs_full_shift(capsys, monkeypatch):
@@ -427,12 +441,13 @@ def test_oracle_weyl_symbolic_angles(capsys):
         (["oracle", "orbit", path("fullshift2.sds"), "--gen", "g:0.5"], "--gen wants name=value, got 'g:0.5'"),
         (["oracle", "orbit", path("fullshift2.sds"), "--gen", "g=inf"], "bad numeric value in --gen 'g=inf'"),
         (["oracle", "orbit", path("goldenmean.sds"), "--gen", "g=nan"], "bad numeric value in --gen 'g=nan'"),
+        (["oracle", "orbit", path("goldenmean.sds"), "--gen", "g=abc"], "bad numeric value in --gen 'g=abc'"),
         (
             ["oracle", "weyl", "--angles", "0,1*g", "--n", "5", "--lmax", "2", "--gen", "g=-inf", "--json"],
             "bad numeric value in --gen 'g=-inf'",
         ),
     ],
-    ids=["no-equals", "orbit-inf", "orbit-nan", "weyl-minus-inf"],
+    ids=["no-equals", "orbit-inf", "orbit-nan", "orbit-not-a-number", "weyl-minus-inf"],
 )
 def test_bad_gen_flag(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -592,10 +607,13 @@ def test_generator_cap(capsys, tmp_path, argv, count):
             ["oracle", "weyl", "--angles", f"{HUGE}/3,0", "--n", "5", "--lmax", "2", "--json"],
             f"bad --angles list: non-finite angle '{HUGE}/3'",
         ),
+        (["analyze", "--angles", "0,,1/2"], "empty entry in --angles list"),
+        (["oracle", "orbit", path("goldenmean.sds"), "--start-vertex", "nope"], "unknown start vertex 'nope'"),
     ],
     ids=[
         "words", "orbit-steps", "orbit-eps", "orbit-start-nan", "orbit-start-inf", "weyl-nan", "weyl-inf",
-        "orbit-huge-coefficient", "orbit-large-product", "weyl-huge-fraction",
+        "orbit-huge-coefficient", "orbit-large-product", "weyl-huge-fraction", "analyze-empty-angle",
+        "orbit-start-vertex",
     ],
 )
 def test_out_of_range_argument_exits_1_with_one_error_line(capsys, tmp_path, argv, message):
@@ -662,6 +680,20 @@ def test_vertex_cap_exits_1_naming_the_cap(capsys, tmp_path, command):
     assert code == 1
     assert out == ""
     assert "vertex count: requested 1001, cap is 1000" in err
+
+
+def test_analyze_text_ends_with_the_ideal_cap_warning(capsys, tmp_path):
+    n = 21
+    vertices = "\n".join(f"v{i}" for i in range(n))
+    edges = "\n".join(f"v{i} -> v{(i + 1) % n} : a" for i in range(n))
+    cycle = tmp_path / "cycle.sds"
+    cycle.write_text(f"[alphabet]\na\n\n[vertices]\n{vertices}\n\n[edges]\n{edges}\n")
+    code, out, err = run(capsys, "analyze", str(cycle))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-2:] == [
+        "k_theory: K0 = Z^2, K1 = Z^2",
+        "warning: ideal lattice skipped: ideal enumeration vertex count: requested 21, cap is 20",
+    ]
 
 
 def test_ideal_count_cap_exits_1_naming_the_cap(capsys, tmp_path):

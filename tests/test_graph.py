@@ -28,6 +28,18 @@ def test_duplicate_edge_rejected():
     assert info.value.witness()["error"] == "duplicate-edge"
 
 
+@pytest.mark.parametrize(
+    "vertices, alphabet, message",
+    [
+        (("v1", "v2", "v1"), ("a",), "duplicate vertex id 'v1'"),
+        (("v1",), ("a", "b", "a"), "duplicate alphabet symbol 'a'"),
+    ],
+)
+def test_duplicate_vertex_or_symbol_rejected(vertices, alphabet, message):
+    with pytest.raises(ValueError, match=message):
+        validate_graph(vertices, (("v1", "v1", "a"),), alphabet)
+
+
 def test_unknown_vertex_and_symbol():
     with pytest.raises(GraphValidationError) as info:
         validate_graph(("v1",), (("v1", "v9", "a"),), ("a",))

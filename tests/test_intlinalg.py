@@ -1,23 +1,24 @@
-"""Integer matrix routines: invariant factors, cokernels, presentations.
+"""Integer matrix routines: invariant factors and presentations.
 
-invariant_factors and cokernel take sparse rows; the tests hold dense
-matrices for the oracles and convert them with conftest.sparse_rows.
+invariant_factors takes sparse rows; the tests hold dense matrices for
+the oracles and convert them with conftest.sparse_rows.
 """
 
 import random
 from math import prod
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import identity_matrix, sparse_rows, wall_clock_limit
+from conftest import build, identity_matrix, sparse_rows, wall_clock_limit
 from rotshift.intlinalg import (
     AbelianGroupPresentation,
     IntMatrix,
     _eliminate_units,
-    cokernel,
     invariant_factors,
 )
+from rotshift.ktheory import graph_k_groups
 from rotshift.oracles import integer_determinant, invariant_factors_via_minors
 
 
@@ -103,18 +104,22 @@ def test_unit_elimination_leaves_no_unit_and_keeps_the_rank(m):
 
 
 def test_cokernel_examples():
-    # coker of diag(1,1) on Z^2 is trivial
-    assert cokernel(sparse_rows([[0, -1], [-1, 1]])) == AbelianGroupPresentation((), 0)
+    """The cokernel of a square map is read off its invariant factors:
+    the factors >= 2 are its torsion, and each missing factor is a Z."""
+    # an invertible map has the trivial cokernel: every factor is 1
+    assert invariant_factors(sparse_rows([[0, -1], [-1, 1]])) == (1, 1)
     # coker [[2]] = Z/2
-    p = cokernel(sparse_rows([[2]]))
-    assert str(p) == "Z/2"
-    # coker of the zero 2x2 map is Z^2
-    p = cokernel(sparse_rows([[0, 0], [0, 0]]))
-    assert p.free_rank == 2 and not p.torsion
-    # mixed: [[2,0],[0,0]] -> Z/2 + Z
-    p = cokernel(sparse_rows([[2, 0], [0, 0]]))
-    assert p.torsion == (2,) and p.free_rank == 1
-    assert str(p) == "Z + Z/2"
+    assert invariant_factors(sparse_rows([[2]])) == (2,)
+    # coker of the zero 2x2 map is Z^2: no factor at all
+    assert invariant_factors(sparse_rows([[0, 0], [0, 0]])) == ()
+    # mixed: [[2,0],[0,0]] -> Z + Z/2
+    assert invariant_factors(sparse_rows([[2, 0], [0, 0]])) == (2,)
+    # its negative is I - A when v1 has three loops and v2 one; the
+    # kernel adds one more Z to both K-groups
+    graph = build(("v1", "v2"), (("v1", "v1", "a"), ("v1", "v1", "b"), ("v1", "v1", "c"), ("v2", "v2", "a")))
+    group = graph_k_groups(graph)
+    assert group == AbelianGroupPresentation((2,), 2)
+    assert str(group) == "Z^2 + Z/2"
 
 
 def _product(a, b):
@@ -137,7 +142,8 @@ def _random_unimodular(rng, n):
 
 
 def test_cokernel_unimodular_invariance():
-    """coker(U M V) = coker(M) for unimodular U, V."""
+    """M and U M V have one cokernel, so one list of invariant factors,
+    for unimodular U, V."""
     rng = random.Random(40)
     for _ in range(30):
         n = rng.randint(1, 4)
@@ -147,8 +153,7 @@ def test_cokernel_unimodular_invariance():
         u = _random_unimodular(rng, n)
         v = _random_unimodular(rng, n)
         scrambled = _product(_product(u, m), v)
-        a, b = cokernel(sparse_rows(m)), cokernel(sparse_rows(scrambled))
-        assert a.torsion == b.torsion and a.free_rank == b.free_rank
+        assert invariant_factors(sparse_rows(m)) == invariant_factors(sparse_rows(scrambled))
 
 
 def test_presentation_strings():
@@ -159,9 +164,17 @@ def test_presentation_strings():
     assert str(AbelianGroupPresentation((3,), 2)) == "Z^2 + Z/3"
 
 
-def test_presentation_operations():
-    p = AbelianGroupPresentation((2,), 1)
-    assert p.direct_sum_free(2).free_rank == 3
+@pytest.mark.parametrize(
+    "torsion, free_rank, message",
+    [
+        ((1,), 0, "torsion factor 1 < 2"),
+        ((2, 3), 0, "2 does not divide 3"),
+        ((2,), -1, "negative free rank"),
+    ],
+)
+def test_presentation_checks(torsion, free_rank, message):
+    with pytest.raises(ValueError, match=message):
+        AbelianGroupPresentation(torsion, free_rank)
 
 
 def test_matrix_helpers():

@@ -189,6 +189,7 @@ def test_integer_determinant_examples():
     assert integer_determinant(IntMatrix.from_rows([[2, 0], [0, 3]])) == 6
     assert integer_determinant(IntMatrix.from_rows([[1, 2], [2, 4]])) == 0
     assert integer_determinant(IntMatrix.from_rows([[0, 1], [1, 0]])) == -1
+    assert integer_determinant(IntMatrix(())) == 1  # the empty product
     with pytest.raises(ValueError):
         integer_determinant(IntMatrix.from_rows([[0, 0, 0], [0, 0, 0]]))
 

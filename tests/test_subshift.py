@@ -88,6 +88,15 @@ def test_decoration_invariance_random():
             assert admissible_words(graph, k) == decorated_admissible_words(graph, angles, k)
 
 
+def test_decorated_oracle_checks():
+    graph, angles = goldenmean()
+    with pytest.raises(CapExceeded, match="word length"):
+        decorated_admissible_words(graph, angles, MAX_WORD_LENGTH + 1)
+    del angles["b"]
+    with pytest.raises(KeyError, match=r"no angle assigned to symbols \['b'\]"):
+        decorated_admissible_words(graph, angles, 2)
+
+
 def test_decorated_negative_control():
     """The decorated oracle run on the graph with an edge removed must
     disagree with the base language.
