@@ -17,9 +17,9 @@ structural equality is semantic equality.
 
 The verdicts read the angles only as one integer table,
 ExactAngle.integer_coordinates, whose entries are capped at
-MAX_ANGLE_BITS bits.  The Fraction arithmetic (+, -, is_rational,
-rational_denominator) is the independent route the tests check that
-table against; in the package only the decorated-language oracle
+MAX_ANGLE_BITS bits.  The Fraction arithmetic (+ and -, read through
+coefficients and rational) is the independent route the tests check
+that table against; in the package only the decorated-language oracle
 (oracles.decorated_admissible_words) adds angles.
 """
 
@@ -198,17 +198,9 @@ class ExactAngle:
 
     # -- decidable predicates -----------------------------------------
 
-    def is_rational(self) -> bool:
-        """True iff the angle lies in Q/Z, i.e. all generator terms cancel."""
-        return not self.coefficients
-
     def is_zero(self) -> bool:
         """True iff the angle is an integer, i.e. trivial in R/Z."""
         return self.rational == 0 and not self.coefficients
-
-    def rational_denominator(self) -> int:
-        """Denominator of the rational part (1 for an integer angle)."""
-        return self.rational.denominator
 
     # -- numeric evaluation -------------------------------------------
 

@@ -16,11 +16,14 @@ Subcommands:
 Each subcommand imports its own modules when it runs; validate loads
 only angles, errors, fileformat, graph and report.
 
+Each subcommand returns its payload and its text lines and writes
+nothing; main alone writes the output and sets the exit code.
 `--json` prints exactly json.dumps(payload, indent=2) and a newline.
 
 Exit codes: 0 success, 2 graph validation failure (the report header
 with the defect's witness is still emitted), 1 usage or IO errors,
-out-of-range argument values and exceeded size caps.
+out-of-range argument values and exceeded size caps; stdout stays
+empty on exit 1.
 """
 
 from __future__ import annotations
@@ -90,13 +93,6 @@ _escape = json.encoder.encode_basestring_ascii
 _scalar = json.JSONEncoder().encode
 
 
-def _json_key(key) -> str:
-    """A dict key that is no string, converted as json.dumps converts it."""
-    if key is None or isinstance(key, (int, float)):
-        return _escape(_scalar(key))
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
-
-
 def _indented_json(value, indent: str = "\n") -> str:
     """json.dumps(value, indent=2), written in one pass.
 
@@ -120,7 +116,7 @@ def _indented_json(value, indent: str = "\n") -> str:
         parts = []
         written: dict[int, str] = {}  # id of a dict child -> its text
         for k, v in value.items():
-            parts.append(head + (_escape(k) if isinstance(k, str) else _json_key(k)) + ": ")
+            parts.append(head + _escape(k) + ": ")
             head = separator
             kind = type(v)
             if kind is str:
@@ -148,8 +144,6 @@ def _indented_json(value, indent: str = "\n") -> str:
                 pass
         body = separator.join([int.__repr__(v) if type(v) is int else _indented_json(v, inner) for v in value])
         return "[" + inner + body + indent + "]"
-    if isinstance(value, int) and not isinstance(value, bool):
-        return int.__repr__(value)
     return _scalar(value)
 
 
@@ -163,24 +157,22 @@ def _emit(payload: dict, as_json: bool, text_lines: Iterable[str]) -> None:
             print(line)
 
 
-def _emit_invalid(report: dict, as_json: bool) -> int:
-    """Emit a report whose graph validation failed; returns the exit code."""
-    _emit(report, as_json, ["validation: FAILED", _indented_json(report["validation"])])
-    return EXIT_INVALID
+class _Invalid(Exception):
+    """A graph failed validation; the one argument is the report, which
+    main writes before it exits 2."""
 
 
-def _read_graph(args) -> tuple[SystemDocument, dict, LabeledGraph | None]:
+def _read_graph(args) -> tuple[SystemDocument, dict, LabeledGraph]:
     """Read and validate args.file: (document, report header, graph).
 
-    The header carries version, input_digest and validation.  After a
-    validation failure the graph is None and the header has been
-    emitted.  A size cap raises CapExceeded, which main reports with
-    exit 1.
+    The header carries version, input_digest and validation.  A
+    validation failure raises _Invalid with the header; a size cap
+    raises CapExceeded, which main reports with exit 1.
     """
     doc, text = _read_document(args.file)
     header, graph = validation_report(doc, text)
     if graph is None:
-        _emit_invalid(header, args.json)
+        raise _Invalid(header)
     return doc, header, graph
 
 
@@ -213,10 +205,8 @@ def _angles_document(angle_list: str) -> SystemDocument:
 # subcommands
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args) -> tuple[dict, Iterable[str]]:
     doc, header, graph = _read_graph(args)
-    if graph is None:
-        return EXIT_INVALID
     ExactAngle.integer_coordinates(doc.angles)  # the angle caps analyze applies
     lines = [
         "validation: ok",
@@ -224,16 +214,13 @@ def _cmd_validate(args) -> int:
         f"alphabet: {' '.join(graph.alphabet)}",
         f"edges: {len(graph.edges)}",
     ]
-    _emit(header, args.json, lines)
-    return EXIT_OK
+    return header, lines
 
 
-def _cmd_words(args) -> int:
+def _cmd_words(args) -> tuple[dict, Iterable[str]]:
     from .subshift import admissible_words
 
     _doc, _header, graph = _read_graph(args)
-    if graph is None:
-        return EXIT_INVALID
     words = admissible_words(graph, args.length)
     payload = {
         "length": args.length,
@@ -241,8 +228,7 @@ def _cmd_words(args) -> int:
         "count": len(words),
         "words": words,  # tuples, which the JSON writer writes as lists
     }
-    _emit(payload, args.json, (" ".join(w) if w else "(empty word)" for w in words))
-    return EXIT_OK
+    return payload, (" ".join(w) if w else "(empty word)" for w in words)
 
 
 def _analyze_lines(doc: SystemDocument, report: dict) -> Iterator[str]:
@@ -270,7 +256,7 @@ def _analyze_lines(doc: SystemDocument, report: dict) -> Iterator[str]:
         yield f"warning: {w}"
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args) -> tuple[dict, Iterable[str]]:
     if args.angles is not None:
         if args.file is not None:
             raise RotshiftError(
@@ -284,17 +270,14 @@ def _cmd_analyze(args) -> int:
         doc, text = _read_document(args.file)
     report, ok = analyze_document(doc, text)
     if not ok:
-        return _emit_invalid(report, args.json)
-    _emit(report, args.json, _analyze_lines(doc, report))
-    return EXIT_OK
+        raise _Invalid(report)
+    return report, _analyze_lines(doc, report)
 
 
-def _cmd_ktheory(args) -> int:
+def _cmd_ktheory(args) -> tuple[dict, Iterable[str]]:
     from .ktheory import bunce_deddens_data, core_dimension_data, graph_k_groups, k_theory_json
 
     _doc, _header, graph = _read_graph(args)
-    if graph is None:
-        return EXIT_INVALID
     n = len(graph.alphabet)
     # checked before the K-groups run, which can take minutes
     if args.bunce_deddens and (graph.vertex_count != 1 or n < 2):
@@ -317,16 +300,13 @@ def _cmd_ktheory(args) -> int:
                 f"order unit 1), K1 = Z --id--> Z (limit {ladder['K1_limit']})"
             )
 
-    _emit(payload, args.json, lines())
-    return EXIT_OK
+    return payload, lines()
 
 
-def _cmd_ideals(args) -> int:
+def _cmd_ideals(args) -> tuple[dict, Iterable[str]]:
     from .ideals import enumerate_invariant_saturated, hasse_edges, quotient_system
 
     _doc, _header, graph = _read_graph(args)
-    if graph is None:
-        return EXIT_INVALID
     subsets = enumerate_invariant_saturated(graph)
     entries = []
     for w in subsets:
@@ -349,16 +329,13 @@ def _cmd_ideals(args) -> int:
             yield label
         yield "lattice covers: " + ", ".join(f"{i}<{j}" for i, j in covers)
 
-    _emit({"invariant_saturated": entries, "hasse": covers}, args.json, lines())
-    return EXIT_OK
+    return {"invariant_saturated": entries, "hasse": covers}, lines()
 
 
-def _cmd_oracle_orbit(args) -> int:
+def _cmd_oracle_orbit(args) -> tuple[dict, Iterable[str]]:
     from .oracles import orbit_density
 
     doc, _header, graph = _read_graph(args)
-    if graph is None:
-        return EXIT_INVALID
     overrides = _gen_overrides(args.gen, doc.context.ids)
     theta = doc.float_angles(overrides)
     start_vertex = args.start_vertex or graph.vertices[0]
@@ -381,8 +358,7 @@ def _cmd_oracle_orbit(args) -> int:
             f"fiber {v}: {len(sample.points[v])} points, gap {sample.gap[v]:.6f}"
         )
     lines.append(f"dense: {sample.dense}")
-    _emit(payload, args.json, lines)
-    return EXIT_OK
+    return payload, lines
 
 
 def _parse_float_or_expr(chunk: str, overrides: dict[str, float]) -> float:
@@ -404,7 +380,7 @@ def _parse_float_or_expr(chunk: str, overrides: dict[str, float]) -> float:
     return value
 
 
-def _cmd_oracle_weyl(args) -> int:
+def _cmd_oracle_weyl(args) -> tuple[dict, Iterable[str]]:
     from .oracles import weyl_sums
 
     overrides = _gen_overrides(args.gen, _generator_context(args.angles).ids)
@@ -424,8 +400,7 @@ def _cmd_oracle_weyl(args) -> int:
     }
     lines = [f"level {l}: {v:.12f}" for l, v in table]
     lines.append(f"max over levels: {payload['max_value']:.12f}")
-    _emit(payload, args.json, lines)
-    return EXIT_OK
+    return payload, lines
 
 
 # ---------------------------------------------------------------------------
@@ -492,16 +467,22 @@ def build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command and return its exit code.  Every error after
-    argument parsing reaches the handler here, which writes its one
-    `error:` line to stderr."""
+    """Run one command, write what it returns and return the exit code.
+    Every error after argument parsing reaches the handler here, which
+    writes its one `error:` line to stderr."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        payload, lines = args.func(args)
+        _emit(payload, args.json, lines)
+    except _Invalid as exc:
+        (report,) = exc.args
+        _emit(report, args.json, ["validation: FAILED", _indented_json(report["validation"])])
+        return EXIT_INVALID
     except (RotshiftError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -462,7 +462,7 @@ def graph_minimality(graph: LabeledGraph, angles: Mapping[str, ExactAngle]) -> V
         )
     cyc = kept(graph, irrational_cycle, angles)
     if cyc.is_yes:
-        return VerdictReport(YES, dict(cyc.certificate), criterion)
+        return VerdictReport(YES, cyc.certificate, criterion)
     certificate = dict(cyc.certificate)
     certificate["derived"] = True
     q = certificate["cycle_denominator"]
@@ -506,9 +506,7 @@ def crossed_product_simplicity(
         "condition (I) holds; Lebesgue measure on the circle fibers is a "
         "faithful invariant probability measure",
     )
-    if gm.is_yes:
-        return VerdictReport(YES, dict(gm.certificate), criterion, notes=notes)
-    return VerdictReport(NO, dict(gm.certificate), criterion, notes=notes + tuple(gm.notes))
+    return VerdictReport(gm.verdict, gm.certificate, criterion, notes=notes + gm.notes)
 
 
 def pure_infiniteness(graph: LabeledGraph, angles: Mapping[str, ExactAngle]) -> VerdictReport:

@@ -73,12 +73,12 @@ def test_structural_equality_is_semantic():
 
 
 def test_rationality_and_zero():
-    assert ExactAngle.make(CTX, Fraction(3, 4)).is_rational()
-    assert not ExactAngle.make(CTX, 0, {"g": Fraction(1)}).is_rational()
+    assert not ExactAngle.make(CTX, Fraction(3, 4)).coefficients
+    assert ExactAngle.make(CTX, 0, {"g": Fraction(1)}).coefficients
     assert ExactAngle.make(CTX, 5).is_zero()
     g = ExactAngle.make(CTX, 0, {"g": Fraction(1, 3)})
     assert (g + g + g - ExactAngle.make(CTX, 0, {"g": Fraction(1)})).is_zero()
-    assert ExactAngle.make(CTX, Fraction(5, 6)).rational_denominator() == 6
+    assert ExactAngle.make(CTX, Fraction(5, 6)).rational.denominator == 6
 
 
 def test_generator_terms_cancel_exactly():

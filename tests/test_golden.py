@@ -35,6 +35,7 @@ SINGLE_VERTEX = {"fullshift2", "fullshift3", "nloop3"}
 # run name -> argv for the runs that read no file
 ANGLES_RUNS = {
     "analyze": ["analyze", "--angles", "0,1/2"],
+    "analyze-generator": ["analyze", "--angles", "0,1*g"],
     "oracle-weyl": ["oracle", "weyl", "--angles", "0,1*g", "--n", "50", "--lmax", "4"],
 }
 

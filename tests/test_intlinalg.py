@@ -182,3 +182,5 @@ def test_matrix_helpers():
     assert m[(0, 1)] == 2
     assert m.entries == ((1, 2), (3, 4))
     assert (m.rows, m.cols) == (2, 2)
+    with pytest.raises(ValueError, match="^ragged rows$"):
+        IntMatrix.from_rows([[1, 2], [3]])

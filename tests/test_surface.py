@@ -20,8 +20,6 @@ SRC = os.path.join(os.path.dirname(__file__), "..", "src", "rotshift")
 ENTRY_POINTS = {
     "fileformat.parse_system_file": "README Library section",
     "verdicts.fullshift_verdicts": "README Library section (`verdicts` module): the full-shift pair of an angle list",
-    "angles.ExactAngle.is_rational": "oracle side: the tests' check on integer_coordinates",
-    "angles.ExactAngle.rational_denominator": "oracle side: the tests' check on integer_coordinates",
 }
 
 

@@ -504,7 +504,7 @@ def test_irrational_cycle_goldenmean():
     assert r.is_yes
     assert_walk(graph, r.certificate["cycle"])
     total = cycle_angle(r.certificate["cycle"], angles)
-    assert not total.is_rational()
+    assert total.coefficients
 
 
 def test_two_cycle_with_cancelling_generators():
@@ -565,7 +565,7 @@ def assert_cycle_certificate(graph, angles, r, inner):
     if r.is_yes:
         assert_walk(graph, r.certificate["cycle"])
         total = cycle_angle(r.certificate["cycle"], angles)
-        assert not total.is_rational()
+        assert total.coefficients
         assert r.certificate["angle"] == str(total)
         return
     context = GeneratorContext(max((a.context.ids for a in angles.values()), key=len))
@@ -576,9 +576,9 @@ def assert_cycle_certificate(graph, angles, r, inner):
     denominators = 1
     for e in inner:
         defect = potentials[e[0]] + angles[e[2]] - potentials[e[1]]
-        assert defect.is_rational(), (e, str(defect))
-        assert q % defect.rational_denominator() == 0, (e, str(defect), q)
-        denominators = lcm(denominators, defect.rational_denominator())
+        assert not defect.coefficients, (e, str(defect))
+        assert q % defect.rational.denominator == 0, (e, str(defect), q)
+        denominators = lcm(denominators, defect.rational.denominator)
     assert denominators == q
 
 
@@ -597,7 +597,7 @@ def test_irrational_cycle_vs_brute_force():
     for graph, angles in draws:
         r = irrational_cycle(graph, angles)
         cycles = simple_cycles(graph)
-        brute = any(not cycle_angle(c, angles).is_rational() for c in cycles)
+        brute = any(cycle_angle(c, angles).coefficients for c in cycles)
         assert r.is_yes == brute, (graph.edges, {s: str(a) for s, a in angles.items()})
         assert_cycle_certificate(graph, angles, r, inner_edges(graph))
         if r.verdict == "No":
@@ -607,7 +607,7 @@ def test_irrational_cycle_vs_brute_force():
                 assert (cycle_angle(c, angles).rational * q).denominator == 1
             # and q is no larger: each edge defect is the difference of
             # two closed walks, whose denominators divide this lcm
-            assert q == lcm(*(cycle_angle(c, angles).rational_denominator() for c in cycles))
+            assert q == lcm(*(cycle_angle(c, angles).rational.denominator for c in cycles))
 
 
 def every_cap_chain(closing):
@@ -754,6 +754,20 @@ def test_simplicity_tracks_minimality_under_condition_I():
     graph, angles = fullshift([rat(0), rat(1, 2)])
     r = crossed_product_simplicity(graph, angles)
     assert r.verdict == "No"
+
+
+def test_composites_pass_the_kept_cycle_certificate_on():
+    """A composite that adds nothing to the kept cycle certificate
+    reports that object; the derived No adds its flag to a copy."""
+    graph, angles = goldenmean()
+    cycle = verdicts.kept(graph, irrational_cycle, angles).certificate
+    assert graph_minimality(graph, angles).certificate is cycle
+    assert crossed_product_simplicity(graph, angles).certificate is cycle
+
+    graph, angles = two_cycle(rat(1, 4), rat(1, 4))
+    r = graph_minimality(graph, angles)
+    assert r.certificate["derived"] is True
+    assert "derived" not in verdicts.kept(graph, irrational_cycle, angles).certificate
 
 
 def test_simplicity_unknown_without_condition_I():
@@ -993,6 +1007,9 @@ def test_fullshift_uniform_distribution_matches_simplicity():
 def test_fullshift_needs_two_angles():
     with pytest.raises(FewerThanTwoAngles):
         decide_fullshift([rat(0)])
+    graph = build(("v",), (("v", "v", "a"),))
+    with pytest.raises(FewerThanTwoAngles):
+        fullshift_of_graph(graph, {"a": rat(0)})
 
 
 def test_fullshift_verdicts_match_all_pairs():
@@ -1007,7 +1024,7 @@ def test_fullshift_verdicts_match_all_pairs():
         ]
         labels = [f"x{i}" for i in range(len(angles))]
         pairs = [(i, j) for i in range(len(angles)) for j in range(i + 1, len(angles))]
-        irrational = [(i, j) for i, j in pairs if not (angles[i] - angles[j]).is_rational()]
+        irrational = [(i, j) for i, j in pairs if (angles[i] - angles[j]).coefficients]
         for r in fullshift_verdicts(dict(zip(labels, angles))):
             if irrational:
                 i, j = irrational[0]
@@ -1015,7 +1032,7 @@ def test_fullshift_verdicts_match_all_pairs():
                 assert r.certificate["pair"] == [labels[i], labels[j]]
                 assert r.certificate["difference"] == str(angles[i] - angles[j])
             else:
-                expected = lcm(*((angles[i] - angles[j]).rational_denominator() for i, j in pairs))
+                expected = lcm(*((angles[i] - angles[j]).rational.denominator for i, j in pairs))
                 assert r.verdict == "No"
                 assert r.certificate == {"common_denominator": expected}
 
