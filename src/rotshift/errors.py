@@ -59,14 +59,6 @@ class GraphValidationError(RotshiftError):
         return {"error": self.kind, **self.fields}
 
 
-class FewerThanTwoAngles(RotshiftError):
-    """Full-shift analyses need at least two angles."""
-
-    def __init__(self, count: int):
-        self.count = count
-        super().__init__(f"full-shift analysis needs at least 2 angles, got {count}")
-
-
 class NotInvariantSaturated(RotshiftError):
     """Quotients are only formed along invariant saturated vertex subsets."""
 

@@ -28,10 +28,6 @@ def input_digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _not_applicable(reason: str) -> dict:
-    return {"verdict": "Unknown", "certificate": None, "criterion": reason}
-
-
 def validation_report(doc: SystemDocument, source_text: str) -> tuple[dict, LabeledGraph | None]:
     """Build the report header: version, input_digest (the sha256 of
     source_text, the input as read), validation.
@@ -89,18 +85,8 @@ def analyze_document(doc: SystemDocument, source_text: str) -> tuple[dict, bool]
     report["simple_O"] = crossed_product_simplicity(graph, angles).to_json()
     report["purely_infinite_O"] = pure_infiniteness(graph, angles).to_json()
 
-    if graph.vertex_count == 1 and len(graph.alphabet) >= 2:
-        core, uniform = fullshift_of_graph(graph, angles)
-        report["fullshift"] = {"F_simple": core.to_json(), "uniformly_distributed": uniform.to_json()}
-    else:
-        reason = (
-            "full-shift analysis applies to single-vertex graphs with at "
-            "least two symbols"
-        )
-        report["fullshift"] = {
-            "F_simple": _not_applicable(reason),
-            "uniformly_distributed": _not_applicable(reason),
-        }
+    core, uniform = fullshift_of_graph(graph, angles)
+    report["fullshift"] = {"F_simple": core.to_json(), "uniformly_distributed": uniform.to_json()}
 
     report["k_theory"] = k_theory_json(graph_k_groups(graph))
 

@@ -37,11 +37,12 @@ Decisions implemented:
   the sufficient criteria that condition (I) supports.
 * full shifts: simplicity of the gauge-fixed core and uniform
   distribution of the angle sums, one fact decided once by
-  fullshift_verdicts from the differences to the first angle, which
-  decide every pairwise difference.  They are read off the same int
-  tuples as the irrational-cycle search (for a graph, the very table
-  that search keeps on it: fullshift_of_graph), so no verdict does
-  Fraction arithmetic on ExactAngle.
+  fullshift_of_graph from the differences to the first angle, which
+  decide every pairwise difference.  It applies to a graph of one
+  vertex with two or more symbols, the Cuntz-Krieger full shift;
+  on any other graph both verdicts are Unknown.  The differences are
+  read off the very int table the irrational-cycle search keeps on the
+  graph, so no verdict does Fraction arithmetic on ExactAngle.
 
 Components come from graph.condensation (Tarjan over out_edges, the
 graph's one adjacency list); every other path question is one
@@ -72,7 +73,6 @@ from operator import add, sub
 from typing import Container, Mapping, Sequence
 
 from .angles import ExactAngle
-from .errors import FewerThanTwoAngles
 from .graph import LabeledGraph
 
 __all__ = [
@@ -84,7 +84,6 @@ __all__ = [
     "graph_minimality",
     "crossed_product_simplicity",
     "pure_infiniteness",
-    "fullshift_verdicts",
     "fullshift_of_graph",
     "check_angle_assignment",
 ]
@@ -544,40 +543,33 @@ def pure_infiniteness(graph: LabeledGraph, angles: Mapping[str, ExactAngle]) -> 
 # full shifts
 
 
-def fullshift_verdicts(angles: Mapping[str, ExactAngle]) -> tuple[VerdictReport, VerdictReport]:
-    """Core simplicity and uniform distribution of the level sums of the
-    full shift whose symbols (the keys, in order) carry the angles.
-
-    The two are one fact: both hold iff some pairwise angle difference
-    is irrational, which also gives the core real rank zero; the core
-    always carries a unique trace.  As a - b = (first - b) - (first - a),
-    one pass over the differences from the first angle's int tuple
-    (ExactAngle.integer_coordinates, denominator L) finds the first
-    irrational pair in lexicographic order, or else the lcm q of all
-    pairwise denominators, each L / gcd(r, L) for rational coordinate r.
-    """
-    if len(angles) < 2:
-        raise FewerThanTwoAngles(len(angles))
-    return _fullshift_decision(ExactAngle.integer_coordinates(angles), tuple(angles))
+_NOT_A_FULL_SHIFT = (
+    VerdictReport(UNKNOWN, None, "full-shift analysis applies to single-vertex graphs with at least two symbols"),
+) * 2
 
 
 def fullshift_of_graph(graph: LabeledGraph, angles: Mapping[str, ExactAngle]) -> tuple[VerdictReport, VerdictReport]:
-    """fullshift_verdicts over graph's alphabet, in declared order, read
-    from the angle table the cycle search reads (the kept _angle_table),
-    so one analysis builds that table once.  Its denominator L may be a
-    multiple of the alphabet's own, which changes no written number:
-    each is reduced to lowest terms."""
-    if len(graph.alphabet) < 2:
-        raise FewerThanTwoAngles(len(graph.alphabet))
+    """Core simplicity and uniform distribution of the level sums of a
+    full shift, a graph of one vertex with two or more symbols; on any
+    other graph both are Unknown, with a criterion that says so.
+
+    On a full shift the two are one fact: both hold iff some pairwise
+    angle difference is irrational, which also gives the core real rank
+    zero; the core always carries a unique trace.  As a - b =
+    (first - b) - (first - a), one pass over the differences from the
+    first symbol's row of the kept _angle_table (the table the cycle
+    search reads, denominator L) finds the first irrational pair in
+    alphabet order, or else the lcm q of all pairwise denominators,
+    each L / gcd(r, L) for rational coordinate r.  (Angles of symbols
+    outside the alphabet may make L a multiple of the alphabet's own;
+    every written number is reduced.)  Both verdicts carry the same
+    certificate object.
+    """
+    if graph.vertex_count != 1 or len(graph.alphabet) < 2:
+        return _NOT_A_FULL_SHIFT
     check_angle_assignment(graph, angles)
-    return _fullshift_decision(kept(graph, _angle_table, angles), graph.alphabet)
-
-
-def _fullshift_decision(table, labels: Sequence[str]) -> tuple[VerdictReport, VerdictReport]:
-    """The fullshift_verdicts pair of the labels' rows of an
-    integer_coordinates table (context, L, rows)."""
-    context, common, coords = table
-    first, *rest = labels
+    context, common, coords = kept(graph, _angle_table, angles)
+    first, *rest = graph.alphabet
     base = coords[first]
     q = 1
     for label in rest:
@@ -609,5 +601,5 @@ def _fullshift_decision(table, labels: Sequence[str]) -> tuple[VerdictReport, Ve
     uniform = "uniform distribution of the level sums of the angles"
     return (
         VerdictReport(verdict, certificate, core, notes=notes[:1]),
-        VerdictReport(verdict, dict(certificate), uniform, notes=notes[1:]),
+        VerdictReport(verdict, certificate, uniform, notes=notes[1:]),
     )

@@ -561,6 +561,49 @@ def reference_parse(text: str) -> SystemDocument:
     )
 
 
+def reference_validate(vertices, edges, alphabet) -> tuple[tuple[str, str, str], ...]:
+    """validate_graph one edge at a time: the first defect in the order
+    its docstring gives raises, else the edges come back as tuples."""
+    if not vertices:
+        raise GraphValidationError("empty-graph", "graph has no vertices", detail="graph has no vertices")
+    seen: list[tuple[str, str, str]] = []
+    for e in map(tuple, edges):
+        if e in seen:
+            raise GraphValidationError("duplicate-edge", f"edge {e} is declared twice", edge=list(e))
+        seen.append(e)
+        for v in e[:2]:
+            if v not in vertices:
+                raise GraphValidationError(
+                    "unknown-vertex", f"edge {e} refers to undeclared vertex {v!r}", vertex=v, edge=list(e)
+                )
+        if e[2] not in alphabet:
+            raise GraphValidationError(
+                "unknown-symbol", f"edge {e} uses undeclared symbol {e[2]!r}", symbol=e[2], edge=list(e)
+            )
+    for e in seen:
+        group = [f for f in seen if f[1:] == e[1:]]
+        if len(group) > 1:
+            _src, v, s = e
+            sources = ", ".join(f[0] for f in group)
+            raise GraphValidationError(
+                "not-left-resolving",
+                f"vertex {v!r} has {len(group)} incoming edges labeled {s!r} (from {sources})",
+                vertex=v,
+                symbol=s,
+                edges=[list(f) for f in group],
+            )
+    for v in vertices:
+        for direction, end in (("outgoing", 0), ("incoming", 1)):
+            if not any(e[end] == v for e in seen):
+                raise GraphValidationError(
+                    "not-essential", f"vertex {v!r} has no {direction} edge", vertex=v, direction=direction
+                )
+    for s in alphabet:
+        if not any(e[2] == s for e in seen):
+            raise GraphValidationError("unused-symbol", f"alphabet symbol {s!r} labels no edge", symbol=s)
+    return tuple(seen)
+
+
 def outcome(parse, *args):
     """What a parser returns, or the type, message and line of what it raises."""
     try:

@@ -40,7 +40,7 @@ from rotshift.fileformat import parse_system_file
 from rotshift.verdicts import (
     condition_I,
     crossed_product_simplicity,
-    fullshift_verdicts,
+    fullshift_of_graph,
     graph_minimality,
     is_irreducible,
     pure_infiniteness,
@@ -161,7 +161,7 @@ def test_criterion_5_fullshift_verdict_matrix(capsys):
 
         half = {"s1": rat(0), "s2": rat(1, 2)}
         assert crossed_product_simplicity(graph, half).verdict == "No"
-        f, ud = fullshift_verdicts(half)
+        f, ud = fullshift_of_graph(graph, half)
         assert f.verdict == "No"
         assert ud.verdict == "No"
         assert ud.certificate["common_denominator"] == 2
@@ -169,13 +169,13 @@ def test_criterion_5_fullshift_verdict_matrix(capsys):
         irr = {"s1": rat(0), "s2": gen(1)}
         assert crossed_product_simplicity(graph, irr).is_yes
         assert pure_infiniteness(graph, irr).is_yes
-        f, ud = fullshift_verdicts(irr)
+        f, ud = fullshift_of_graph(graph, irr)
         assert f.is_yes
         assert ud.is_yes
 
         same = {"s1": gen(1), "s2": gen(1)}
         assert crossed_product_simplicity(graph, same).is_yes
-        f, ud = fullshift_verdicts(same)
+        f, ud = fullshift_of_graph(graph, same)
         assert f.verdict == "No"
         assert ud.verdict == "No"
         return "all three columns as prescribed"

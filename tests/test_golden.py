@@ -36,6 +36,8 @@ SINGLE_VERTEX = {"fullshift2", "fullshift3", "nloop3"}
 ANGLES_RUNS = {
     "analyze": ["analyze", "--angles", "0,1/2"],
     "analyze-generator": ["analyze", "--angles", "0,1*g"],
+    # one vertex, one symbol: no full shift, so its section is Unknown
+    "analyze-one-symbol": ["analyze", "--angles", "1/3"],
     "oracle-weyl": ["oracle", "weyl", "--angles", "0,1*g", "--n", "50", "--lmax", "4"],
 }
 

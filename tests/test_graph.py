@@ -1,8 +1,10 @@
 """Graph validation and full-shift graphs."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import build, goldenmean
+from conftest import build, goldenmean, reference_validate
 from rotshift.errors import CapExceeded, GraphValidationError
 from rotshift.graph import (
     MAX_EDGES,
@@ -149,6 +151,72 @@ def test_each_defect_kind_pins_its_message_and_witness(vertices, edges, alphabet
     assert (info.value.kind, str(info.value), info.value.witness()) == (kind, message, witness)
 
 
+DEFECTS = ("duplicate-edge", "unknown-vertex", "unknown-symbol", "not-left-resolving", "not-essential", "unused-symbol")
+
+
+@st.composite
+def defective_graphs(draw):
+    """A valid graph (a cycle through every vertex labeled a, plus at most
+    one b- and one c-edge into each vertex) in a drawn edge order, with
+    up to three drawn defects injected into its lists."""
+    vertices = [f"v{i}" for i in range(draw(st.integers(1, 4)))]
+    edges = [(v, vertices[(i + 1) % len(vertices)], "a") for i, v in enumerate(vertices)]
+    for dst in vertices:
+        for s in ("b", "c"):
+            if draw(st.booleans()):
+                edges.append((draw(st.sampled_from(vertices)), dst, s))
+    edges = list(draw(st.permutations(edges)))
+    alphabet = [s for s in ("a", "b", "c") if any(e[2] == s for e in edges)]
+
+    def anywhere(items):
+        return draw(st.integers(0, len(items)))
+
+    def some_edge():
+        return draw(st.integers(0, len(edges) - 1))
+
+    for defect in draw(st.lists(st.sampled_from(DEFECTS), max_size=3)):
+        if defect == "duplicate-edge":
+            edges.insert(anywhere(edges), draw(st.sampled_from(edges)))
+        elif defect == "unknown-vertex":
+            i, end = some_edge(), draw(st.integers(0, 1))
+            edges[i] = (*edges[i][:end], "x", *edges[i][end + 1 :])
+        elif defect == "unknown-symbol":
+            i = some_edge()
+            edges[i] = (*edges[i][:2], "z")
+        elif defect == "not-left-resolving":
+            _src, dst, s = draw(st.sampled_from(edges))
+            edges.insert(anywhere(edges), (draw(st.sampled_from(vertices)), dst, s))
+        elif defect == "not-essential":
+            # a new vertex with an edge in at most one direction
+            w = f"w{len(vertices)}"
+            vertices.insert(anywhere(vertices), w)
+            direction = draw(st.sampled_from(["none", "outgoing", "incoming"]))
+            if direction != "none":
+                other, s = draw(st.sampled_from(vertices)), draw(st.sampled_from(alphabet))
+                edges.insert(anywhere(edges), (w, other, s) if direction == "outgoing" else (other, w, s))
+        else:
+            alphabet.insert(anywhere(alphabet), f"u{len(alphabet)}")
+    return vertices, edges, alphabet
+
+
+def validation_outcome(validate, *args):
+    """The kind, message and witness of the defect validate raises, or
+    the edges of the graph it accepts."""
+    try:
+        result = validate(*args)
+    except GraphValidationError as exc:
+        return exc.kind, str(exc), exc.witness()
+    return getattr(result, "edges", result)
+
+
+@settings(max_examples=400, deadline=None)
+@given(defective_graphs())
+def test_validation_matches_reference_on_injected_defects(graph):
+    """The bulk set checks and the ordered walks that name the first
+    defect agree with the one-edge-at-a-time reference."""
+    assert validation_outcome(validate_graph, *graph) == validation_outcome(reference_validate, *graph)
+
+
 def test_left_resolving_violation_witnessed():
     with pytest.raises(GraphValidationError) as info:
         build(
@@ -215,7 +283,7 @@ def test_vertex_and_symbol_indexes():
     assert graph.vertex_count == 2
 
 
-def test_in_edges_mirror_out_edges():
+def test_out_edges_list_targets_and_symbols_in_declared_order():
     graph, _ = goldenmean()
     assert graph.out_edges == (((0, "a"), (1, "b")), ((0, "c"),))
 

@@ -19,7 +19,6 @@ SRC = os.path.join(os.path.dirname(__file__), "..", "src", "rotshift")
 # module.name or module.Class.method -> why it stays without a caller in src/
 ENTRY_POINTS = {
     "fileformat.parse_system_file": "README Library section",
-    "verdicts.fullshift_verdicts": "README Library section (`verdicts` module): the full-shift pair of an angle list",
 }
 
 

@@ -44,7 +44,7 @@ from conftest import (
 )
 from rotshift import cli, verdicts
 from rotshift.angles import MAX_ANGLE_BITS, MAX_GENERATORS, ExactAngle, GeneratorContext, parse_angle
-from rotshift.errors import ContextMismatch, FewerThanTwoAngles, GraphValidationError
+from rotshift.errors import ContextMismatch, GraphValidationError
 from rotshift.fileformat import parse_system
 from rotshift.graph import MAX_EDGES, MAX_VERTICES, LabeledGraph, validate_graph
 from rotshift.report import analyze_document
@@ -57,7 +57,6 @@ from rotshift.verdicts import (
     condition_I,
     crossed_product_simplicity,
     fullshift_of_graph,
-    fullshift_verdicts,
     graph_minimality,
     irrational_cycle,
     is_irreducible,
@@ -882,7 +881,7 @@ def test_reparsed_equal_graph_decides_afresh(monkeypatch):
 def test_shared_analysis_is_freed_with_its_graph():
     """The kept verdicts do not refer back to the graph, so reference
     counting frees it; the cycle collector is not needed."""
-    graph, angles = goldenmean()
+    graph, angles = fullshift([rat(0), gen(1)])
     assert pure_infiniteness(graph, angles).is_yes
     assert verdicts.kept(graph, is_irreducible).is_yes
     assert fullshift_of_graph(graph, angles)[0].is_yes
@@ -971,8 +970,9 @@ def test_shared_potentials_are_written_as_each_vertex_alone():
 
 
 def decide_fullshift(angles):
-    """fullshift_verdicts over the symbols s1, s2, ... in list order."""
-    return fullshift_verdicts({f"s{i + 1}": a for i, a in enumerate(angles)})
+    """fullshift_of_graph on the full shift over s1, s2, ... carrying the
+    angles in list order."""
+    return fullshift_of_graph(*fullshift(angles))
 
 
 def test_fullshift_simplicity_by_differences():
@@ -999,33 +999,37 @@ def test_fullshift_uniform_distribution_matches_simplicity():
     for angles in cases:
         core, uniform = decide_fullshift(angles)
         assert uniform.verdict == core.verdict
-        assert uniform.certificate == core.certificate
-        assert uniform.certificate is not core.certificate
+        # one fact, one certificate object
+        assert uniform.certificate is core.certificate
         assert uniform.criterion != core.criterion
 
 
-def test_fullshift_needs_two_angles():
-    with pytest.raises(FewerThanTwoAngles):
-        decide_fullshift([rat(0)])
-    graph = build(("v",), (("v", "v", "a"),))
-    with pytest.raises(FewerThanTwoAngles):
-        fullshift_of_graph(graph, {"a": rat(0)})
+def test_fullshift_is_unknown_off_the_full_shift():
+    """Only a graph of one vertex with two or more symbols is a full
+    shift: on goldenmean, on reducible3 and on one vertex with one loop
+    both verdicts are Unknown, with the criterion that says so and no
+    certificate, even where two angles differ by an irrational amount."""
+    criterion = "full-shift analysis applies to single-vertex graphs with at least two symbols"
+    one_loop = build(("v",), (("v", "v", "a"),)), {"a": rat(1, 3)}
+    for graph, angles in (goldenmean(), reducible3(), one_loop):
+        for r in fullshift_of_graph(graph, angles):
+            assert r.to_json() == {"verdict": UNKNOWN, "certificate": None, "criterion": criterion}
 
 
 def test_fullshift_verdicts_match_all_pairs():
     # the first irrational pair in lexicographic order and the lcm of
     # the pairwise denominators, found by checking every pair with
-    # ExactAngle subtraction; the mapping's keys name the pair
+    # ExactAngle subtraction; the alphabet's symbols name the pair
     rng = random.Random(2024)
     for _ in range(300):
         angles = [
             gen(rng.choice([0, 0, 0, 1, 2]), rng.randint(0, 5), rng.randint(1, 6))
             for _ in range(rng.randint(2, 6))
         ]
-        labels = [f"x{i}" for i in range(len(angles))]
+        labels = [f"s{i + 1}" for i in range(len(angles))]
         pairs = [(i, j) for i in range(len(angles)) for j in range(i + 1, len(angles))]
         irrational = [(i, j) for i, j in pairs if (angles[i] - angles[j]).coefficients]
-        for r in fullshift_verdicts(dict(zip(labels, angles))):
+        for r in decide_fullshift(angles):
             if irrational:
                 i, j = irrational[0]
                 assert r.is_yes
