@@ -21,6 +21,11 @@ MAX_ANGLE_BITS bits.  The Fraction arithmetic (+ and -, read through
 coefficients and rational) is the independent route the tests check
 that table against; in the package only the decorated-language oracle
 (oracles.decorated_admissible_words) adds angles.
+
+Two rules live here and nowhere else.  NAME_RE is the one name grammar
+of generators, symbols and vertices, matched whole with fullmatch, so
+a name never ends in a newline.  ExactAngle.to_float reads a generator
+without a numeric value as DEFAULT_GENERATOR_VALUE.
 """
 
 from __future__ import annotations
@@ -32,12 +37,7 @@ from fractions import Fraction
 from math import gcd, inf, isfinite, lcm
 from typing import Iterable, Mapping
 
-from .errors import (
-    AngleSyntaxError,
-    CapExceeded,
-    ContextMismatch,
-    MissingGeneratorValue,
-)
+from .errors import AngleSyntaxError, CapExceeded, ContextMismatch
 
 __all__ = [
     "GeneratorContext",
@@ -45,12 +45,13 @@ __all__ = [
     "parse_angle",
     "EMPTY_CONTEXT",
     "DEFAULT_GENERATOR_VALUE",
+    "NAME_RE",
     "MAX_ANGLE_BITS",
     "MAX_GENERATORS",
 ]
 
-# (sqrt(5) - 1) / 2, truncated to 15 digits.  Used as the numeric stand-in
-# for a generator whenever no explicit value is supplied.
+# (sqrt(5) - 1) / 2, truncated to 15 digits.  ExactAngle.to_float reads it
+# for every generator that has no explicit value.
 DEFAULT_GENERATOR_VALUE = 0.618033988749894
 
 # Bits of L and of every integer_coordinates entry.  The verdicts write
@@ -64,7 +65,7 @@ MAX_ANGLE_BITS = 4096
 # runs, 2 vCPU, CPython 3.11), so 32 fits the 50 ms budget at the caps.
 MAX_GENERATORS = 32
 
-_IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _RAT_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
 
@@ -86,7 +87,7 @@ class GeneratorContext:
         if len(set(self.ids)) != len(self.ids):
             raise ValueError(f"duplicate generator ids: {self.ids}")
         for name in self.ids:
-            if not _IDENT_RE.match(name):
+            if not NAME_RE.fullmatch(name):
                 raise ValueError(f"bad generator id {name!r}")
 
 
@@ -207,17 +208,14 @@ class ExactAngle:
     def to_float(self, values: Mapping[str, float]) -> float:
         """Approximate the angle in [0, 1) using numeric generator values.
 
-        The mapping must cover every generator the angle uses, else
-        MissingGeneratorValue; the callers fill in
-        DEFAULT_GENERATOR_VALUE where no value is given.  An angle whose
-        value overflows a float raises ValueError.
+        A generator missing from values stands for
+        DEFAULT_GENERATOR_VALUE.  An angle whose value overflows a float
+        raises ValueError.
         """
         x = float(self.rational)
         for name, c in self.coefficients:
-            if name not in values:
-                raise MissingGeneratorValue(name)
             try:
-                x += float(c) * values[name]
+                x += float(c) * values.get(name, DEFAULT_GENERATOR_VALUE)
             except OverflowError:
                 x = inf
         if not isfinite(x):
@@ -282,7 +280,7 @@ def parse_angle(text: str, context: GeneratorContext) -> ExactAngle:
         if star:
             if not _RAT_RE.match(coef_text):
                 raise AngleSyntaxError(f"bad coefficient {coef_text!r} in {text!r}")
-            if not _IDENT_RE.match(ident):
+            if not NAME_RE.fullmatch(ident):
                 raise AngleSyntaxError(f"bad generator name {ident!r} in {text!r}")
             if ident not in context.ids:
                 raise ContextMismatch(f"generator {ident!r} not declared (have {context.ids})")

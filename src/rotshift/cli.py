@@ -32,13 +32,12 @@ import argparse
 import functools
 import json
 import math
-import re
 import sys
 from fractions import Fraction
 from typing import Iterable, Iterator
 
 from . import __version__
-from .angles import DEFAULT_GENERATOR_VALUE, ExactAngle, GeneratorContext, parse_angle
+from .angles import NAME_RE, ExactAngle, GeneratorContext, parse_angle
 from .errors import ParseError, RotshiftError
 from .fileformat import SystemDocument, parse_system, serialize_system
 from .graph import LabeledGraph, full_shift_graph
@@ -181,8 +180,8 @@ def _generator_context(text: str) -> GeneratorContext:
     generator, in order of first appearance.  The angle grammar has no
     other place for one, so the exponent of a float literal such as
     1e-3 declares nothing."""
-    names = re.findall(r"\*\s*([A-Za-z_][A-Za-z0-9_]*)", text)
-    return GeneratorContext(tuple(dict.fromkeys(names)))
+    names = (NAME_RE.match(part.lstrip()) for part in text.split("*")[1:])
+    return GeneratorContext(tuple(dict.fromkeys(m[0] for m in names if m)))
 
 
 def _angles_document(angle_list: str) -> SystemDocument:
@@ -363,7 +362,8 @@ def _cmd_oracle_orbit(args) -> tuple[dict, Iterable[str]]:
 
 def _parse_float_or_expr(chunk: str, overrides: dict[str, float]) -> float:
     """A float literal, a fraction or an angle expression evaluated at
-    the generator values; NaN or an infinity is a ParseError."""
+    the --gen values, by ExactAngle.to_float; NaN or an infinity is a
+    ParseError."""
     try:
         value = float(chunk)
     except ValueError:
@@ -372,9 +372,7 @@ def _parse_float_or_expr(chunk: str, overrides: dict[str, float]) -> float:
         except OverflowError:
             value = math.inf
         except (ValueError, ZeroDivisionError):
-            context = _generator_context(chunk)
-            values = {**dict.fromkeys(context.ids, DEFAULT_GENERATOR_VALUE), **overrides}
-            value = parse_angle(chunk, context).to_float(values)
+            value = parse_angle(chunk, _generator_context(chunk)).to_float(overrides)
     if not math.isfinite(value):
         raise ParseError(f"non-finite angle {chunk!r}")
     return value

@@ -3,7 +3,8 @@
 cli.main reports every RotshiftError as one `error:` line.  A graph
 defect is one GraphValidationError: its kind names the defect and its
 witness() is the JSON the reports carry under `validation`.  Every
-size cap raises CapExceeded, which names the cap.
+size cap raises CapExceeded, which names the cap.  No float evaluation
+lacks a generator value: ExactAngle.to_float applies the default.
 """
 
 from __future__ import annotations
@@ -25,14 +26,6 @@ class CapExceeded(RotshiftError):
 
 class ContextMismatch(RotshiftError):
     """Exact angles from unrelated generator contexts were combined."""
-
-
-class MissingGeneratorValue(RotshiftError):
-    """A float evaluation needs a numeric value for an undeclared generator."""
-
-    def __init__(self, generator: str):
-        self.generator = generator
-        super().__init__(f"no numeric value supplied for generator {generator!r}")
 
 
 class AngleSyntaxError(RotshiftError):

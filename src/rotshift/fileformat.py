@@ -36,14 +36,13 @@ from dataclasses import dataclass, field
 from math import isfinite, nan
 from typing import Mapping
 
-from .angles import DEFAULT_GENERATOR_VALUE, ExactAngle, GeneratorContext, parse_angle
+from .angles import NAME_RE, ExactAngle, GeneratorContext, parse_angle
 from .errors import AngleSyntaxError, ContextMismatch, ParseError
 from .graph import LabeledGraph, validate_graph
 
 __all__ = ["SystemDocument", "parse_system", "parse_system_file", "serialize_system"]
 
 _SECTIONS = ("generators", "alphabet", "vertices", "edges")
-_NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 # one edge per line; [^\S\n] keeps a match of the joined [edges] lines inside one line
 _EDGE_RE = re.compile(r"^(\S+)[^\S\n]*->[^\S\n]*(\S+)[^\S\n]*:[^\S\n]*(\S+)$", re.M)
 
@@ -67,13 +66,9 @@ class SystemDocument:
         """Numeric angle per symbol, for the floating-point oracles.
 
         A generator stands for the overriding value, else the file's
-        value, else DEFAULT_GENERATOR_VALUE.
+        value; ExactAngle.to_float applies the default to the rest.
         """
-        values = {
-            **dict.fromkeys(self.context.ids, DEFAULT_GENERATOR_VALUE),
-            **self.generator_values,
-            **overrides,
-        }
+        values = {**self.generator_values, **overrides}
         return {s: a.to_float(values) for s, a in self.angles.items()}
 
 
@@ -107,7 +102,7 @@ def parse_system(text: str) -> SystemDocument:
         if not line:
             continue
         name, _, value = (p.strip() for p in line.partition("="))
-        if not _NAME_RE.match(name):
+        if not NAME_RE.fullmatch(name):
             raise ParseError(f"bad generator name {name!r}", lineno)
         if name in gen_names:
             raise ParseError(f"generator {name!r} declared twice", lineno)
@@ -125,12 +120,12 @@ def parse_system(text: str) -> SystemDocument:
     alphabet = [name.strip() for name, _, _ in entries]
     vertices = list(filter(None, sections.get("vertices", (0, []))[1]))
     for kind, section, names in (("symbol", "alphabet", alphabet), ("vertex", "vertices", vertices)):
-        if all(map(_NAME_RE.match, names)) and len(dict.fromkeys(names)) == len(names):
+        if all(map(NAME_RE.fullmatch, names)) and len(dict.fromkeys(names)) == len(names):
             continue
         first, body = sections[section]
         seen: set[str] = set()
         for lineno, name in zip((n for n, line in enumerate(body, start=first + 1) if line), names):
-            if not _NAME_RE.match(name):
+            if not NAME_RE.fullmatch(name):
                 raise ParseError(f"bad {kind} name {name!r}", lineno)
             if name in seen:
                 raise ParseError(f"{kind} {name!r} declared twice", lineno)

@@ -53,7 +53,10 @@ Every per-graph fact is read through one keeper, kept(graph, decide,
 and keeps it on the graph, next to its condensation: condition (I),
 the irreducibility decision (_forward_closed, whose tree from vertex 0
 the cycle search reuses), the cycle search, minimality and the angle
-table.  The composites (minimality, simplicity, pure infiniteness) and
+table.  The angle table checks that the assignment covers the
+alphabet, KeyError naming the missing symbols, so its two readers,
+irrational_cycle and fullshift_of_graph, need no check of their own.
+The composites (minimality, simplicity, pure infiniteness) and
 report.analyze_document read them there, so calls on one graph with
 equal angles share them, and a composite whose first hypothesis fails
 never decides the later ones.  Of irreducibility the composites read
@@ -85,7 +88,6 @@ __all__ = [
     "crossed_product_simplicity",
     "pure_infiniteness",
     "fullshift_of_graph",
-    "check_angle_assignment",
 ]
 
 YES = "Yes"
@@ -129,12 +131,6 @@ def kept(graph: LabeledGraph, decide, *angles: Mapping[str, ExactAngle]):
         snapshot = tuple(map(dict, angles))
         fact = facts[decide] = (snapshot, decide(graph, *snapshot))
     return fact[1]
-
-
-def check_angle_assignment(graph: LabeledGraph, angles: Mapping[str, ExactAngle]) -> None:
-    missing = [s for s in graph.alphabet if s not in angles]
-    if missing:
-        raise KeyError(f"angle assignment misses symbols {missing}")
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +305,12 @@ def is_irreducible(graph: LabeledGraph) -> VerdictReport:
 
 
 def _angle_table(graph: LabeledGraph, angles: Mapping[str, ExactAngle]):
-    """ExactAngle.integer_coordinates(angles), read through kept."""
+    """ExactAngle.integer_coordinates(angles), read through kept; an
+    assignment that misses a symbol of the alphabet raises KeyError
+    naming them."""
+    missing = [s for s in graph.alphabet if s not in angles]
+    if missing:
+        raise KeyError(f"angle assignment misses symbols {missing}")
     return ExactAngle.integer_coordinates(angles)
 
 
@@ -343,7 +344,6 @@ def irrational_cycle(graph: LabeledGraph, angles: Mapping[str, ExactAngle]) -> V
     ExactAngle.format_integer_coordinates.
     """
     criterion = "irrational total rotation along some closed path"
-    check_angle_assignment(graph, angles)
     context, common, coords = kept(graph, _angle_table, angles)
     comp, members, cyclic = graph.condensation
     vi = graph.vertex_index
@@ -567,7 +567,6 @@ def fullshift_of_graph(graph: LabeledGraph, angles: Mapping[str, ExactAngle]) ->
     """
     if graph.vertex_count != 1 or len(graph.alphabet) < 2:
         return _NOT_A_FULL_SHIFT
-    check_angle_assignment(graph, angles)
     context, common, coords = kept(graph, _angle_table, angles)
     first, *rest = graph.alphabet
     base = coords[first]

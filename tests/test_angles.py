@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rotshift.angles import (
+    DEFAULT_GENERATOR_VALUE,
     EMPTY_CONTEXT,
     ExactAngle,
     MAX_ANGLE_BITS,
@@ -15,7 +16,7 @@ from rotshift.angles import (
     parse_angle,
 )
 from conftest import outcome, reference_parse_angle
-from rotshift.errors import AngleSyntaxError, CapExceeded, ContextMismatch, MissingGeneratorValue
+from rotshift.errors import AngleSyntaxError, CapExceeded, ContextMismatch
 
 CTX = GeneratorContext(("g", "h"))
 VALUES = {"g": 0.618033988749894, "h": 0.414213562373095}
@@ -168,6 +169,15 @@ def test_parse_rejects_undeclared_generator():
         parse_angle("1*w", CTX)
 
 
+def test_a_name_is_one_line():
+    """The name grammar is matched whole: a trailing newline makes a
+    name bad, in a context and in an angle term."""
+    with pytest.raises(ValueError, match="bad generator id"):
+        GeneratorContext(("g\n",))
+    with pytest.raises(AngleSyntaxError, match="bad generator name 'g\\\\n'"):
+        parse_angle("1*g\n+1/2", GeneratorContext(("g",)))
+
+
 @st.composite
 def angle_expressions(draw):
     """Angle text with spaces and tabs and signed rational and generator
@@ -214,7 +224,7 @@ def test_parse_angle_matches_fraction_str_reference(text):
 @pytest.mark.parametrize(
     "text",
     ["", " \t ", "0/7", "3/0", "-3/0*g", "+1/2", "- 1/2", "1*g + 1*g", "1*g - 1*g", "2/4*g+-1/2*g",
-     "1/2 + 1/3", "1*w", "1*", "*g", "1 * g", "\t3/4\t- 1/6*h", "-0", "1/2*g*h", "٣/4"],
+     "1/2 + 1/3", "1*w", "1*", "*g", "1 * g", "\t3/4\t- 1/6*h", "-0", "1/2*g*h", "٣/4", "1*g\n+1/2"],
 )
 def test_parse_angle_matches_reference_on_corners(text):
     same_angle(text)
@@ -232,8 +242,8 @@ def test_to_float_basics():
 
 def test_to_float_defaults_and_missing():
     a = ExactAngle.make(GeneratorContext(("g",)), 0, {"g": Fraction(1)})
-    with pytest.raises(MissingGeneratorValue):
-        a.to_float({"h": 0.5})
+    assert a.to_float({"h": 0.5}) == a.to_float({}) == DEFAULT_GENERATOR_VALUE
+    assert a.to_float({"g": 0.25}) == 0.25
 
 
 @settings(max_examples=60)

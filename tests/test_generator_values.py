@@ -7,6 +7,7 @@ and a file's value is what its oracles use.
 
 import json
 
+from rotshift.angles import DEFAULT_GENERATOR_VALUE
 from rotshift.cli import main
 from rotshift.fileformat import parse_system
 
@@ -47,6 +48,7 @@ def test_addition_commutes_across_stand_ins():
 def test_file_stand_in_feeds_the_oracles(tmp_path, capsys):
     assert document("g = 0.25").float_angles({})["a"] == 0.25
     assert document("g = 0.25").float_angles({"g": 0.3})["a"] == 0.3
+    assert document("g").float_angles({})["a"] == DEFAULT_GENERATOR_VALUE
     with_value = tmp_path / "with_value.sds"
     with_value.write_text(SYSTEM.format(generator="g = 0.25"), encoding="utf-8")
     plain = tmp_path / "plain.sds"

@@ -242,13 +242,20 @@ def test_core_map_is_the_sparse_transpose_adjacency():
 
 
 def test_bunce_deddens_ladder():
-    assert bunce_deddens_data(3) == {
-        "level": "Z",
-        "K0_map": [[0, 0, 3]],
-        "K1_map": [[0, 0, 1]],
-        "K0_limit": "Z[1/3]",
-        "K1_limit": "Z",
-        "order_unit": [1],
-    }
+    """For N = 2..6 the scaled-integer ladder has the level and the K0 map
+    of the core ladder of the same full shift."""
+    for n in range(2, 7):
+        ladder = bunce_deddens_data(n)
+        assert ladder == {
+            "level": "Z",
+            "K0_map": [[0, 0, n]],
+            "K1_map": [[0, 0, 1]],
+            "K0_limit": f"Z[1/{n}]",
+            "K1_limit": "Z",
+            "order_unit": [1],
+        }
+        core = core_dimension_data(full_shift_graph(n))
+        assert core["level"] == ladder["level"]
+        assert core["map"] == ladder["K0_map"]
     with pytest.raises(ValueError, match="at least 2 symbols"):
         bunce_deddens_data(1)

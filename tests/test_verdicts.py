@@ -46,14 +46,13 @@ from rotshift import cli, verdicts
 from rotshift.angles import MAX_ANGLE_BITS, MAX_GENERATORS, ExactAngle, GeneratorContext, parse_angle
 from rotshift.errors import ContextMismatch, GraphValidationError
 from rotshift.fileformat import parse_system
-from rotshift.graph import MAX_EDGES, MAX_VERTICES, LabeledGraph, validate_graph
+from rotshift.graph import MAX_EDGES, MAX_VERTICES, LabeledGraph, full_shift_graph, validate_graph
 from rotshift.report import analyze_document
 from rotshift.verdicts import (
     NO,
     UNKNOWN,
     YES,
     VerdictReport,
-    check_angle_assignment,
     condition_I,
     crossed_product_simplicity,
     fullshift_of_graph,
@@ -92,11 +91,18 @@ def test_definite_verdicts_need_certificates():
     assert j["verdict"] == "Unknown" and j["certificate"] is None
 
 
-def test_check_angle_assignment():
+def test_angle_table_checks_the_assignment():
+    """Both readers of the kept angle table refuse an assignment that
+    misses a symbol, and the same graph then decides with the full one."""
     graph, angles = goldenmean()
-    check_angle_assignment(graph, angles)
-    with pytest.raises(KeyError):
-        check_angle_assignment(graph, {"a": rat(0)})
+    with pytest.raises(KeyError, match=r"misses symbols \['b', 'c'\]"):
+        irrational_cycle(graph, {"a": rat(0)})
+    assert irrational_cycle(graph, angles).is_yes
+    full = full_shift_graph(2)
+    with pytest.raises(KeyError, match=r"misses symbols \['s2'\]"):
+        fullshift_of_graph(full, {"s1": rat(0)})
+    core, uniform = fullshift_of_graph(full, {"s1": rat(0), "s2": gen(1)})
+    assert core.is_yes and uniform.is_yes
 
 
 # -- condition (I) ----------------------------------------------------------
