@@ -23,9 +23,9 @@ that table against; in the package only the decorated-language oracle
 (oracles.decorated_admissible_words) adds angles.
 
 Two rules live here and nowhere else.  NAME_RE is the one name grammar
-of generators, symbols and vertices, matched whole with fullmatch, so
-a name never ends in a newline.  ExactAngle.to_float reads a generator
-without a numeric value as DEFAULT_GENERATOR_VALUE.
+of generators, symbols and vertices, matched whole with fullmatch as
+numerals are, so neither ends in a newline.  ExactAngle.to_float reads
+a generator without a numeric value as DEFAULT_GENERATOR_VALUE.
 """
 
 from __future__ import annotations
@@ -66,7 +66,8 @@ MAX_ANGLE_BITS = 4096
 MAX_GENERATORS = 32
 
 NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_RAT_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+_RAT_RE = re.compile(r"[+-]?\d+(?:/\d+)?")
+_CHUNK_RE = re.compile(r"[+-]?[^+-]+")
 
 
 @dataclass(frozen=True)
@@ -270,7 +271,7 @@ def parse_angle(text: str, context: GeneratorContext) -> ExactAngle:
         raise AngleSyntaxError("empty angle expression")
     # split into signed chunks; signs only occur between terms or leading
     compact = stripped.replace(" ", "").replace("\t", "")
-    chunks = re.findall(r"[+-]?[^+-]+", compact)
+    chunks = _CHUNK_RE.findall(compact)
     if not chunks or "".join(chunks) != compact:
         raise AngleSyntaxError(f"cannot tokenize angle expression {text!r}")
     rational = None
@@ -278,7 +279,7 @@ def parse_angle(text: str, context: GeneratorContext) -> ExactAngle:
     for chunk in chunks:
         coef_text, star, ident = chunk.partition("*")
         if star:
-            if not _RAT_RE.match(coef_text):
+            if not _RAT_RE.fullmatch(coef_text):
                 raise AngleSyntaxError(f"bad coefficient {coef_text!r} in {text!r}")
             if not NAME_RE.fullmatch(ident):
                 raise AngleSyntaxError(f"bad generator name {ident!r} in {text!r}")
@@ -289,7 +290,7 @@ def parse_angle(text: str, context: GeneratorContext) -> ExactAngle:
         else:
             if rational is not None:
                 raise AngleSyntaxError(f"two rational terms in angle expression {text!r}")
-            if not _RAT_RE.match(chunk):
+            if not _RAT_RE.fullmatch(chunk):
                 raise AngleSyntaxError(f"bad rational term {chunk!r} in {text!r}")
             p, q = _parse_rat(chunk, text)
             rational = Fraction(p % q, q)

@@ -410,37 +410,38 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="rotshift", description=__doc__)
     parser.add_argument("--version", action="version", version=f"rotshift {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = parser.commands = {}  # command name -> its parser, which main calls directly
 
-    p = sub.add_parser("validate", help="validate a system description")
+    p = commands["validate"] = sub.add_parser("validate", help="validate a system description")
     p.add_argument("file")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_validate)
 
-    p = sub.add_parser("words", help="admissible words of a given length")
+    p = commands["words"] = sub.add_parser("words", help="admissible words of a given length")
     p.add_argument("file")
     p.add_argument("-k", "--length", type=int, required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_words)
 
-    p = sub.add_parser("analyze", help="full verdict report")
+    p = commands["analyze"] = sub.add_parser("analyze", help="full verdict report")
     p.add_argument("file", nargs="?")
     p.add_argument("--angles", default=None, help="comma-separated exact angles (full shift)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_analyze)
 
-    p = sub.add_parser("ktheory", help="K-groups and inductive ladders")
+    p = commands["ktheory"] = sub.add_parser("ktheory", help="K-groups and inductive ladders")
     p.add_argument("file")
     p.add_argument("--af-core", action="store_true", help="the gauge core's stationary ladder")
     p.add_argument("--bunce-deddens", action="store_true", help="the scaled-integer ladder of a full shift")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_ktheory)
 
-    p = sub.add_parser("ideals", help="invariant saturated subsets and quotients")
+    p = commands["ideals"] = sub.add_parser("ideals", help="invariant saturated subsets and quotients")
     p.add_argument("file")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_ideals)
 
-    p = sub.add_parser("oracle", help="numeric oracles")
+    p = commands["oracle"] = sub.add_parser("oracle", help="numeric oracles")
     orc = p.add_subparsers(dest="oracle_command", required=True)
 
     q = orc.add_parser("orbit", help="breadth-first orbit density sampling")
@@ -466,10 +467,23 @@ def build_parser() -> _Parser:
 
 def main(argv: list[str] | None = None) -> int:
     """Run one command, write what it returns and return the exit code.
+
+    argv defaults to sys.argv[1:].  When its first argument names a
+    command, that command's own parser reads the rest, and the
+    top-level parser reports what it leaves over, as a full parse
+    would.  The top-level parser reads argv only when the first
+    argument names no command: -h, --version, a typo or nothing.
     Every error after argument parsing reaches the handler here, which
     writes its one `error:` line to stderr."""
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        args = parser.parse_args(argv)
+    else:
+        args, extras = command.parse_known_args(argv[1:])
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         payload, lines = args.func(args)
         _emit(payload, args.json, lines)

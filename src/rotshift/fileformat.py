@@ -45,6 +45,8 @@ __all__ = ["SystemDocument", "parse_system", "parse_system_file", "serialize_sys
 _SECTIONS = ("generators", "alphabet", "vertices", "edges")
 # one edge per line; [^\S\n] keeps a match of the joined [edges] lines inside one line
 _EDGE_RE = re.compile(r"^(\S+)[^\S\n]*->[^\S\n]*(\S+)[^\S\n]*:[^\S\n]*(\S+)$", re.M)
+# a nonempty list of names joined by newlines
+_NAMES_RE = re.compile("{0}(?:\n{0})*".format(NAME_RE.pattern))
 
 
 @dataclass(frozen=True)
@@ -74,8 +76,18 @@ class SystemDocument:
 
 def parse_system(text: str) -> SystemDocument:
     """Check each section in bulk; a walk over its lines runs only when a
-    check fails, to raise the first defect in file order."""
-    lines = [raw.partition("#")[0].strip() for raw in text.splitlines()]
+    check fails, to raise the first defect in file order.
+
+    Comments are cut line by line, and only when the text holds a '#';
+    a regex over the whole text could join a carriage return before a
+    comment to the line feed after it.  Each name list is one fullmatch
+    of the names joined by newlines, plus one count of the distinct
+    names.  [edges] is split at whitespace into token columns, which
+    must be five per row with '->' and ':' in the second and fourth;
+    any other spacing is read by one regex over the joined rows.
+    """
+    raw = text.splitlines()
+    lines = [line.partition("#")[0].strip() for line in raw] if "#" in text else list(map(str.strip, raw))
     heads = [i for i, line in enumerate(lines) if line[:1] == "[" and line[-1:] == "]"]
     stray = next((i for i in range(heads[0] if heads else len(lines)) if lines[i]), None)
     if stray is not None:
@@ -120,7 +132,7 @@ def parse_system(text: str) -> SystemDocument:
     alphabet = [name.strip() for name, _, _ in entries]
     vertices = list(filter(None, sections.get("vertices", (0, []))[1]))
     for kind, section, names in (("symbol", "alphabet", alphabet), ("vertex", "vertices", vertices)):
-        if all(map(NAME_RE.fullmatch, names)) and len(dict.fromkeys(names)) == len(names):
+        if (not names or _NAMES_RE.fullmatch("\n".join(names))) and len(set(names)) == len(names):
             continue
         first, body = sections[section]
         seen: set[str] = set()
@@ -133,7 +145,12 @@ def parse_system(text: str) -> SystemDocument:
 
     first, body = sections.get("edges", (0, []))
     rows = list(filter(None, body))
-    edges = _EDGE_RE.findall("\n".join(rows))
+    try:
+        srcs, arrows, dsts, colons, symbols = zip(*map(str.split, rows), strict=True)
+        spaced = arrows.count("->") == colons.count(":") == len(rows)
+    except ValueError:  # no rows, or a row of other than five tokens
+        spaced = False
+    edges = list(zip(srcs, dsts, symbols)) if spaced else _EDGE_RE.findall("\n".join(rows))
     if len(edges) < len(rows):
         for lineno, line in enumerate(body, start=first + 1):
             if line and not _EDGE_RE.match(line):
@@ -142,11 +159,12 @@ def parse_system(text: str) -> SystemDocument:
         raise bad_header
 
     context = GeneratorContext(tuple(gen_names))
+    zero = ExactAngle.zero(context)
     angles: dict[str, ExactAngle] = {}
     for symbol, (_, _, expr) in zip(alphabet, entries):
         expr = expr.strip()
         try:
-            angles[symbol] = parse_angle(expr, context) if expr else ExactAngle.zero(context)
+            angles[symbol] = parse_angle(expr, context) if expr else zero
         except (AngleSyntaxError, ContextMismatch) as exc:
             raise ParseError(f"bad angle for symbol {symbol!r}: {exc}") from exc
     for name, found in (("alphabet", alphabet), ("vertices", vertices), ("edges", edges)):

@@ -141,6 +141,12 @@ def validate_graph(
     unused-symbol (symbol), each naming its first witness in declared
     order.  Past a size cap it raises CapExceeded, and on a repeated
     vertex or symbol id or an edge that is no triple ValueError.
+
+    Each check is first made in bulk on sets.  A duplicate edge repeats
+    its (dst, symbol) slot, so one slot set screens both duplicates and
+    left-resolution.  The walk that names the first defect in edge
+    order runs only when that screen fails or an edge names an
+    undeclared vertex or symbol.
     """
     if not vertices:
         message = "graph has no vertices"
@@ -149,19 +155,19 @@ def validate_graph(
         raise CapExceeded("vertex count", len(vertices), MAX_VERTICES)
     if len(edges) > MAX_EDGES:
         raise CapExceeded("edge count", len(edges), MAX_EDGES)
-    if len(set(vertices)) != len(vertices):
+    vset = set(vertices)
+    if len(vset) != len(vertices):
         dup = next(v for i, v in enumerate(vertices) if v in vertices[:i])
         raise ValueError(f"duplicate vertex id {dup!r}")
-    if len(set(alphabet)) != len(alphabet):
+    sset = set(alphabet)
+    if len(sset) != len(alphabet):
         dup = next(s for i, s in enumerate(alphabet) if s in alphabet[:i])
         raise ValueError(f"duplicate alphabet symbol {dup!r}")
 
-    # bulk set checks; the edges are walked in order only to name the
-    # first defect
-    vset, sset = set(vertices), set(alphabet)
     built = tuple(map(tuple, edges))
     srcs, dsts, symbols = zip(*built, strict=True) if built else ((), (), ())
-    if len(set(built)) < len(built) or not vset.issuperset(srcs + dsts) or not sset.issuperset(symbols):
+    known = vset.issuperset(srcs) and vset.issuperset(dsts) and sset.issuperset(symbols)
+    if not known or len(set(zip(dsts, symbols))) < len(built):
         seen: set[tuple[str, str, str]] = set()
         for e in built:
             if e in seen:
@@ -177,7 +183,7 @@ def validate_graph(
                 raise GraphValidationError(
                     "unknown-symbol", f"edge {e} uses undeclared symbol {symbol!r}", symbol=symbol, edge=list(e)
                 )
-    if len(set(zip(dsts, symbols))) < len(built):
+        # no edge is repeated or unknown, so two edges share a slot
         incoming: dict[tuple[str, str], list[tuple[str, str, str]]] = {}
         for e in built:
             incoming.setdefault(e[1:], []).append(e)

@@ -434,7 +434,7 @@ def closure_irreducibility(graph: LabeledGraph) -> list[str] | None:
 _REF_SECTIONS = ("generators", "alphabet", "vertices", "edges")
 _REF_NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*\Z")
 _REF_EDGE_RE = re.compile(r"^(\S+)\s*->\s*(\S+)\s*:\s*(\S+)$")
-_REF_RAT_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+_REF_RAT_RE = re.compile(r"^[+-]?\d+(?:/\d+)?\Z")
 
 
 def _reference_rat(chunk: str, whole: str) -> Fraction:

@@ -16,6 +16,7 @@ from rotshift.angles import (
     parse_angle,
 )
 from conftest import outcome, reference_parse_angle
+from rotshift.cli import main
 from rotshift.errors import AngleSyntaxError, CapExceeded, ContextMismatch
 
 CTX = GeneratorContext(("g", "h"))
@@ -178,6 +179,20 @@ def test_a_name_is_one_line():
         parse_angle("1*g\n+1/2", GeneratorContext(("g",)))
 
 
+def test_a_numeral_is_one_line(capsys):
+    """A rational part or a coefficient is matched whole too: a newline
+    before the next term's sign or before '*' makes it bad, in the
+    library and in an --angles list."""
+    ctx = GeneratorContext(("g",))
+    with pytest.raises(AngleSyntaxError, match="bad rational term '1/2\\\\n'"):
+        parse_angle("1/2\n+1*g", ctx)
+    with pytest.raises(AngleSyntaxError, match="bad coefficient '1\\\\n'"):
+        parse_angle("1\n*g+1/2", ctx)
+    assert main(["analyze", "--angles", "1/2\n+1*g,0"]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err.splitlines()) == ("", [r"error: bad --angles list: bad rational term '1/2\n' in '1/2\n+1*g'"])
+
+
 @st.composite
 def angle_expressions(draw):
     """Angle text with spaces and tabs and signed rational and generator
@@ -224,7 +239,8 @@ def test_parse_angle_matches_fraction_str_reference(text):
 @pytest.mark.parametrize(
     "text",
     ["", " \t ", "0/7", "3/0", "-3/0*g", "+1/2", "- 1/2", "1*g + 1*g", "1*g - 1*g", "2/4*g+-1/2*g",
-     "1/2 + 1/3", "1*w", "1*", "*g", "1 * g", "\t3/4\t- 1/6*h", "-0", "1/2*g*h", "٣/4", "1*g\n+1/2"],
+     "1/2 + 1/3", "1*w", "1*", "*g", "1 * g", "\t3/4\t- 1/6*h", "-0", "1/2*g*h", "٣/4", "1*g\n+1/2",
+     "1/2\n+1*g", "1\n*g+1/2"],
 )
 def test_parse_angle_matches_reference_on_corners(text):
     same_angle(text)

@@ -730,6 +730,49 @@ def test_validation_failure_text_names_the_defect(capsys, command):
     assert '"error": "not-left-resolving"' in out
 
 
+def run_to_exit(capsys, argv):
+    """main's exit code, stdout and stderr, whether it returns or exits."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+GM = path("goldenmean.sds")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(_with_file(command, GM) for command in FILE_COMMANDS),
+        ["validate", "-h"],
+        ["validate", GM, "--bogus"],
+        ["ktheory", GM, "--af-core", "2"],
+        ["words", GM],
+        ["validate", "--", GM],
+        ["oracle"],
+        ["oracle", "weyl"],
+        ["bogus"],
+        ["--version"],
+        [],
+    ],
+    ids=lambda argv: " ".join(argv).replace(GM, "FILE") or "no-arguments",
+)
+def test_command_dispatch_matches_the_full_parser(capsys, monkeypatch, argv):
+    """main hands the argv after a command name to that command's parser;
+    with no command map, the top-level parser reads all of argv.  Both
+    give the same exit code, stdout and stderr."""
+    direct = run_to_exit(capsys, argv)
+    monkeypatch.setattr(cli.build_parser(), "commands", {})
+    assert run_to_exit(capsys, argv) == direct
+    if "--bogus" in argv:
+        usage = cli.build_parser().format_usage()
+        assert usage.startswith("usage: rotshift [-h] [--version]")
+        assert direct == (1, "", usage + "error: unrecognized arguments: --bogus\n")
+
+
 # The --json writer against json.dumps(value, indent=2).  The strings
 # carry what JSON escapes, text beyond ASCII and U+2028; the floats
 # include the extremes and the constants that json.dumps writes as NaN

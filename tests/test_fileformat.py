@@ -185,6 +185,11 @@ EXTRA_LINES = [
     "v2 : a",
     "v1 -> -> v1 : a",
     "v1 - > v1 : a",
+    "v1\t->\tv2\t:\tb",
+    "a->b -> c : d",
+    "v1 -> v1 : a b",
+    "-> v1 : a",
+    "v 2",
 ]
 SEPARATORS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 
@@ -229,6 +234,13 @@ def test_parse_matches_reference_on_mutations(text):
         "[alphabet]\na = 1*g\n[vertices]\nv\nw\nv\n",
         "[generators]\ng = x\n2g\n",
         "",
+        # a row of six tokens, then one of four: each is a bad edge
+        "[alphabet]\na\n[vertices]\nv1\n[edges]\nv1 -> v1 : a b\n-> v1 : a\n",
+        "[alphabet]\nb\nd\n[vertices]\nv1\nv2\n[edges]\nv1\t->\tv2\t:\tb\na->b -> c : d\nv2 v1 : b\n",
+        # a '\r' next to a comment still ends a line
+        "[alphabet]\na # note\r\n[vertices]\nv\nv\n",
+        "[alphabet]\na\r# note\n[vertices]\nv\nv\n",
+        "[alphabet]\na\n[vertices]\nv1\nv 2\n",
     ],
 )
 def test_first_defect_in_file_order(text):
@@ -237,6 +249,14 @@ def test_first_defect_in_file_order(text):
     same_outcome(text)
     with pytest.raises(ParseError):
         parse_system(text)
+
+
+def test_edge_tokens_match_the_regex():
+    """Rows split at any whitespace give the edges the regex gives, a
+    source that holds '->' included."""
+    text = "[alphabet]\nb\nd\n[vertices]\nv1\nv2\n[edges]\nv1\t->\tv2\t:\tb\na->b -> c : d\n"
+    same_outcome(text)
+    assert parse_system(text).edges == (("v1", "v2", "b"), ("a->b", "c", "d"))
 
 
 def cap_text(n=1000, k=10):
